@@ -100,15 +100,6 @@ echo "== temporal SQL smoke benchmark =="
 PYTHONPATH=src timeout 300 python benchmarks/bench_temporal_sql.py \
     --smoke --out "$(mktemp --suffix=.json)"
 
-echo "== server jobs + binary encoding smoke benchmark =="
-# Protocol v3 end to end: the colframe1 size gate and async job
-# isolation (interactive p99 stays bounded while a job occupies the
-# job executor).  The encoding speed gate only applies to the full
-# run; smoke writes to a scratch path so the committed full-run
-# BENCH_server_jobs.json is never clobbered.
-PYTHONPATH=src timeout 300 python benchmarks/bench_server_jobs.py \
-    --smoke --out "$(mktemp --suffix=.json)"
-
 echo "== concurrency stress (bounded) =="
 # Snapshot-vs-replay consistency under concurrent clients, deadlock
 # breaking, group-commit batching — fails on leaked threads or sockets.

@@ -172,9 +172,6 @@ class CompressionError(ArchisError):
 WIRE_CODES: dict[str, type[ReproError]] = {
     "BUSY": ServerBusyError,
     "UNSUPPORTED_VERSION": UnsupportedVersionError,
-    "TEMPORAL_PARAMS_UNSUPPORTED": UnsupportedVersionError,
-    "BINARY_ENCODING_UNSUPPORTED": UnsupportedVersionError,
-    "JOBS_UNSUPPORTED": UnsupportedVersionError,
     "PROTOCOL": ProtocolError,
     "JOB_NOT_FOUND": JobNotFoundError,
     "JOB_STATE": JobStateError,
@@ -203,14 +200,12 @@ WIRE_CODES: dict[str, type[ReproError]] = {
     "INTERNAL": ServerError,
 }
 
-#: exception class -> its canonical code.  Several codes may share a
-#: class (the feature-gate UNSUPPORTED_* family all surface as
-#: UnsupportedVersionError); the generic code is pinned explicitly so
-#: server-side ``code_for`` never picks a feature-specific one.
+#: exception class -> its canonical code.  ``ServerError`` backs both
+#: ``SERVER`` and ``INTERNAL``; the generic code is pinned explicitly so
+#: server-side ``code_for`` never reports a known error as a bug.
 _CODE_OF: dict[type[ReproError], str] = {}
 for _code, _cls in WIRE_CODES.items():
     _CODE_OF.setdefault(_cls, _code)
-_CODE_OF[UnsupportedVersionError] = "UNSUPPORTED_VERSION"
 _CODE_OF[ServerError] = "SERVER"
 
 

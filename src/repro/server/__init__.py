@@ -8,20 +8,14 @@ and locked write transactions against one :class:`~repro.archis.ArchIS`
 instance.  Start it with ``python -m repro.tools serve`` and talk to it
 with :class:`~repro.server.client.Client`.
 
-Protocol version 3 adds an async job service for heavy analytics
-(:mod:`repro.server.jobs`) and a compact binary result encoding
-(:mod:`repro.server.encoding`), both negotiated per connection; older
-clients keep the JSON protocol byte for byte.
+The protocol (version 3) also carries an async job service for heavy
+analytics (:mod:`repro.server.jobs`) and an optional compact binary
+result encoding (:mod:`repro.server.encoding`).
 """
 
 from repro.server.client import Client
 from repro.server.jobs import JobManager
-from repro.server.protocol import (
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    recv_message,
-    send_message,
-)
+from repro.server.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.server.server import Server
 from repro.server.session import Session
 
@@ -29,7 +23,6 @@ __all__ = [
     "Client",
     "JobManager",
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "Server",
     "Session",
     "recv_message",

@@ -10,12 +10,11 @@ detail}`` responses are rebuilt into the one exception hierarchy of
 :class:`~repro.errors.DeadlockError` here, a finished-with-error job
 re-raises its original error class on fetch).
 
-Construct with ``encoding="binary"`` to negotiate the protocol-v3
-columnar result frames: row-bearing responses then arrive as one
-compact binary payload (see :mod:`repro.server.encoding`) instead of
-JSON rows — same data, several times smaller and faster to decode.
-Binary rows arrive as tuples (like engine-side results); JSON rows
-stay lists, exactly as previous protocol versions shipped them.
+Construct with ``encoding="binary"`` to ask for columnar result
+frames: row-bearing responses then arrive as one compact binary payload
+(see :mod:`repro.server.encoding`) instead of JSON rows — same data,
+several times smaller and faster to decode.  Binary rows arrive as
+tuples (like engine-side results); JSON rows arrive as lists.
 """
 
 from __future__ import annotations
@@ -91,11 +90,10 @@ class Client:
         """Send one request and return the raw response dict.
 
         The message is sent as given — ``request`` is the raw escape
-        hatch (and what the protocol tests use to impersonate clients
-        of other versions); the convenience wrappers below stamp the
-        protocol version themselves.  A response announcing a binary
-        payload has the payload frame read and decoded back into its
-        ``rows`` (or ``results``) field.
+        hatch; the convenience wrappers below stamp the protocol version,
+        trace context and result encoding themselves.  A response
+        announcing a binary payload has the payload frame read and
+        decoded back into its ``rows`` (or ``results``) field.
         """
         with self._deadline(timeout):
             send_message(self._sock, message)

@@ -27,9 +27,9 @@ array — both directions run through C-speed ``map``).  Type codes:
 4 bool, 5 json (per-column JSON fallback for mixed/exotic cells, so
 *any* result row set round-trips).
 
-The codec is negotiated per connection behind protocol version 3 (see
-:mod:`repro.server.protocol`); version-1/2 clients keep the JSON row
-encoding byte for byte.
+A request opts in per call with ``"enc": "binary"`` (see
+:mod:`repro.server.protocol`); without it, rows ride inline in the JSON
+reply.
 """
 
 from __future__ import annotations

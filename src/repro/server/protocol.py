@@ -1,56 +1,44 @@
 """The wire protocol: length-prefixed JSON messages.
 
 Every message — request or response — is a UTF-8 JSON object preceded by
-a 4-byte big-endian length.  Requests carry an ``op``, an optional
-protocol version ``v``, plus op-specific fields; responses carry ``ok``
-(bool) plus either the result fields or ``error``/``message``:
+a 4-byte big-endian length.  Requests carry an ``op``, the protocol
+version ``v``, plus op-specific fields; responses carry ``ok`` (bool)
+plus either the result fields or ``error``/``message``:
 
-    {"op": "sql", "v": 1, "text": "SELECT ...", "params": {...}}
+    {"op": "sql", "v": 3, "text": "SELECT ...", "params": {...}}
     {"ok": true, "columns": [...], "rows": [[...], ...]}
     {"ok": false, "error": "DeadlockError", "message": "..."}
 
 Operations: ``ping``, ``sql``, ``xquery``, ``begin``, ``commit``,
 ``abort``, ``snapshot`` (pin / re-pin the session's read snapshot),
 ``stats``, ``metrics`` (the Prometheus text exposition of the server's
-metrics registry) and ``health`` (liveness plus load gauges).  The
-server answers ``BUSY`` (``error = "ServerBusyError"``) when admission
-control rejects a request.
+metrics registry), ``health`` (liveness plus load gauges) and the async
+job ops ``job.submit`` / ``job.status`` / ``job.result`` /
+``job.cancel`` / ``job.list``.  The server answers ``BUSY``
+(``error = "ServerBusyError"``) when admission control rejects a
+request.  A ``sql`` request may bind ``params`` anywhere a value goes,
+including the bounds of a ``FOR SYSTEM_TIME`` clause.
 
 Distributed tracing: a request may carry a ``trace`` object —
 ``{"id": "<hex>", "parent": "<hex>"}`` — naming the client's trace and
 (optionally) the client-side span that issued the request.  The server
 adopts the id for the request's root span and its slow-query log
 entries, so one trace id follows a query from the caller through the
-wire into the engine.  The field is optional and ignored by older
-servers; it never changes the protocol version.
+wire into the engine.
 
-Versioning: this build speaks :data:`PROTOCOL_VERSION`.  A request whose
-``v`` is a version the server does not support gets a structured
-``UNSUPPORTED_VERSION`` error (``error = "UnsupportedVersionError"``,
-``code = "UNSUPPORTED_VERSION"``, plus ``offered``/``supported``
-fields) instead of a confusing decode failure.  Requests without ``v``
-are treated as version-1 legacy clients and accepted.
+Versioning: this build speaks exactly :data:`PROTOCOL_VERSION`.  A
+request without ``v`` is served as that version; a request whose ``v``
+is anything else gets a structured ``UNSUPPORTED_VERSION`` error
+(``error = "UnsupportedVersionError"``, plus ``offered``/``supported``
+fields) instead of a confusing decode failure.
 
-Feature gating works the same way: a version-1 client that sends a
-``sql`` request binding parameters inside a ``FOR SYSTEM_TIME`` clause
-(a version-2 feature) gets ``code = "TEMPORAL_PARAMS_UNSUPPORTED"``
-with ``supported`` naming the versions that speak it, rather than a
-silently mis-planned query.
-
-Version 3 adds two features, each gated the same way:
-
-- **async jobs** — the ``job.submit`` / ``job.status`` / ``job.result``
-  / ``job.cancel`` / ``job.list`` ops (``code = "JOBS_UNSUPPORTED"``
-  for older clients that try them);
-- **binary results** — a request carrying ``"enc": "binary"`` asks for
-  the response's rows as one :mod:`repro.server.encoding` columnar
-  frame.  The JSON header is sent as usual (with the row data replaced
-  by a ``binary`` descriptor) followed by one length-prefixed raw
-  payload frame; see :func:`send_response` / :func:`recv_payload`.
-  Version-1/2 requests never get a payload frame — their responses stay
-  byte-identical to what those protocol versions always shipped — and a
-  v1/v2 request asking for ``enc`` gets
-  ``code = "BINARY_ENCODING_UNSUPPORTED"``.
+Result encoding: a request carrying ``"enc": "binary"`` gets its rows
+as one :mod:`repro.server.encoding` columnar frame.  The reply is then
+two length-prefixed frames written together: the JSON header (with the
+row data replaced by a ``binary`` descriptor) and the raw payload; see
+:func:`send_message` / :func:`recv_payload`.  Without ``enc`` (or with
+``"json"``) rows ride inline in the JSON; any other ``enc`` gets a
+``PROTOCOL`` error.
 """
 
 from __future__ import annotations
@@ -60,24 +48,11 @@ import socket
 import struct
 
 from repro.errors import ProtocolError, error_response
+from repro.xmlkit.dom import Element
+from repro.xmlkit.serializer import serialize
 
-#: the wire-protocol version this build speaks.  Version 2 adds named
-#: parameters bound inside ``FOR SYSTEM_TIME`` clauses on the ``sql``
-#: op; version 3 adds async jobs and the binary result encoding
+#: the one wire-protocol version this build speaks
 PROTOCOL_VERSION = 3
-
-#: versions the server accepts (requests without ``v`` count as 1)
-SUPPORTED_VERSIONS = (1, 2, 3)
-
-#: the first protocol version whose ``sql`` op may bind parameters in
-#: temporal (``FOR SYSTEM_TIME``) clause positions
-TEMPORAL_PARAMS_VERSION = 2
-
-#: the first protocol version that speaks the ``job.*`` ops
-JOBS_VERSION = 3
-
-#: the first protocol version that may negotiate binary result frames
-BINARY_ENCODING_VERSION = 3
 
 _LENGTH = struct.Struct(">I")
 
@@ -86,126 +61,65 @@ _LENGTH = struct.Struct(">I")
 MAX_MESSAGE_BYTES = 16 * 1024 * 1024
 
 
-def check_version(request: dict) -> dict | None:
-    """The ``UNSUPPORTED_VERSION`` response for ``request``, or ``None``
-    when its version is acceptable (missing ``v`` = legacy version 1)."""
-    offered = request.get("v", PROTOCOL_VERSION)
-    if offered in SUPPORTED_VERSIONS:
-        return None
-    return error_response(
-        code="UNSUPPORTED_VERSION",
-        message=(
-            f"protocol version {offered!r} is not supported; this server "
-            f"speaks {', '.join(str(v) for v in SUPPORTED_VERSIONS)}"
-        ),
-        offered=offered,
-        supported=list(SUPPORTED_VERSIONS),
-    )
+def check_request(request: dict) -> dict | None:
+    """The rejection for a request this server cannot serve, or ``None``.
 
-
-def _feature_gate(
-    request: dict, code: str, needs: int, feature: str
-) -> dict | None:
-    """The structured rejection for a request whose version predates
-    ``needs``, or ``None`` when the feature is available to it."""
-    offered = request.get("v", 1)
-    if offered >= needs:
-        return None
-    return error_response(
-        code=code,
-        message=(
-            f"{feature} needs protocol version {needs}; this request "
-            f"offered version {offered}"
-        ),
-        offered=offered,
-        supported=[v for v in SUPPORTED_VERSIONS if v >= needs],
-    )
-
-
-def check_temporal_params(request: dict, param_names: list) -> dict | None:
-    """The ``TEMPORAL_PARAMS_UNSUPPORTED`` response for ``request``, or
-    ``None`` when the client's version may bind temporal parameters.
-
-    ``param_names`` are the parameters the statement binds inside
-    ``FOR SYSTEM_TIME`` clauses (see
-    :func:`repro.sql.ast.temporal_param_names`); an empty list never
-    rejects.
+    A ``v`` other than :data:`PROTOCOL_VERSION` gets
+    ``UNSUPPORTED_VERSION`` (a missing ``v`` counts as the current
+    version); an ``enc`` other than ``json``/``binary`` gets
+    ``PROTOCOL``.
     """
-    if not param_names:
-        return None
-    shown = ", ".join(f":{name}" for name in sorted(set(param_names)))
-    return _feature_gate(
-        request,
-        "TEMPORAL_PARAMS_UNSUPPORTED",
-        TEMPORAL_PARAMS_VERSION,
-        f"parameters in FOR SYSTEM_TIME clauses ({shown})",
-    )
-
-
-def check_jobs(request: dict) -> dict | None:
-    """The ``JOBS_UNSUPPORTED`` rejection for a pre-v3 request using a
-    ``job.*`` op, or ``None`` when jobs are available to it."""
-    return _feature_gate(
-        request,
-        "JOBS_UNSUPPORTED",
-        JOBS_VERSION,
-        f"the {request.get('op')!r} op",
-    )
-
-
-def check_encoding(request: dict) -> dict | None:
-    """The ``BINARY_ENCODING_UNSUPPORTED`` rejection for a pre-v3
-    request asking for a non-JSON result encoding, or ``None`` when the
-    request's encoding is fine (missing/``"json"`` always is)."""
-    encoding = request.get("enc")
-    if encoding in (None, "json"):
-        return None
-    if encoding != "binary":
+    offered = request.get("v", PROTOCOL_VERSION)
+    if offered != PROTOCOL_VERSION:
         return error_response(
-            code="PROTOCOL",
-            message=f"unknown result encoding {encoding!r}",
+            code="UNSUPPORTED_VERSION",
+            message=(
+                f"protocol version {offered!r} is not supported; this "
+                f"server speaks {PROTOCOL_VERSION}"
+            ),
+            offered=offered,
+            supported=[PROTOCOL_VERSION],
         )
-    return _feature_gate(
-        request,
-        "BINARY_ENCODING_UNSUPPORTED",
-        BINARY_ENCODING_VERSION,
-        "binary result encoding",
+    encoding = request.get("enc")
+    if encoding not in (None, "json", "binary"):
+        return error_response(
+            code="PROTOCOL", message=f"unknown result encoding {encoding!r}"
+        )
+    return None
+
+
+def cell_default(value):
+    """``json.dumps`` fallback for raw engine cells (XML → serialized
+    text), shared by JSON replies and binary TYPE_JSON columns."""
+    if isinstance(value, Element):
+        return serialize(value)
+    raise TypeError(
+        f"result cell of type {type(value).__name__} is not serializable"
     )
 
 
 def send_message(sock: socket.socket, message: dict) -> None:
-    """Serialize ``message`` and write it length-prefixed to ``sock``."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {len(body)} bytes exceeds {MAX_MESSAGE_BYTES}"
-        )
-    sock.sendall(_LENGTH.pack(len(body)) + body)
+    """Write ``message`` length-prefixed to ``sock`` in one ``sendall``.
 
-
-def send_response(sock: socket.socket, response: dict) -> None:
-    """Send a response, including its binary payload frame if any.
-
-    A response carrying rows in the negotiated binary encoding holds the
-    encoded frame under the transient ``"_payload"`` key (never part of
-    the JSON) and describes it under ``"binary"``.  The JSON header goes
-    first, then the payload as one length-prefixed raw frame — so v1/v2
-    responses (which never have a payload) remain byte-identical to what
-    :func:`send_message` always produced.
+    A reply carrying rows in the binary encoding holds the encoded frame
+    under the transient ``"_payload"`` key (never part of the JSON); it
+    goes out as a second length-prefixed frame right behind the JSON
+    header, in the same write.  Every size check runs before any byte is
+    written, so an oversized message raises :class:`ProtocolError` with
+    the connection still at a frame boundary.
     """
-    payload = response.pop("_payload", None)
-    send_message(sock, response)
-    if payload is not None:
-        send_bytes(sock, payload)
-
-
-def send_bytes(sock: socket.socket, payload: bytes) -> None:
-    """Write one length-prefixed raw frame (no JSON envelope)."""
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"payload of {len(payload)} bytes exceeds {MAX_MESSAGE_BYTES}"
-        )
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
+    payload = message.pop("_payload", None)
+    body = json.dumps(
+        message, separators=(",", ":"), default=cell_default
+    ).encode("utf-8")
+    parts = []
+    for frame in (body,) if payload is None else (body, payload):
+        if len(frame) > MAX_MESSAGE_BYTES:
+            raise ProtocolError(
+                f"frame of {len(frame)} bytes exceeds {MAX_MESSAGE_BYTES}"
+            )
+        parts += (_LENGTH.pack(len(frame)), frame)
+    sock.sendall(b"".join(parts))
 
 
 def recv_payload(sock: socket.socket) -> bytes:

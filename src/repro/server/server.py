@@ -29,7 +29,7 @@ import time
 from repro.errors import ProtocolError, ServerError, error_response
 from repro.obs.metrics import get_registry
 from repro.server.jobs import JobManager
-from repro.server.protocol import recv_message, send_message, send_response
+from repro.server.protocol import recv_message, send_message
 from repro.server.session import Session
 
 _CONNECTIONS = get_registry().counter("server.connections")
@@ -39,6 +39,17 @@ _SESSIONS = get_registry().gauge("server.sessions")
 _BUSY_RESPONSE = error_response(
     code="BUSY", message="server at capacity; retry later"
 )
+
+
+def _reply(conn: socket.socket, response: dict) -> None:
+    """Send ``response``; one too large for the wire is answered with
+    its typed ``ProtocolError`` instead.  :func:`send_message` checks
+    every size before writing, so the connection is still at a frame
+    boundary and the session carries on."""
+    try:
+        send_message(conn, response)
+    except ProtocolError as exc:
+        send_message(conn, error_response(exc))
 
 
 class Server:
@@ -241,11 +252,10 @@ class Server:
             try:
                 try:
                     # the session sends the response itself so wire time
-                    # lands inside the request's root span; send_response
-                    # also ships any negotiated binary payload frame
+                    # lands inside the request's root span
                     session.handle(
                         request,
-                        send=lambda response: send_response(conn, response),
+                        send=lambda response: _reply(conn, response),
                         recv_seconds=recv_seconds,
                         wait_seconds=wait_seconds,
                     )

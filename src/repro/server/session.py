@@ -25,17 +25,10 @@ from repro.obs.metrics import get_registry
 from repro.obs.promtext import render_prometheus
 from repro.obs.tracer import get_tracer
 from repro.server.encoding import CODEC, encode_result
-from repro.server.protocol import (
-    check_encoding,
-    check_jobs,
-    check_temporal_params,
-    check_version,
-)
+from repro.server.protocol import cell_default, check_request
 from repro.sql import ast
 from repro.sql.parser import parse_sql
 from repro.sql.session import execute_statement
-from repro.xmlkit.dom import Element
-from repro.xmlkit.serializer import serialize
 
 _REQUESTS = get_registry().labeled_counter("server.requests")
 _ERRORS = get_registry().counter("server.errors")
@@ -61,29 +54,39 @@ _OPS = (
     "job.list",
 )
 
-#: ops that need the server's :class:`~repro.server.jobs.JobManager`
-_JOB_OPS = frozenset(op for op in _OPS if op.startswith("job."))
 
+def _with_rows(request: dict, response: dict, columns, rows) -> dict:
+    """Attach a result to ``response`` in the request's encoding.
 
-def _jsonable(value):
-    """Render a result cell for JSON transport (XML → serialized text)."""
-    if isinstance(value, Element):
-        return serialize(value)
-    if isinstance(value, list):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, tuple):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def _cell_default(value):
-    """``json.dumps`` fallback for raw engine cells that land in a
-    binary TYPE_JSON column (XML → serialized text, like _jsonable)."""
-    if isinstance(value, Element):
-        return serialize(value)
-    raise TypeError(
-        f"result cell of type {type(value).__name__} is not serializable"
-    )
+    ``columns=None`` marks an XQuery forest: ``rows`` is the item list,
+    shipped as ``results``.  JSON replies keep the raw engine cells —
+    :func:`~repro.server.protocol.send_message` serializes XML on the
+    way out.  A binary reply keeps the column names in the header, adds
+    a ``binary`` descriptor and rides the encoded frame on the transient
+    ``_payload`` key; a forest travels as one ``results`` column plus a
+    ``forest`` marker telling the client to unwrap it back to a list.
+    """
+    if request.get("enc") != "binary":
+        if columns is None:
+            response["results"] = rows
+        else:
+            response["columns"] = columns
+            response["rows"] = rows
+        return response
+    forest = columns is None
+    if forest:
+        columns, rows = ["results"], [[item] for item in rows]
+    frame = encode_result(rows, columns, json_default=cell_default)
+    response["columns"] = columns
+    response["binary"] = {
+        "codec": CODEC,
+        "rows": len(rows),
+        "bytes": len(frame),
+    }
+    if forest:
+        response["forest"] = True
+    response["_payload"] = frame
+    return response
 
 
 class Session:
@@ -149,11 +152,7 @@ class Session:
         return response
 
     def _execute(self, op, request: dict) -> dict:
-        rejection = check_version(request)
-        if rejection is None:
-            rejection = check_encoding(request)
-        if rejection is None and op in _JOB_OPS:
-            rejection = check_jobs(request)
+        rejection = check_request(request)
         if rejection is not None:
             _ERRORS.inc()
             return rejection
@@ -212,59 +211,23 @@ class Session:
         if not isinstance(text, str):
             raise TxnError("sql op needs a 'text' string")
         params = request.get("params") or None
-        statement = parse_sql(text)
-        if isinstance(statement, ast.Select):
-            rejection = check_temporal_params(
-                request, ast.temporal_param_names(statement)
-            )
-            if rejection is not None:
-                _ERRORS.inc()
-                return rejection
         if self.txn is not None and self.txn.state == "active":
             result = self.txn.sql(text, params)
         else:
-            result = self._autocommit(text, params, statement)
+            result = self._autocommit(text, params)
         if hasattr(result, "columns"):
-            columns = list(result.columns)
-            if request.get("enc") == "binary":
-                # engine rows go straight to the columnar encoder — the
-                # typed columns never needed the per-row JSON conversion
-                # pass, and a TYPE_JSON fallback column serializes its
-                # XML cells through _cell_default instead
-                return self._binary_rows(
-                    {"ok": True}, columns, list(result.rows)
-                )
-            rows = [_jsonable(row) for row in result.rows]
-            return {"ok": True, "columns": columns, "rows": rows}
+            return _with_rows(
+                request, {"ok": True}, list(result.columns), result.rows
+            )
         return {"ok": True, "rowcount": result}
 
-    @staticmethod
-    def _binary_rows(response: dict, columns: list, rows: list) -> dict:
-        """Attach ``rows`` x ``columns`` as a binary payload frame.
-
-        The JSON header keeps the column names and gains a ``binary``
-        descriptor; the encoded frame rides the transient ``_payload``
-        key that :func:`repro.server.protocol.send_response` ships as a
-        separate raw frame after the header.
-        """
-        frame = encode_result(rows, columns, json_default=_cell_default)
-        response["columns"] = columns
-        response["binary"] = {
-            "codec": CODEC,
-            "rows": len(rows),
-            "bytes": len(frame),
-        }
-        response["_payload"] = frame
-        return response
-
-    def _autocommit(self, text: str, params, statement=None):
+    def _autocommit(self, text: str, params):
         """A statement outside any transaction: SELECTs run on the
         session snapshot, anything else through a one-statement write
         transaction.  The split is decided by statement type — catching
         the snapshot's read-only rejection instead would also re-execute
         a SELECT whose TxnError had some unrelated cause."""
-        if statement is None:
-            statement = parse_sql(text)
+        statement = parse_sql(text)
         if isinstance(statement, ast.Select):
             return self._snapshot.run(
                 execute_statement,
@@ -295,10 +258,6 @@ class Session:
             text,
             allow_fallback=bool(request.get("allow_fallback", True)),
         )
-        results = [
-            serialize(item) if isinstance(item, Element) else item
-            for item in result.rows
-        ]
         response = {
             "ok": True,
             "day": self._snapshot.day,
@@ -308,16 +267,7 @@ class Session:
                 if isinstance(v, (str, int, float, bool))
             },
         }
-        if request.get("enc") == "binary":
-            # a forest is one "results" column; the marker tells the
-            # client to unwrap the single-column rows back to a list
-            response = self._binary_rows(
-                response, ["results"], [[item] for item in results]
-            )
-            response["forest"] = True
-            return response
-        response["results"] = results
-        return response
+        return _with_rows(request, response, None, result.rows)
 
     # -- async jobs --------------------------------------------------------
 
@@ -357,23 +307,10 @@ class Session:
         payload = self._require_jobs().result(self._job_id(request))
         response = {"ok": True, "day": payload["day"]}
         if "forest" in payload:
-            if request.get("enc") == "binary":
-                response = self._binary_rows(
-                    response,
-                    ["results"],
-                    [[item] for item in payload["forest"]],
-                )
-                response["forest"] = True
-                return response
-            response["results"] = payload["forest"]
-            return response
-        if request.get("enc") == "binary":
-            return self._binary_rows(
-                response, payload["columns"], payload["rows"]
-            )
-        response["columns"] = payload["columns"]
-        response["rows"] = payload["rows"]
-        return response
+            return _with_rows(request, response, None, payload["forest"])
+        return _with_rows(
+            request, response, payload["columns"], payload["rows"]
+        )
 
     def _op_job_cancel(self, request: dict) -> dict:
         job = self._require_jobs().cancel(self._job_id(request))

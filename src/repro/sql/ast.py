@@ -323,20 +323,3 @@ def flat_source_refs(sources):
         else:
             yield source
 
-
-def temporal_param_names(select: Select) -> list[str]:
-    """Names of parameters bound inside FOR SYSTEM_TIME clauses.
-
-    Used by the server's version gate: a v1 client cannot bind temporal
-    clause positions, so a temporal statement carrying these gets a
-    structured UNSUPPORTED_VERSION-style rejection.
-    """
-    names: list[str] = []
-    for ref in flat_source_refs(select.sources):
-        clause = getattr(ref, "temporal", None)
-        if clause is None:
-            continue
-        for bound in (clause.low, clause.high):
-            if isinstance(bound, Param):
-                names.append(bound.name)
-    return names

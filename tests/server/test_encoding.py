@@ -128,9 +128,9 @@ class TestCompression:
 
 class TestSizeVsJson:
     def test_frame_at_least_2x_smaller_than_json_on_100k_rows(self):
-        """Acceptance criterion shape (full run in bench_server_jobs):
-        a realistic 100k-row result encodes >= 2x smaller than the JSON
-        rows even without zlib."""
+        """The size gate: a realistic 100k-row result encodes >= 2x
+        smaller than the JSON rows even without zlib (the wire-level
+        workload is the benchmark spine's ``serve-mixed``)."""
         rows = [
             (i, f"emp-{i % 997}", 40000 + (i % 50) * 500, i % 2 == 0)
             for i in range(100_000)

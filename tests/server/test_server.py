@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.errors import CatalogError, ProtocolError, ServerBusyError
-from repro.server import Client, Server
+from repro.server import Client, Server, protocol
 
 from tests.txn.conftest import make_managed
 
@@ -210,6 +210,29 @@ class TestConcurrencyAndLifecycle:
             parked.close()
             queued.close()
             rejected.close()
+        finally:
+            server.stop()
+
+    def test_oversized_reply_is_a_typed_error_not_a_dead_worker(
+        self, monkeypatch
+    ):
+        """With the only worker serving it, an over-limit reply must
+        come back as a ProtocolError on the same connection and leave
+        the worker alive for the next client."""
+        monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 2000)
+        archis, manager = make_managed()
+        with manager.begin() as txn:
+            for key in range(200):
+                txn.sql(f"INSERT INTO employee VALUES ({key}, 'e{key}', 1)")
+        server = Server(manager, archis, workers=1).start()
+        host, port = server.address
+        try:
+            with Client(host, port, timeout=2.0) as client:
+                with pytest.raises(ProtocolError, match="exceeds 2000"):
+                    client.sql(QUERY)
+                assert client.ping() is True
+            with Client(host, port, timeout=2.0) as other:
+                assert other.ping() is True
         finally:
             server.stop()
 

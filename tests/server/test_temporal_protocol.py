@@ -1,21 +1,13 @@
-"""Protocol v2: temporal SQL over the wire, with the v1 feature gate.
+"""Temporal SQL over the wire.
 
-A v2 client can run FOR SYSTEM_TIME queries — including named parameters
-bound to the temporal clause — through ``Client.execute``.  A v1 client
-may still run temporal SQL with inline literals, but binding parameters
-inside the clause is a v2 feature: the server answers a structured
-``TEMPORAL_PARAMS_UNSUPPORTED`` rejection instead of mis-planning.
+FOR SYSTEM_TIME queries — including named parameters bound to the
+temporal clause — are ordinary ``sql`` requests: ``Client.execute``
+binds them, and so does a raw request that omits ``v``.
 """
 
 import pytest
 
-from repro.errors import UnsupportedVersionError
 from repro.server import Client, Server
-from repro.server.protocol import (
-    SUPPORTED_VERSIONS,
-    TEMPORAL_PARAMS_VERSION,
-    check_temporal_params,
-)
 from repro.util.timeutil import parse_date
 
 from tests.txn.conftest import make_managed
@@ -43,95 +35,22 @@ def served():
         server.stop()
 
 
-class TestCheckTemporalParams:
-    def test_no_params_never_rejects(self):
-        assert check_temporal_params({"op": "sql", "v": 1}, []) is None
-
-    def test_v2_client_accepted(self):
-        assert (
-            check_temporal_params(
-                {"op": "sql", "v": TEMPORAL_PARAMS_VERSION}, ["d"]
-            )
-            is None
-        )
-
-    def test_v1_client_rejected_with_structure(self):
-        rejection = check_temporal_params({"op": "sql", "v": 1}, ["d"])
-        assert rejection["ok"] is False
-        assert rejection["error"] == "UnsupportedVersionError"
-        assert rejection["code"] == "TEMPORAL_PARAMS_UNSUPPORTED"
-        assert rejection["offered"] == 1
-        assert TEMPORAL_PARAMS_VERSION in rejection["supported"]
-        assert ":d" in rejection["message"]
-
-    def test_missing_version_counts_as_v1(self):
-        assert check_temporal_params({"op": "sql"}, ["d"]) is not None
-
-
 class TestOverTheWire:
-    def test_v2_client_binds_temporal_params(self, served):
+    def test_client_binds_temporal_params(self, served):
         host, port = served
         day = parse_date("1995-01-15")
         with Client(host, port) as client:
             result = client.execute(TEMPORAL_TEXT, params={"d": day})
         assert result.rows == [[1, 60000], [2, 70000]]
 
-    def test_temporal_literals_fine_at_v1(self, served):
-        host, port = served
-        with Client(host, port) as client:
-            response = client.request(
-                {
-                    "op": "sql",
-                    "v": 1,
-                    "text": (
-                        "SELECT t.id, t.salary FROM employee_salary t "
-                        "FOR SYSTEM_TIME AS OF DATE '1995-01-15' "
-                        "ORDER BY t.id"
-                    ),
-                }
-            )
-        assert response["ok"] is True
-        assert response["rows"] == [[1, 60000], [2, 70000]]
-
-    def test_v1_temporal_params_get_structured_error(self, served):
+    @pytest.mark.parametrize("stamp", [{"v": 3}, {}], ids=["v3", "no-v"])
+    def test_temporal_params_bind_with_and_without_v(self, served, stamp):
         host, port = served
         day = parse_date("1995-01-15")
         with Client(host, port) as client:
             response = client.request(
-                {
-                    "op": "sql",
-                    "v": 1,
-                    "text": TEMPORAL_TEXT,
-                    "params": {"d": day},
-                }
-            )
-            assert response["ok"] is False
-            assert response["code"] == "TEMPORAL_PARAMS_UNSUPPORTED"
-            assert response["supported"] == [
-                v for v in SUPPORTED_VERSIONS if v >= TEMPORAL_PARAMS_VERSION
-            ]
-            # the connection survives the rejection
-            assert client.ping() is True
-
-    def test_checked_path_raises_typed_error(self, served):
-        host, port = served
-        with Client(host, port) as client:
-            with pytest.raises(UnsupportedVersionError) as excinfo:
-                client._checked(
-                    {"op": "sql", "v": 1, "text": TEMPORAL_TEXT, "params": {"d": 1}}
-                )
-            assert excinfo.value.code == "TEMPORAL_PARAMS_UNSUPPORTED"
-
-    def test_params_outside_temporal_clause_fine_at_v1(self, served):
-        host, port = served
-        with Client(host, port) as client:
-            response = client.request(
-                {
-                    "op": "sql",
-                    "v": 1,
-                    "text": "SELECT e.id FROM employee e WHERE e.id = :k",
-                    "params": {"k": 2},
-                }
+                {"op": "sql", "text": TEMPORAL_TEXT, "params": {"d": day}}
+                | stamp
             )
         assert response["ok"] is True
-        assert response["rows"] == [[2]]
+        assert response["rows"] == [[1, 60000], [2, 70000]]

@@ -51,7 +51,6 @@ class TestTemporalClauses:
         (ref,) = select.sources
         assert ref.temporal.low == ast.Param("lo")
         assert ref.temporal.high == ast.Param("hi")
-        assert ast.temporal_param_names(select) == ["lo", "hi"]
 
     def test_clause_on_table_function(self):
         select = parse_sql(
