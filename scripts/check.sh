@@ -76,12 +76,12 @@ if [ -n "$STRAY_WAL" ]; then
 fi
 echo "no stray .tmp or WAL files left behind"
 
-echo "== batched-ingest smoke benchmark =="
-# Fails if batch apply is slower than row-at-a-time or produces
-# different archive state.  Writes to a scratch path so the committed
-# full-run BENCH_ingest.json is never clobbered by smoke numbers.
-PYTHONPATH=src timeout 300 python benchmarks/bench_ingest.py --smoke \
-    --out "$(mktemp --suffix=.json)"
+echo "== WAL ingest smoke (spine ingest-hotkey) =="
+# File-backed archive, durable WAL batches, drain/compress/save, then a
+# reopen check against the oracle; exits non-zero on any wrong answer.
+# Batch-vs-row-at-a-time equivalence lives in tests/archis/test_batch_ingest.py.
+PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
+    --workload ingest-hotkey
 
 echo "== sharded scalability smoke benchmark =="
 # Proves sharded answers match the single store and that key-equality

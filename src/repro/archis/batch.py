@@ -20,10 +20,11 @@ and amortizes both costs:
   it cannot be proven (usefulness genuinely near U_min), the batch
   falls back to per-entry checks — freezes then happen on exactly the
   entry they would have under row-at-a-time apply.
-* **One WAL commit frame per batch** (optional, ``durable=True``): the
-  catalog and archive sidecars are staged and a single COMMIT frame is
-  appended through the existing group-commit path, making each
-  completed batch a crash-consistent recovery point.
+* **One WAL commit per batch** (optional, ``durable=True``): the
+  catalog and archive sidecars are staged, then the pager logs each
+  page the batch dirtied once, followed by a single COMMIT frame,
+  through the group-commit path, making each completed batch a
+  crash-consistent recovery point.
 
 Equivalence: entries are *applied* in the same day order as
 :func:`~repro.archis.tracker.apply_log` and dispatched through the same
@@ -191,7 +192,8 @@ class BatchArchiver:
         return inserts, closes
 
     def _commit_batch(self) -> None:
-        """Stage the sidecars and append one COMMIT frame (group commit).
+        """Stage the sidecars, then log the batch's dirty pages and one
+        COMMIT frame (group commit).
 
         Recovery after a crash then replays whole batches: the pages,
         the catalog and the archive metadata of every completed batch,

@@ -426,7 +426,7 @@ class ArchIS:
         the :class:`~repro.archis.batch.BatchArchiver` in batches of
         that size (defaults to ``config.batch_size``).  Both produce
         byte-identical H-tables.  ``durable=True`` additionally commits
-        one WAL frame per batch on a file-backed archive, making each
+        to the WAL once per batch on a file-backed archive, making each
         completed batch a crash-consistent recovery point.
         """
         if self.profile.tracking != "log":

@@ -44,7 +44,10 @@ METRIC_INVENTORY: dict[str, str] = {
     "buffer.misses": "buffer-pool page requests that hit the pager",
     "buffer.occupancy": "pages currently cached in the buffer pool",
     "pager.reads": "physical page reads",
-    "pager.writes": "physical page writes",
+    "pager.writes": (
+        "physical page writes: PAGE frames logged at commit (WAL mode) "
+        "or in-place page writes (durability none)"
+    ),
     "pager.allocations": "pages allocated",
     "pager.dirty_pages": "pages in the WAL overlay awaiting checkpoint",
     # -- durability: write-ahead log ------------------------------------

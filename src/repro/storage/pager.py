@@ -6,14 +6,24 @@ wall-clock shapes, mirroring the paper's cold-cache measurement protocol
 (Section 7: the authors unmounted the data drive between queries; we expose
 :meth:`Pager.io_stats` and let the buffer pool be reset instead).
 
-File-backed pagers default to ``durability="wal"``: page writes and staged
-sidecars are appended to a checksummed write-ahead log
-(:mod:`repro.storage.wal`) and only reach the main file at
-:meth:`Pager.checkpoint`, so a whole save commits or disappears as one
-unit.  Opening a pager runs recovery — committed WAL frames are replayed,
-torn tails discarded.  ``durability="none"`` keeps the original
-write-in-place behaviour (still fsync-correct on :meth:`sync`/:meth:`close`)
-for benchmarks that model raw page IO.
+File-backed pagers default to ``durability="wal"``.  The write path is:
+
+1. :meth:`Pager.write_page` and :meth:`Pager.allocate` update an in-memory
+   overlay (which reads consult first) and record the image in the calling
+   transaction's dirty-page map.  Nothing is logged yet.
+2. :meth:`Pager.commit` takes that map and logs one PAGE frame per dirty
+   page — the transaction's latest image — followed by its COMMIT frame,
+   to a checksummed write-ahead log (:mod:`repro.storage.wal`), then
+   fsyncs.  A page touched *k* times in one transaction is logged once.
+   Sidecars are staged as META frames when written.
+3. :meth:`Pager.checkpoint` copies the overlay to the main file and
+   truncates the log, so a whole save commits or disappears as one unit.
+
+Opening a pager runs recovery — committed WAL frames are replayed, torn
+tails discarded.  In WAL mode ``pager.writes`` counts the PAGE frames
+logged at commit.  ``durability="none"`` writes pages in place (still
+fsync-correct on :meth:`sync`/:meth:`close`) and counts every such write;
+it serves benchmarks that model raw page IO.
 """
 
 from __future__ import annotations
@@ -99,13 +109,15 @@ class Pager:
         # single-writer transaction, the pre-concurrency behaviour).
         self._txn_local = threading.local()
         # WAL state: page/sidecar images written since the last checkpoint
-        # live here (and in the log); the main file is only touched by
-        # checkpoint().  ``_dirty_txns`` tracks which transactions have
-        # appended frames that are not yet covered by a COMMIT.
+        # live here; the main file is only touched by checkpoint().
+        # ``_txn_pages`` maps each transaction with uncommitted work to the
+        # latest image of every page it wrote (the same objects the overlay
+        # holds), which commit() logs; an empty map marks a transaction
+        # whose only uncommitted frames are staged sidecars.
         self._overlay: dict[int, bytes] = {}
         self._meta_overlay: dict[str, bytes] = {}
         self._wal: WriteAheadLog | None = None
-        self._dirty_txns: set[int] = set()
+        self._txn_pages: dict[int, dict[int, bytes]] = {}
         self.recovery_report: RecoveryReport | None = None
         if path is not None:
             stale = remove_stale_tmp_files(path)
@@ -132,13 +144,14 @@ class Pager:
         self._txn_local.txn_id = 0
 
     def discard_wal_txn(self, txn_id: int) -> None:
-        """Forget a transaction's dirty flag (abort path).
+        """Forget a transaction's uncommitted pages (abort path).
 
-        Its frames stay in the log but no COMMIT will ever promote them;
-        the next checkpoint truncation reclaims the space.
+        Its pages were never logged.  Sidecars it staged stay in the log
+        as META frames that no COMMIT will ever promote; the next
+        checkpoint truncation reclaims the space.
         """
         with self._lock:
-            self._dirty_txns.discard(txn_id)
+            self._txn_pages.pop(txn_id, None)
 
     def _measure_page_count(self) -> int:
         self._file.seek(0, os.SEEK_END)
@@ -190,18 +203,15 @@ class Pager:
             page_no = self._page_count
             zero = b"\x00" * PAGE_SIZE
             if self._wal is not None:
-                self._wal.append_page(page_no, zero, self.wal_txn)
-                self._overlay[page_no] = zero
-                self._dirty_txns.add(self.wal_txn)
-                _DIRTY_PAGES.set(len(self._overlay))
+                self._stage(page_no, zero)
             else:
                 self._file.seek(page_no * PAGE_SIZE)
                 self._file.write(zero)
+                self.stats.writes += 1
+                _WRITES.inc()
             self._page_count += 1
             self.stats.allocations += 1
-            self.stats.writes += 1
         _ALLOCATIONS.inc()
-        _WRITES.inc()
         return page_no
 
     def read_page(self, page_no: int) -> bytes:
@@ -228,17 +238,21 @@ class Pager:
             self._check_open()
             self._check_range(page_no)
             if self._wal is not None:
-                self._wal.append_page(page_no, data, self.wal_txn)
-                self._overlay[page_no] = data
-                self._dirty_txns.add(self.wal_txn)
-                _DIRTY_PAGES.set(len(self._overlay))
-            else:
-                self._file.seek(page_no * PAGE_SIZE)
-                self._file.write(data)
-                self._file.flush()
-                fire("pager.page_written")
+                self._stage(page_no, data)
+                return
+            self._file.seek(page_no * PAGE_SIZE)
+            self._file.write(data)
+            self._file.flush()
+            fire("pager.page_written")
             self.stats.writes += 1
         _WRITES.inc()
+
+    def _stage(self, page_no: int, data: bytes) -> None:
+        """Publish ``data`` in the overlay and mark the page dirty for the
+        calling thread's transaction (caller holds the lock)."""
+        self._overlay[page_no] = data
+        self._txn_pages.setdefault(self.wal_txn, {})[page_no] = data
+        _DIRTY_PAGES.set(len(self._overlay))
 
     def write_sidecar(self, suffix: str, data: bytes) -> str:
         """Write ``<path><suffix>`` as part of the durability protocol.
@@ -256,7 +270,7 @@ class Pager:
             if self._wal is not None:
                 self._wal.append_meta(suffix, bytes(data), self.wal_txn)
                 self._meta_overlay[suffix] = bytes(data)
-                self._dirty_txns.add(self.wal_txn)
+                self._txn_pages.setdefault(self.wal_txn, {})
                 return path
         return atomic_write_bytes(path, bytes(data))
 
@@ -272,7 +286,7 @@ class Pager:
             _DIRTY_PAGES.set(0)
             if self._wal is not None:
                 self._wal.truncate()
-                self._dirty_txns.clear()
+                self._txn_pages.clear()
             self._file.seek(0)
             self._file.truncate(0)
             self._page_count = 0
@@ -281,13 +295,15 @@ class Pager:
         _WRITES.inc()
 
     def commit(self, cause: str = "txn") -> None:
-        """Make this thread's transaction durable (COMMIT frame + fsync).
+        """Make this thread's transaction durable.
 
-        Writes stay in the log (and the in-memory overlay) until the next
-        :meth:`checkpoint`; after a crash, recovery replays them.  In
-        ``none`` mode this is a plain flush + fsync of the main file.
-        The group-commit wait happens *outside* the pager lock so other
-        threads keep reading and writing pages while a leader fsyncs.
+        Logs one PAGE frame per page the transaction dirtied, then its
+        COMMIT frame, then fsyncs.  The pages stay in the log (and the
+        in-memory overlay) until the next :meth:`checkpoint`; after a
+        crash, recovery replays them.  In ``none`` mode this is a plain
+        flush + fsync of the main file.  The dirty-page map is taken under
+        the pager lock, but the frames are appended and fsynced *outside*
+        it, so other threads keep reading and writing pages meanwhile.
         ``cause`` labels the ``wal.commits.cause`` counter ("txn",
         "ingest", ...).
         """
@@ -297,10 +313,12 @@ class Pager:
             if self._wal is None:
                 self._fsync_main()
                 return
-            dirty = txn in self._dirty_txns
-            self._dirty_txns.discard(txn)
-        if dirty:
-            self._wal.append_commit(txn, cause=cause)
+            pages = self._txn_pages.pop(txn, None)
+            if pages is None:
+                return
+            self.stats.writes += len(pages)
+        _WRITES.inc(len(pages))
+        self._wal.append_commit(txn, cause=cause, pages=pages)
 
     def checkpoint(self) -> None:
         """Commit, then apply the log to the main file and truncate it.
@@ -334,6 +352,7 @@ class Pager:
         self._wal.truncate()  # fires wal.checkpoint.truncated
         self._overlay.clear()
         self._meta_overlay.clear()
+        self._txn_pages.clear()
         _DIRTY_PAGES.set(0)
 
     def sync(self) -> None:

@@ -9,6 +9,12 @@ one atomic unit.  Writers append checksummed, length-prefixed frames:
     ``COMMIT`` a transaction boundary — everything since the previous
                commit becomes durable once this frame is fsynced.
 
+A transaction's META frames are appended as its sidecars are staged.
+Its pages are not logged as they are written: the pager keeps them
+dirty in memory and, at commit, :meth:`WriteAheadLog.append_commit`
+appends one PAGE frame per dirty page (the transaction's latest image)
+followed by the COMMIT frame, contiguously under the log lock.
+
 Frame layout (little-endian)::
 
     magic "WALF" | type u8 | key u64 | payload_len u32 | crc32 u32 | payload
@@ -21,20 +27,19 @@ and drops everything after it; the pager then applies the survivors to
 the main file and truncates the log (checkpoint), which is idempotent if
 the process dies mid-checkpoint.
 
-Concurrency.  Since the transaction subsystem landed, several writers
-may append to one log at once, so frames are *transaction-tagged*: the
-key of a PAGE frame packs ``(txn_id << 40) | page_no`` and the key of a
-META or COMMIT frame is the txn id itself.  Recovery groups pending
-frames per transaction and a COMMIT promotes only its own transaction's
-frames, so one writer's commit can never publish another's half-written
-pages.  Single-writer logs keep txn id 0 everywhere — byte-identical to
-the pre-concurrency format, so old logs replay unchanged.
+Concurrency.  Several writers may append to one log at once, so frames
+are *transaction-tagged*: the key of a PAGE frame packs
+``(txn_id << 40) | page_no`` and the key of a META or COMMIT frame is
+the txn id itself.  Recovery groups pending frames per transaction and a
+COMMIT promotes only its own transaction's frames, so one writer's
+commit never publishes another's frames.  Single-writer logs use txn
+id 0 everywhere.
 
 Commit durability uses **group commit**: the committing thread appends
-its COMMIT frame under the log lock, then either discovers a concurrent
-leader has already fsynced past it (``wal.group_commit.batched``) or
-becomes the leader itself, fsyncing every frame appended so far in one
-``fsync`` (``wal.fsyncs``).  An optional ``group_window`` lets the
+its PAGE and COMMIT frames under the log lock, then either discovers a
+concurrent leader has already fsynced past it
+(``wal.group_commit.batched``) or becomes the leader itself, fsyncing
+every frame appended so far in one ``fsync`` (``wal.fsyncs``).  An optional ``group_window`` lets the
 leader linger briefly so more followers can pile on.
 
 The linger is **adaptive**: a fixed window taxes every solo commit the
@@ -191,10 +196,23 @@ class WriteAheadLog:
     def append_meta(self, suffix: str, data: bytes, txn_id: int = 0) -> None:
         self._append(FRAME_META, txn_id, encode_meta_payload(suffix, data))
 
-    def append_commit(self, txn_id: int = 0, cause: str = "txn") -> None:
-        """Write the commit frame and make the transaction durable."""
+    def append_commit(
+        self,
+        txn_id: int = 0,
+        cause: str = "txn",
+        pages: dict[int, bytes] | None = None,
+    ) -> None:
+        """Log ``pages`` and the commit frame; make the transaction durable.
+
+        The PAGE frames (one per entry of ``pages``) and the COMMIT frame
+        are appended contiguously under the log lock; the fsync runs
+        outside it, through group commit.
+        """
         fire("wal.commit.begin")
-        seq = self._append(FRAME_COMMIT, txn_id, b"")
+        with self._lock:
+            for page_no, data in (pages or {}).items():
+                self.append_page(page_no, data, txn_id)
+            seq = self._append(FRAME_COMMIT, txn_id, b"")
         if self.group_commit:
             self._group_sync(seq)
         else:

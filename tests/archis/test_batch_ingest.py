@@ -257,8 +257,9 @@ class TestBatchArchiverApi:
 
 
 class TestDurableBatches:
-    """durable=True commits one WAL frame per batch; a crash mid-apply
-    recovers to a whole-batch boundary, never a torn one."""
+    """durable=True commits once per batch, logging each dirty page once;
+    a crash mid-apply or mid-commit recovers to a whole-batch boundary,
+    never a torn one."""
 
     BATCH = 16
 
@@ -325,6 +326,53 @@ class TestDurableBatches:
         # partially-applied archive, so live-consistency is expectedly
         # violated — exactly as after a crash mid row-at-a-time apply.
         # Every *archive-internal* invariant must still hold.
+        violations = [
+            v for v in check_archive(again) if v.check != "live-consistency"
+        ]
+        assert violations == []
+        again.db.close()
+
+    def commit_page_frames(self, path, batch):
+        """Occurrences of ``wal.frame.torn`` that write the PAGE frames of
+        durable batch number ``batch``'s commit, in log order."""
+        archis = self.build_saved(path)
+        replay(archis.db, employee_ops())
+        with get_crash_points().recording() as fired:
+            archis.apply_pending(batch_size=self.BATCH, durable=True)
+        archis.db.close()
+        commits = torn = 0
+        frames = []
+        for name in fired:
+            if name == "wal.commit.begin":
+                commits += 1
+            elif name == "wal.frame.torn":
+                torn += 1
+                if commits == batch:
+                    frames.append(torn)
+            elif name == "wal.commit.synced" and commits == batch:
+                break
+        return frames[:-1]  # the commit's last frame is the COMMIT itself
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_crash_inside_batch_commit_recovers_to_previous_boundary(
+        self, tmp_path, position
+    ):
+        batch = 2
+        frames = self.commit_page_frames(tmp_path / "probe.db", batch)
+        assert len(frames) >= 3, f"batch commit logged {len(frames)} pages"
+        occurrence = {
+            "first": frames[0],
+            "middle": frames[len(frames) // 2],
+            "last": frames[-1],
+        }[position]
+        expected = self.prefix_states()[batch - 1]
+        archis = self.build_saved(tmp_path / "torn.db")
+        replay(archis.db, employee_ops())
+        with pytest.raises(InjectedCrash):
+            with get_crash_points().crash_at("wal.frame.torn", occurrence):
+                archis.apply_pending(batch_size=self.BATCH, durable=True)
+        again = ArchIS.open(str(tmp_path / "torn.db"))
+        assert archive_state(again, with_rids=False) == expected
         violations = [
             v for v in check_archive(again) if v.check != "live-consistency"
         ]

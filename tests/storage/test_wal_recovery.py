@@ -2,14 +2,22 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage import BlobStore, BufferPool, InjectedCrash, get_crash_points
 from repro.storage.page import PAGE_SIZE
 from repro.storage.pager import Pager
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import (
+    _HEADER,
+    FRAME_COMMIT,
+    FRAME_PAGE,
+    PAGE_KEY_BITS,
+    WriteAheadLog,
+)
 
 
 @pytest.fixture
@@ -25,6 +33,23 @@ def disarm_crash_points():
 
 def page(fill: bytes) -> bytes:
     return fill * PAGE_SIZE
+
+
+def logged_frames(wal_path):
+    """``(frame type, txn id, page number or None)`` for every frame."""
+    with open(wal_path, "rb") as handle:
+        data = handle.read()
+    frames = []
+    offset = 0
+    while offset < len(data):
+        _, kind, key, length, _ = _HEADER.unpack_from(data, offset)
+        offset += _HEADER.size + length
+        if kind == FRAME_PAGE:
+            page_no = key & ((1 << PAGE_KEY_BITS) - 1)
+            frames.append((kind, key >> PAGE_KEY_BITS, page_no))
+        else:
+            frames.append((kind, key, None))
+    return frames
 
 
 class TestWalFrames:
@@ -170,6 +195,169 @@ class TestPagerWal:
         pool.reset()
         assert pool.get(no) == page(b"x")  # served from the WAL overlay
         pager.close()
+
+
+def run_schedule(pager, schedule):
+    """Replay ``(op, txn, ...)`` steps against ``pager``."""
+    for step in schedule:
+        kind, txn = step[0], step[1]
+        if kind == "abort":
+            pager.discard_wal_txn(txn)
+            continue
+        pager.set_wal_txn(txn)
+        try:
+            if kind == "write":
+                pager.write_page(step[2], page(bytes([step[3]])))
+            else:
+                pager.commit()
+        finally:
+            pager.clear_wal_txn()
+
+
+def model_pages(schedule, commits):
+    """Page images after the first ``commits`` effective commits.
+
+    At each commit, publish that transaction's last image of each page
+    it wrote; an abort forgets the transaction's images, and a commit
+    with nothing written is not a commit at all.
+    """
+    pending: dict[int, dict[int, int]] = {}
+    published: dict[int, int] = {}
+    done = 0
+    for step in schedule:
+        if done == commits:
+            break
+        kind, txn = step[0], step[1]
+        if kind == "write":
+            pending.setdefault(txn, {})[step[2]] = step[3]
+        elif kind == "abort":
+            pending.pop(txn, None)
+        elif txn in pending:
+            published.update(pending.pop(txn))
+            done += 1
+    return published
+
+
+def retire_aborted_ids(schedule, slots=3):
+    """Give each transaction slot a fresh id after it aborts: like the
+    transaction manager, a schedule never reuses an aborted txn id."""
+    generation = [0] * slots
+    renamed = []
+    for step in schedule:
+        slot = step[1]
+        renamed.append((step[0], slot + slots * generation[slot]) + step[2:])
+        if step[0] == "abort":
+            generation[slot] += 1
+    return renamed
+
+
+# few pages, so a transaction often rewrites a page before it commits
+MODEL_PAGES = 4
+schedule_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            st.integers(0, 2),
+            st.integers(0, MODEL_PAGES - 1),
+            st.integers(1, 255),
+        ),
+        st.tuples(st.just("commit"), st.integers(0, 2)),
+        st.tuples(st.just("abort"), st.integers(0, 2)),
+    ),
+    max_size=40,
+)
+
+
+class TestCommitTimeLogging:
+    """Pages are logged at commit: one frame per dirty page, nothing
+    for an aborted transaction, and recovery publishes exactly what a
+    commit-by-commit model of the schedule says."""
+
+    def test_each_dirty_page_is_logged_once(self, db_path):
+        pager = Pager(db_path)
+        p, q = pager.allocate(), pager.allocate()
+        pager.checkpoint()
+        for i in range(10):
+            pager.write_page(p, page(bytes([0x10 + i])))
+        for i in range(3):
+            pager.write_page(q, page(bytes([0x30 + i])))
+        r = pager.allocate()
+        pager.commit()
+        frames = logged_frames(db_path + ".wal")
+        assert sorted(frames) == [
+            (FRAME_PAGE, 0, p), (FRAME_PAGE, 0, q), (FRAME_PAGE, 0, r),
+            (FRAME_COMMIT, 0, None),
+        ]
+        assert frames[-1][0] == FRAME_COMMIT
+        with WriteAheadLog(db_path + ".wal") as wal:
+            pages, _, report = wal.scan()
+        assert report.commits == 1 and report.pages_replayed == 3
+        assert pages == {p: page(b"\x19"), q: page(b"\x32"), r: page(b"\x00")}
+        recovered = Pager(db_path)  # crash: reopen without close
+        assert [recovered.read_page(no) for no in (p, q, r)] == [
+            page(b"\x19"), page(b"\x32"), page(b"\x00"),
+        ]
+        recovered.close()
+        pager.close()
+
+    def test_commit_counts_one_write_per_logged_page(self, db_path):
+        from repro.obs.metrics import get_registry
+
+        pager = Pager(db_path)
+        no = pager.allocate()
+        global_writes = get_registry().counter("pager.writes")
+        before_stats = pager.io_stats()
+        before_global = global_writes.value
+        for fill in b"abc":
+            pager.write_page(no, page(bytes([fill])))
+        assert pager.io_stats().delta(before_stats).writes == 0
+        pager.commit()
+        assert pager.io_stats().delta(before_stats).writes == 1
+        assert global_writes.value == before_global + 1
+        pager.close()
+
+    def test_aborted_transaction_leaves_nothing_in_the_log(self, db_path):
+        pager = Pager(db_path)
+        a, b = pager.allocate(), pager.allocate()
+        pager.checkpoint()
+        pager.set_wal_txn(7)
+        pager.write_page(a, page(b"x"))
+        pager.clear_wal_txn()
+        pager.discard_wal_txn(7)
+        pager.write_page(b, page(b"y"))
+        pager.commit()
+        # nothing keyed with txn 7: only txn 0's page and COMMIT
+        assert logged_frames(db_path + ".wal") == [
+            (FRAME_PAGE, 0, b), (FRAME_COMMIT, 0, None),
+        ]
+        pager.close()
+
+    @settings(max_examples=100, deadline=None)
+    @given(schedule_steps, st.integers(0, 12))
+    def test_recovery_matches_the_commit_model(self, schedule, commits):
+        schedule = retire_aborted_ids(schedule)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "model.db")
+            pager = Pager(path)
+            for _ in range(MODEL_PAGES):
+                pager.allocate()
+            pager.checkpoint()
+            try:
+                # crash as the commit after the first ``commits`` begins
+                with get_crash_points().crash_at(
+                    "wal.commit.begin", commits + 1
+                ):
+                    run_schedule(pager, schedule)
+            except InjectedCrash:
+                pass
+            expected = model_pages(schedule, commits)
+            recovered = Pager(path)  # abandon the crashed pager, reopen
+            images = [recovered.read_page(no) for no in range(MODEL_PAGES)]
+            recovered.close()
+            pager.close()  # only releases handles: the files are discarded
+        assert images == [
+            page(bytes([expected.get(no, 0)])) for no in range(MODEL_PAGES)
+        ]
 
 
 class TestPagerCrashMatrix:
