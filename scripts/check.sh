@@ -83,6 +83,14 @@ echo "== WAL ingest smoke (spine ingest-hotkey) =="
 PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
     --workload ingest-hotkey
 
+echo "== read-path smokes (spine scan-plain, point-zip) =="
+# Heap scans of the segmented archive and BlockZIP block decoding, every
+# timed answer checked against the oracle; exits non-zero on any wrong answer.
+PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
+    --workload scan-plain
+PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
+    --workload point-zip
+
 echo "== sharded scalability smoke benchmark =="
 # Proves sharded answers match the single store and that key-equality
 # pruning reaches the Exchange operator (shards=1/4 in EXPLAIN).  The

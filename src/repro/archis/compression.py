@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     get_registry,
 )
-from repro.storage.record import decode_record, encode_record
+from repro.storage.record import decode_record, decode_run, encode_record
 
 _LEN = struct.Struct("<I")
 
@@ -130,14 +130,35 @@ def decompress_block(block: CompressedBlock | bytes) -> list[tuple]:
     except zlib.error as exc:
         raise CompressionError(f"corrupt BlockZIP block: {exc}") from exc
     _BLOCKS_DECOMPRESSED.inc()
+    rows = _decode_uniform_block(raw)
+    if rows is not None:
+        return rows
     rows = []
     offset = 0
-    while offset < len(raw):
+    end = len(raw)
+    while offset < end:
+        start = offset + _LEN.size
+        if start > end:
+            raise CompressionError("corrupt BlockZIP block: truncated length")
         (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        rows.append(decode_record(raw[offset : offset + length]))
-        offset += length
+        offset = start + length
+        rows.append(decode_record(raw[start:offset]))
     return rows
+
+
+def _decode_uniform_block(raw: bytes) -> list[tuple] | None:
+    """Decode a block whose length prefixes are all equal in one run
+    (see :func:`~repro.storage.record.decode_run`), else ``None``."""
+    if len(raw) < _LEN.size:
+        return None
+    (length,) = _LEN.unpack_from(raw, 0)
+    stride = _LEN.size + length
+    count, rest = divmod(len(raw), stride)
+    if rest or any(
+        raw[k::stride] != raw[k : k + 1] * count for k in range(_LEN.size)
+    ):
+        return None
+    return decode_run(raw, _LEN.size, count, stride, length)
 
 
 def iter_all_rows(blocks: Iterable[CompressedBlock | bytes]) -> Iterator[tuple]:

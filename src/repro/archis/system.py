@@ -619,9 +619,7 @@ class ArchIS:
         Returns a :class:`~repro.api.Result` whose ``rows`` are the
         answer forest (XML elements and/or scalars) and whose ``stats``
         carry the translated SQL, the fallback reason (if any) and the
-        elapsed seconds.  The Result still compares/iterates like the
-        bare list this method used to return (with a
-        ``DeprecationWarning``).
+        elapsed seconds.  A Result is not a list: read ``result.rows``.
 
         Emits an ``archis.xquery`` root span (children: ``xquery.translate``,
         ``sql.execute``, ``xquery.post`` — or ``xquery.native`` on
@@ -782,9 +780,8 @@ class ArchIS:
     ) -> Result:
         """(id, value) pairs of an attribute's snapshot at ``date``.
 
-        Returns a :class:`~repro.api.Result` (columns ``id`` and the
-        attribute name) that still iterates/compares like the bare
-        list of pairs this method used to return.
+        Returns a :class:`~repro.api.Result` with columns ``id`` and the
+        attribute name; the pairs are its ``rows``.
         """
         relation = self._relation(relation_name)
         table_name = relation.attribute_table(attribute)

@@ -144,13 +144,37 @@ def compile_plan(plan, ctx: ExecContext):
 # -- leaf scans ---------------------------------------------------------------
 
 
+def _env_keys(alias: str, columns) -> tuple:
+    """The ``(alias, column)`` environment keys of a leaf, in row order."""
+    return tuple((alias, name) for name in columns)
+
+
+def _conjunction(filters: list):
+    """One ``(env, params) -> truthy`` test for a list of compiled conjuncts."""
+    if not filters:
+        return lambda env, params: True
+    if len(filters) == 1:
+        return filters[0]
+    if len(filters) == 2:  # the common temporal window: tstart <= t AND t <= tend
+        first, second = filters
+        return lambda env, params: first(env, params) and second(env, params)
+
+    def test(env, params):
+        for f in filters:
+            if not f(env, params):
+                return False
+        return True
+
+    return test
+
+
 class SeqScanOp:
     name = "SeqScan"
 
     def __init__(self, plan: nodes.Scan, ctx: ExecContext) -> None:
         self.plan = plan
         self.ctx = ctx
-        self.filters = [ctx.compile(p) for p in plan.predicates]
+        self.test = _conjunction([ctx.compile(p) for p in plan.predicates])
         self.columns = ctx.scope.columns_by_alias[plan.alias]
 
     def rows(self, params: Mapping) -> Iterator[Env]:
@@ -159,15 +183,14 @@ class SeqScanOp:
 
     def rid_rows(self, params: Mapping):
         table = self.ctx.db.table(self.plan.table)
-        names = self.columns
-        alias = self.plan.alias
-        filters = self.filters
+        keys = _env_keys(self.plan.alias, self.columns)
+        test = self.test
         scanned = 0
         try:
             for rid, row in table.scan():
                 scanned += 1
-                env = {(alias, name): value for name, value in zip(names, row)}
-                if all(f(env, params) for f in filters):
+                env = dict(zip(keys, row))
+                if test(env, params):
                     yield rid, env
         finally:
             _ROWS_SCANNED.inc(scanned)
@@ -184,7 +207,7 @@ class IndexScanOp:
         self.high = (
             ctx.compile_const(plan.high) if plan.high is not None else None
         )
-        self.filters = [ctx.compile(p) for p in plan.predicates]
+        self.test = _conjunction([ctx.compile(p) for p in plan.predicates])
         self.columns = ctx.scope.columns_by_alias[plan.alias]
 
     def rows(self, params: Mapping) -> Iterator[Env]:
@@ -192,15 +215,14 @@ class IndexScanOp:
             yield env
 
     def rid_rows(self, params: Mapping):
-        names = self.columns
-        alias = self.plan.alias
-        filters = self.filters
+        keys = _env_keys(self.plan.alias, self.columns)
+        test = self.test
         scanned = 0
         try:
             for rid, row in self._index_rows(params):
                 scanned += 1
-                env = {(alias, name): value for name, value in zip(names, row)}
-                if all(f(env, params) for f in filters):
+                env = dict(zip(keys, row))
+                if test(env, params):
                     yield rid, env
         finally:
             _ROWS_SCANNED.inc(scanned)
@@ -257,7 +279,7 @@ class FunctionScanOp:
         self.plan = plan
         self.ctx = ctx
         self.args = [ctx.compile_const(a) for a in plan.args]
-        self.filters = [ctx.compile(p) for p in plan.predicates]
+        self.test = _conjunction([ctx.compile(p) for p in plan.predicates])
         self.columns = ctx.scope.columns_by_alias[plan.alias]
 
     def rows(self, params: Mapping) -> Iterator[Env]:
@@ -267,15 +289,14 @@ class FunctionScanOp:
                 f"unknown table function {self.plan.function}()"
             )
         args = [a(None, params) for a in self.args]
-        names = self.columns
-        alias = self.plan.alias
-        filters = self.filters
+        keys = _env_keys(self.plan.alias, self.columns)
+        test = self.test
         scanned = 0
         try:
             for row in fn(*args):
                 scanned += 1
-                env = {(alias, name): value for name, value in zip(names, row)}
-                if all(f(env, params) for f in filters):
+                env = dict(zip(keys, row))
+                if test(env, params):
                     yield env
         finally:
             _ROWS_SCANNED.inc(scanned)
@@ -503,18 +524,18 @@ class FilterOp:
     def __init__(self, child, predicates: tuple, ctx: ExecContext) -> None:
         self.child = child
         self.predicates = predicates
-        self.filters = [ctx.compile(p) for p in predicates]
+        self.test = _conjunction([ctx.compile(p) for p in predicates])
 
     def rows(self, params: Mapping) -> Iterator[Env]:
-        filters = self.filters
+        test = self.test
         for env in self.child.rows(params):
-            if all(f(env, params) for f in filters):
+            if test(env, params):
                 yield env
 
     def rid_rows(self, params: Mapping):
-        filters = self.filters
+        test = self.test
         for rid, env in self.child.rid_rows(params):
-            if all(f(env, params) for f in filters):
+            if test(env, params):
                 yield rid, env
 
 

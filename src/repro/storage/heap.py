@@ -8,11 +8,17 @@ own pages — this is what makes segment clustering measurable.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
 
 from repro.errors import PageFullError, StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.page import SlottedPage
+from repro.storage.page import (
+    SlottedPage,
+    decode_uniform_page,
+    page_records,
+    read_slot,
+)
 from repro.storage.record import decode_record, encode_record
 
 Rid = tuple[int, int]
@@ -119,7 +125,7 @@ class HeapFile:
     def read(self, rid: Rid) -> tuple:
         """Fetch the record at ``rid``."""
         page_no, slot_no = rid
-        payload = SlottedPage(self._pool.get(page_no)).read(slot_no)
+        payload = read_slot(self._pool.get(page_no), slot_no)
         if payload is None:
             raise StorageError(f"record {rid} is deleted")
         return decode_record(payload)
@@ -150,7 +156,7 @@ class HeapFile:
         self._live -= 1
 
     def read_many(self, rids: list[Rid]) -> list[tuple]:
-        """Fetch many records, parsing each touched page only once.
+        """Fetch many records, fetching each touched page only once.
 
         Row-at-a-time :meth:`read` pays a pool fetch (which copies the
         page image) plus page-header parsing per record; an index range
@@ -159,14 +165,14 @@ class HeapFile:
         in pages touched, not records read.  Results come back in
         ``rids`` order.
         """
-        pages: dict[int, SlottedPage] = {}
+        images: dict[int, bytes] = {}
         out = []
         for rid in rids:
             page_no, slot_no = rid
-            page = pages.get(page_no)
-            if page is None:
-                page = pages[page_no] = SlottedPage(self._pool.get(page_no))
-            payload = page.read(slot_no)
+            image = images.get(page_no)
+            if image is None:
+                image = images[page_no] = self._pool.get(page_no)
+            payload = read_slot(image, slot_no)
             if payload is None:
                 raise StorageError(f"record {rid} is deleted")
             out.append(decode_record(payload))
@@ -185,14 +191,14 @@ class HeapFile:
         ``rids`` order; the raw payload rides along so physical clones
         can splice it instead of re-encoding.
         """
-        pages: dict[int, SlottedPage] = {}
+        images: dict[int, bytes] = {}
         out = []
         for rid in rids:
             page_no, slot_no = rid
-            page = pages.get(page_no)
-            if page is None:
-                page = pages[page_no] = SlottedPage(self._pool.get(page_no))
-            payload = page.read(slot_no)
+            image = images.get(page_no)
+            if image is None:
+                image = images[page_no] = self._pool.get(page_no)
+            payload = read_slot(image, slot_no)
             if payload is None:
                 raise StorageError(f"record {rid} is deleted")
             if pattern in payload:
@@ -200,10 +206,19 @@ class HeapFile:
         return out
 
     def scan(self) -> Iterator[tuple[Rid, tuple]]:
-        """Iterate live records in page order."""
+        """Iterate live records in page order.
+
+        A page only ever appended to decodes in one run
+        (:func:`~repro.storage.page.decode_uniform_page`); any other page
+        decodes record by record.
+        """
         for page_no in self._pages:
-            page = SlottedPage(self._pool.get(page_no))
-            for slot_no, payload in page.records():
+            image = self._pool.get(page_no)
+            rows = decode_uniform_page(image)
+            if rows is not None:
+                yield from zip(zip(repeat(page_no), range(len(rows))), rows)
+                continue
+            for slot_no, payload in page_records(image):
                 yield (page_no, slot_no), decode_record(payload)
 
     def adopt_pages(self, pages: list[int]) -> None:
@@ -240,8 +255,7 @@ class HeapFile:
         """
         kept = []
         for page_no in self._pages:
-            page = SlottedPage(self._pool.get(page_no))
-            if any(True for _ in page.records()):
+            if page_records(self._pool.get(page_no)):
                 kept.append(page_no)
         dropped = len(self._pages) - len(kept)
         self._pages = kept

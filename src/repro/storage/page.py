@@ -18,12 +18,15 @@ Layout (little-endian):
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 from repro.errors import PageFullError, StorageError
+from repro.storage.record import decode_run
 
 PAGE_SIZE = 4096
 
 _HEADER = struct.Struct("<HH")
+_COUNT = struct.Struct("<H")
 _SLOT = struct.Struct("<HH")
 _TOMBSTONE = 0xFFFF
 
@@ -95,12 +98,7 @@ class SlottedPage:
 
     def read(self, slot_no: int) -> bytes | None:
         """Return the payload at ``slot_no``, or None for a tombstone."""
-        if slot_no < 0 or slot_no >= self.slot_count:
-            raise StorageError(f"slot {slot_no} out of range")
-        offset, length = self._slot(slot_no)
-        if offset == _TOMBSTONE:
-            return None
-        return bytes(self._buf[offset : offset + length])
+        return read_slot(self._buf, slot_no)
 
     def delete(self, slot_no: int) -> None:
         """Tombstone a slot.  The payload space is not reclaimed in place;
@@ -126,13 +124,87 @@ class SlottedPage:
 
     def records(self) -> list[tuple[int, bytes]]:
         """All live ``(slot_no, payload)`` pairs in slot order."""
-        out = []
-        for slot_no in range(self.slot_count):
-            payload = self.read(slot_no)
-            if payload is not None:
-                out.append((slot_no, payload))
-        return out
+        return page_records(self._buf)
 
     def to_bytes(self) -> bytes:
         """The raw page image."""
         return bytes(self._buf)
+
+
+# -- reads straight from a page image ------------------------------------
+#
+# The heap reads pool images (``bytes``) through these functions instead
+# of wrapping each one in a mutable ``SlottedPage``, which would copy it.
+
+
+def read_slot(image: bytes | bytearray, slot_no: int) -> bytes | None:
+    """The payload at ``slot_no`` of a page image, or None for a tombstone."""
+    (slot_count,) = _COUNT.unpack_from(image, 0)
+    if slot_no < 0 or slot_no >= slot_count:
+        raise StorageError(f"slot {slot_no} out of range")
+    offset, length = _SLOT.unpack_from(
+        image, _HEADER.size + slot_no * _SLOT.size
+    )
+    if offset == _TOMBSTONE:
+        return None
+    return bytes(image[offset : offset + length])
+
+
+@lru_cache(maxsize=256)
+def _directory(slot_count: int) -> struct.Struct:
+    return struct.Struct("<" + "HH" * slot_count)
+
+
+def page_records(image: bytes | bytearray) -> list[tuple[int, bytes]]:
+    """All live ``(slot_no, payload)`` pairs of a page image in slot order.
+
+    The slot directory is unpacked once, not re-read per slot.
+    """
+    (slot_count,) = _COUNT.unpack_from(image, 0)
+    if _HEADER.size + slot_count * _SLOT.size > PAGE_SIZE:
+        raise StorageError(f"corrupt page: {slot_count} slots")
+    directory = _directory(slot_count).unpack_from(image, _HEADER.size)
+    return [
+        (slot_no, bytes(image[offset : offset + length]))
+        for slot_no, (offset, length) in enumerate(
+            zip(directory[0::2], directory[1::2])
+        )
+        if offset != _TOMBSTONE
+    ]
+
+
+@lru_cache(maxsize=256)
+def _packed_directory(slot_count: int, length: int) -> bytes:
+    """The slot directory of ``slot_count`` live ``length``-byte records
+    appended to an empty page: offsets descend contiguously from the end."""
+    return b"".join(
+        _SLOT.pack(PAGE_SIZE - (slot_no + 1) * length, length)
+        for slot_no in range(slot_count)
+    )
+
+
+def decode_uniform_page(image: bytes | bytearray) -> list[tuple] | None:
+    """Decode a page that was only ever appended to, in one run.
+
+    Applies when every slot is live, every record has the same length and
+    the payloads sit contiguously below ``PAGE_SIZE`` in slot order — the
+    shape ``insert`` alone produces — and the records are all-integer
+    (see :func:`~repro.storage.record.decode_run`).  Returns the rows in
+    slot order, or ``None`` for any other page.
+    """
+    slot_count, free_ptr = _HEADER.unpack_from(image, 0)
+    if slot_count == 0:
+        return None
+    _, length = _SLOT.unpack_from(image, _HEADER.size)
+    start = PAGE_SIZE - slot_count * length
+    if (
+        length == 0
+        or free_ptr != start
+        or image[_HEADER.size : _HEADER.size + slot_count * _SLOT.size]
+        != _packed_directory(slot_count, length)
+    ):
+        return None
+    rows = decode_run(image, start, slot_count, length, length)
+    if rows is not None:
+        rows.reverse()
+    return rows
