@@ -90,6 +90,9 @@ PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
     --workload scan-plain
 PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
     --workload point-zip
+# The archive invariants on a BlockZIP-compressed archive, including the
+# block directory keyed reads rely on (first keys match, never decrease).
+PYTHONPATH=src timeout 120 python -m repro.tools check --compress
 
 echo "== sharded scalability smoke benchmark =="
 # Proves sharded answers match the single store and that key-equality

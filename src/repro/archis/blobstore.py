@@ -3,10 +3,17 @@
 For an attribute history table ``R_a``, compression moves frozen-segment
 rows into:
 
-- ``R_a_blob(blockno, segno, startsid, endsid, blob_id)`` — one row per
-  BlockZIP block, where sids order rows by ``(segno, id)``;
+- ``R_a_blob(blockno, segno, startsid, endsid, blob_id, startid)`` — one
+  row per BlockZIP block, where sids order rows by ``(segno, id)``.
+  ``(segno, startid)`` is the key of the block's first row.  Blocks are
+  written in key order, so those first keys form a directory: block ``i``
+  can hold key ``(s, k)`` only if its first key is ``<= (s, k)`` and the
+  next block's first key is ``>= (s, k)``;
 - ``R_a_segrange(segno, startblock, endblock, segstart, segend)`` — the
   block range and period of each compressed segment.
+
+A keyed read of segment ``s`` inflates only the blocks of ``s``'s range
+that the directory admits — usually one.
 
 The live segment is never compressed ("the current segment has a high
 usefulness and is used for updates, thus not compressed").  A registered
@@ -99,11 +106,10 @@ class CompressedArchive:
         blob_rows = self.db.table(blob_table)
         for blockno, block in enumerate(blocks):
             blob_id = self.db.blobs.put(block.data)
-            segno = (
-                frozen_rows[block.start_sid][seg_pos] if frozen_rows else 0
-            )
+            first = frozen_rows[block.start_sid]
             blob_rows.insert(
-                (blockno, segno, block.start_sid, block.end_sid, blob_id)
+                (blockno, first[seg_pos], block.start_sid, block.end_sid,
+                 blob_id, first[id_pos])
             )
         self._fill_segranges(
             segrange_table, frozen_rows, blocks, seg_pos
@@ -129,6 +135,7 @@ class CompressedArchive:
                     ("startsid", ColumnType.INT),
                     ("endsid", ColumnType.INT),
                     ("blob_id", ColumnType.INT),
+                    ("startid", ColumnType.INT),
                 ],
             )
         if not self.db.has_table(segrange_table):
@@ -170,9 +177,7 @@ class CompressedArchive:
 
         def unzip(startblock: int | None = None, endblock: int | None = None):
             """Yield rows stored in the blocks [startblock, endblock]."""
-            for blockno, segno, startsid, endsid, blob_id in db.table(
-                blob_table
-            ).rows():
+            for blockno, _, _, _, blob_id, _ in db.table(blob_table).rows():
                 if startblock is not None and blockno < startblock:
                     continue
                 if endblock is not None and blockno > endblock:
@@ -183,46 +188,98 @@ class CompressedArchive:
 
     # -- reads -------------------------------------------------------------------
 
-    def block_range_for_segments(
-        self, table_name: str, segnos: list[int]
-    ) -> tuple[int, int] | None:
-        """The block range covering the given frozen segments."""
+    def _info(self, table_name: str) -> CompressedTableInfo:
         info = self._compressed.get(table_name)
         if info is None:
             raise ArchisError(f"{table_name} is not compressed")
-        lows, highs = [], []
-        for segno, startblock, endblock, _, _ in self.db.table(
-            info.segrange_table
-        ).rows():
-            if segno in segnos:
-                lows.append(startblock)
-                highs.append(endblock)
-        if not lows:
-            return None
-        return (min(lows), max(highs))
+        return info
+
+    def zipped_segments(self, table_name: str) -> set[int]:
+        """The frozen segments of ``table_name`` held in BLOBs (none when
+        the table is not compressed).  A segment frozen after compression
+        stays in the heap and is not listed."""
+        info = self._compressed.get(table_name)
+        if info is None:
+            return set()
+        return {row[0] for row in self.db.table(info.segrange_table).rows()}
+
+    def _blocks_for(
+        self,
+        info: CompressedTableInfo,
+        directory: dict,
+        segnos: list[int] | None,
+        key: tuple | None,
+    ) -> list[int]:
+        """Block numbers that can hold rows of ``segnos`` (all segments
+        when ``None``) with ids in the inclusive ``key`` range.
+
+        ``directory`` maps block numbers to ``((segno, startid),
+        blob_id)``; only a keyed read consults it.
+        """
+        ranges = {
+            segno: (startblock, endblock)
+            for segno, startblock, endblock, _, _ in self.db.table(
+                info.segrange_table
+            ).rows()
+        }
+        wanted: set[int] = set()
+        for segno in ranges if segnos is None else segnos:
+            if segno not in ranges:
+                continue
+            startblock, endblock = ranges[segno]
+            for blockno in range(startblock, endblock + 1):
+                if key is not None:
+                    if directory[blockno][0] > (segno, key[1]):
+                        break  # this block and all later ones start above
+                    following = directory.get(blockno + 1)
+                    if following is not None and following[0] < (segno, key[0]):
+                        continue  # the next block starts below the key
+                wanted.add(blockno)
+        return sorted(wanted)
 
     def read_rows(
-        self, table_name: str, segnos: list[int] | None = None
+        self,
+        table_name: str,
+        segnos: list[int] | None = None,
+        key: tuple | None = None,
     ) -> list[tuple]:
         """Decompressed rows of a table's frozen segments.
 
-        ``segnos`` restricts to the blocks covering those segments —
-        the BlockZIP payoff: only a few blocks are decompressed for a
-        snapshot query.
+        ``segnos`` restricts to those segments and ``key``, an inclusive
+        ``(id_lo, id_hi)`` range, to those ids.  Only the blocks that can
+        hold such rows are decompressed — the BlockZIP payoff: a snapshot
+        query inflates a segment's blocks, a keyed one about one block
+        per segment.  Without either, every block is read.
         """
-        info = self._compressed.get(table_name)
-        if info is None:
-            raise ArchisError(f"{table_name} is not compressed")
-        unzip = self.db.table_function(f"unzip_{table_name}")
-        if segnos is None:
-            return list(unzip())
-        block_range = self.block_range_for_segments(table_name, segnos)
-        if block_range is None:
-            return []
-        return list(unzip(block_range[0], block_range[1]))
+        info = self._info(table_name)
+        directory = {
+            blockno: ((segno, startid), blob_id)
+            for blockno, segno, _, _, blob_id, startid in self.db.table(
+                info.blob_table
+            ).rows()
+        }
+        if segnos is None and key is None:
+            blocks = sorted(directory)
+        else:
+            blocks = self._blocks_for(info, directory, segnos, key)
+        rows: list[tuple] = []
+        for blockno in blocks:
+            blob_id = directory[blockno][1]
+            rows.extend(decompress_block(self.db.blobs.get(blob_id)))
+        if segnos is None and key is None:
+            return rows
+        schema = self.db.table(table_name).schema
+        seg_pos = schema.position("segno")
+        id_pos = schema.position("id")
+        wanted = None if segnos is None else set(segnos)
+        return [
+            row
+            for row in rows
+            if (wanted is None or row[seg_pos] in wanted)
+            and (key is None or key[0] <= row[id_pos] <= key[1])
+        ]
 
     def blocks_touched(self, table_name: str, segnos: list[int]) -> int:
-        block_range = self.block_range_for_segments(table_name, segnos)
-        if block_range is None:
-            return 0
-        return block_range[1] - block_range[0] + 1
+        """How many blocks a read of ``segnos`` decompresses."""
+        # an unkeyed read takes whole segment ranges: no directory needed
+        return len(self._blocks_for(self._info(table_name), {}, segnos, None))

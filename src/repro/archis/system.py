@@ -813,12 +813,9 @@ class ArchIS:
         with self.history_lock.read():
             segno = self.segments.segment_for(date)
             stats["segno"] = segno
-            if table_name in self.archive.compressed_tables and (
-                segno != self.segments.live_segno
-            ):
+            if segno in self.archive.zipped_segments(table_name):
                 rows = self.archive.read_rows(table_name, [segno])
                 table = self.db.table(table_name)
-                seg_pos = table.schema.position("segno")
                 tstart_pos = table.schema.position("tstart")
                 tend_pos = table.schema.position("tend")
                 stats["compressed"] = True
@@ -826,8 +823,7 @@ class ArchIS:
                     [
                         (row[0], row[1])
                         for row in rows
-                        if row[seg_pos] == segno
-                        and row[tstart_pos] <= date <= row[tend_pos]
+                        if row[tstart_pos] <= date <= row[tend_pos]
                     ],
                     columns,
                     stats=stats,

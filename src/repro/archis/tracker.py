@@ -254,7 +254,8 @@ class HTableWriter:
         reads (paper Sections 6.3/6.4) would report a stale open interval.
         Copies already moved into compressed blobs are immutable and simply
         not found here (the heap lookup misses), matching the paper's
-        treatment of compressed segments as cold storage.
+        treatment of compressed segments as cold storage; the history
+        table functions read such a version's end from its heap copy.
         """
         id_pos = table.schema.position("id")
         tstart_pos = table.schema.position("tstart")

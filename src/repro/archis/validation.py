@@ -11,8 +11,9 @@ synthetic histories, packaged for operators to run against real archives:
 - **history sanity**: per key, deduplicated attribute versions form
   disjoint, ordered intervals, and every current-table row has exactly one
   live history version;
-- **blob integrity**: every compressed block decompresses and its sid
-  range matches its contents.
+- **blob integrity**: every compressed block decompresses, its sid
+  range matches its contents, and the block directory's first keys
+  ``(segno, startid)`` match the first rows and never decrease.
 
 ``check_archive`` returns a list of :class:`Violation`; empty means clean.
 """
@@ -274,27 +275,49 @@ def check_live_rows_match_current(archis, relation) -> list[Violation]:
 
 
 def check_blob_integrity(archis) -> list[Violation]:
+    """Every block decompresses to its sid range, its ``startid`` is the
+    id of its first row, and the first keys ``(segno, startid)`` never
+    decrease in block order — the directory keyed reads rely on."""
     out = []
     for table_name, info in archis.archive.compressed_tables.items():
+        id_pos = archis.db.table(table_name).schema.position("id")
         blob_table = archis.db.table(info.blob_table)
-        for blockno, segno, startsid, endsid, blob_id in blob_table.rows():
+
+        def violation(blockno, detail):
+            out.append(
+                Violation(
+                    "blob-integrity", info.blob_table,
+                    f"block {blockno}: {detail}",
+                )
+            )
+
+        previous = None
+        for blockno, segno, startsid, endsid, blob_id, startid in sorted(
+            blob_table.rows()
+        ):
+            first_key = (segno, startid)
+            if previous is not None and first_key < previous:
+                violation(
+                    blockno,
+                    f"first key {first_key} sorts before the previous "
+                    f"block's {previous}",
+                )
+            previous = first_key
             try:
                 rows = decompress_block(archis.db.blobs.get(blob_id))
             except (CompressionError, Exception) as exc:  # noqa: BLE001
-                out.append(
-                    Violation(
-                        "blob-integrity", info.blob_table,
-                        f"block {blockno}: {exc}",
-                    )
-                )
+                violation(blockno, exc)
                 continue
             expected = endsid - startsid + 1
             if len(rows) != expected:
-                out.append(
-                    Violation(
-                        "blob-integrity", info.blob_table,
-                        f"block {blockno}: {len(rows)} rows, sid range says "
-                        f"{expected}",
-                    )
+                violation(
+                    blockno,
+                    f"{len(rows)} rows, sid range says {expected}",
+                )
+            if rows and rows[0][id_pos] != startid:
+                violation(
+                    blockno,
+                    f"startid {startid} but the first row's id is "
+                    f"{rows[0][id_pos]}",
                 )
     return out

@@ -6,11 +6,13 @@ input:
 1. ``constant-folding``   — evaluate constant arithmetic, drop vacuous
    conjuncts;
 2. ``predicate-pushdown`` — move single-alias conjuncts from the Filter
-   into their leaf scans;
+   into their leaf scans, plus the equalities implied across joins
+   (``a.x = b.y AND a.x = 4`` also pushes ``b.y = 4`` into ``b``);
 3. ``segment-restriction``— the paper's Section 6.4 rewrite: snapshot /
    slicing windows over a clustered archive replace the full
-   ``history_<t>()`` read with segment-restricted access (needs the
-   windows pushed down first);
+   ``history_<t>()`` read with segment-restricted access, and a pinned
+   ``id = k`` becomes the function's ``(k, k)`` key arguments, so the
+   read probes one key (needs the windows and keys pushed down first);
 4. ``index-selection``    — turn Scans with indexable predicates into
    B+ tree range scans (after segment restriction so a ``segno = k``
    equality can anchor the ``(segno, ...)`` indexes);

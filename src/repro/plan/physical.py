@@ -20,6 +20,7 @@ from typing import Iterator, Mapping
 from repro.errors import SqlPlanError
 from repro.obs.metrics import get_registry
 from repro.plan import nodes
+from repro.rdb.types import ColumnType
 from repro.sql import ast
 from repro.sql.expr import AGGREGATE_NAMES, Scope, compile_expr
 from repro.sql.sqlxml import xml_agg
@@ -196,6 +197,12 @@ class SeqScanOp:
             _ROWS_SCANNED.inc(scanned)
 
 
+#: the Python types an index probe value must have to equal a stored
+#: key of each column type (INT, FLOAT and DATE all store numbers)
+_NUMBERS = (int, float)
+_KEY_KINDS = {ColumnType.VARCHAR: str, ColumnType.BLOB: (bytes, bytearray)}
+
+
 class IndexScanOp:
     name = "IndexScan"
 
@@ -203,6 +210,11 @@ class IndexScanOp:
         self.plan = plan
         self.ctx = ctx
         self.eq_values = [ctx.compile_const(v) for _, v in plan.eq]
+        schema = ctx.db.table(plan.table).schema
+        self.eq_kinds = [
+            _KEY_KINDS.get(schema.columns[schema.position(c)].type, _NUMBERS)
+            for c, _ in plan.eq
+        ]
         self.low = ctx.compile_const(plan.low) if plan.low is not None else None
         self.high = (
             ctx.compile_const(plan.high) if plan.high is not None else None
@@ -231,6 +243,11 @@ class IndexScanOp:
         plan = self.plan
         table = self.ctx.db.table(plan.table)
         prefix = tuple(v(None, params) for v in self.eq_values)
+        if not all(map(isinstance, prefix, self.eq_kinds)):
+            # NULL, or a value of another kind than the column's (a str
+            # probe of an INT index), equals no key — and would not
+            # compare with the stored ones
+            return
         if plan.range_column is not None:
             low_val = self.low(None, params) if self.low is not None else None
             high_val = (

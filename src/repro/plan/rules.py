@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from repro.plan import nodes
 from repro.plan.build import referenced_aliases
+from repro.plan.render import expr_to_sql
 from repro.sql import ast
 
 #: end-of-window default when a snapshot predicate bounds only one side
@@ -151,7 +152,15 @@ def _text(value):
 
 
 def push_down_predicates(plan, ctx):
-    """Move single-alias conjuncts from a Filter into their leaf scan."""
+    """Move single-alias conjuncts from a Filter into their leaf scan.
+
+    Equalities cross joins: from ``a.x = b.y`` and ``a.x = c`` — ``c`` a
+    literal, a date or a ``:param`` — the rule derives ``b.y = c`` and
+    pushes it into ``b``'s leaf as well, so the far side of a keyed join
+    reads only its key (the join conjunct itself stays for the join).
+    A derived conjunct is added only when it lands in a leaf and is not
+    already stated, so running the rule again derives nothing new.
+    """
     details = []
 
     def walk(node):
@@ -161,7 +170,8 @@ def push_down_predicates(plan, ctx):
         leaf_aliases = nodes.node_aliases(node.child)
         pushed: dict[str, list] = {}
         remaining = []
-        for conjunct in node.predicates:
+        derived = _implied_equalities(node.predicates, leaf_aliases, ctx.scope)
+        for conjunct in node.predicates + derived:
             aliases = referenced_aliases(conjunct, ctx.scope)
             if len(aliases) == 1 and (alias := next(iter(aliases))) in leaf_aliases:
                 pushed.setdefault(alias, []).append(conjunct)
@@ -179,6 +189,59 @@ def push_down_predicates(plan, ctx):
     return walk(plan), details
 
 
+def _implied_equalities(conjuncts, leaf_aliases, scope) -> tuple:
+    """``column = constant`` conjuncts implied through column equalities.
+
+    Columns joined by ``a.x = b.y`` conjuncts form classes; every
+    constant one member equals is derived for the other members.  Sound
+    under SQL's NULL rule: a NULL on either side fails the stated
+    conjuncts, so the extra filter removes no row the Filter keeps.
+    """
+    if len(leaf_aliases) < 2:
+        return ()  # no equality between two sources
+    parent: dict[tuple, tuple] = {}
+
+    def find(column):
+        while parent.setdefault(column, column) != column:
+            column = parent[column]
+        return column
+
+    constants = []
+    for conjunct in conjuncts:
+        sides = _equi_join_sides(conjunct, scope)
+        if sides is not None:
+            parent[find(sides[0])] = find(sides[1])
+            continue
+        bound = _equals_constant(conjunct)
+        if bound is not None:
+            constants.append((scope.resolve(bound[0]), bound[1]))
+    stated = set(constants)
+    derived = []
+    for column, value in constants:
+        root = find(column)
+        for member in list(parent):
+            if (
+                member[0] in leaf_aliases
+                and (member, value) not in stated
+                and find(member) == root
+            ):
+                stated.add((member, value))
+                derived.append(
+                    ast.BinaryOp("=", ast.ColumnRef(*member), value)
+                )
+    return tuple(derived)
+
+
+def _equals_constant(node):
+    """``(column_ref, value)`` for ``col = constant`` (either side)."""
+    if not (isinstance(node, ast.BinaryOp) and node.op == "="):
+        return None
+    for column, value in ((node.left, node.right), (node.right, node.left)):
+        if isinstance(column, ast.ColumnRef) and _is_constant(value):
+            return column, value
+    return None
+
+
 def _attach(node, pushed):
     if isinstance(node, nodes.LEAVES):
         extra = pushed.get(node.alias)
@@ -192,17 +255,30 @@ def _attach(node, pushed):
 
 
 def restrict_segments(plan, ctx):
-    """Restrict clustered-archive reads to the segments a window needs.
+    """Restrict clustered-archive reads to the segments and the key a
+    query needs.
 
-    The translator reads segmented/compressed H-tables through the
-    deduplicating ``history_<t>()`` function — always correct, never
-    fast.  When the pushed-down predicates bound the alias to a snapshot
-    or slicing window, this rule replaces that full read:
+    The translator and temporal SQL read segmented/compressed H-tables
+    through the deduplicating ``history_<t>()`` function — always
+    correct, never fast.  This rule rewrites that full read from the
+    leaf's pushed-down predicates:
 
-    - one uncompressed segment  -> heap/index scan with ``segno = k``;
-    - one compressed segment    -> ``seg_<t>(k, k)`` (BLOB decompression);
-    - several segments          -> ``slice_<t>(lo, hi)`` (deduplicates
-      freeze-forwarded copies across the span).
+    - a snapshot or slicing window picks the segments:
+      one uncompressed segment  -> heap/index scan with ``segno = k``;
+      one compressed segment    -> ``seg_<t>(k, k)`` (BLOB decompression);
+      several segments          -> ``slice_<t>(lo, hi)`` (deduplicates
+      freeze-forwarded copies across the span);
+    - a key pin ``id = c`` (an int literal or a ``:param``) appends
+      ``(c, c)`` as the function's ``id_lo, id_hi`` arguments —
+      ``history_<t>(c, c)``, ``seg_<t>(lo, hi, c, c)`` or
+      ``slice_<t>(lo, hi, c, c)`` — so the read probes the ``(segno,
+      id)`` index per heap segment and inflates only the BlockZIP blocks
+      that can hold the key.  (The ``segno = k`` scan needs no argument:
+      index selection picks ``(segno, id)`` from the same conjunct.)
+
+    The ``id`` conjunct stays on the leaf as a residual filter.  Only an
+    argument-less ``history_<t>()`` is rewritten, so the rule is
+    idempotent — the Exchange operator runs it again per shard.
     """
     details = []
 
@@ -211,40 +287,66 @@ def restrict_segments(plan, ctx):
         if not (
             isinstance(node, nodes.FunctionScan)
             and node.function.startswith("history_")
+            and not node.args
         ):
             return node
         table = node.function[len("history_"):]
         hints = ctx.segment_hints(table)
         if hints is None:
             return node
+        function, args = node.function, ()
         window = _window_from_predicates(node.alias, node.predicates)
-        if window is None:
+        if window is not None:
+            lo_date = window[0] if window[0] is not None else 0
+            hi_date = window[1] if window[1] is not None else _MAX_DATE
+            segnos = hints.segments_overlapping(lo_date, hi_date)
+            lo, hi = (min(segnos), max(segnos)) if segnos else (0, -1)
+            if lo == hi and not hints.compressed:
+                predicate = ast.BinaryOp(
+                    "=", ast.ColumnRef(node.alias, "segno"), ast.Literal(lo)
+                )
+                details.append(
+                    f"{node.alias}: history_{table}() -> {table} WHERE segno = {lo}"
+                )
+                return nodes.Scan(
+                    table, node.alias, node.predicates + (predicate,)
+                )
+            function = f"{'seg' if lo == hi else 'slice'}_{table}"
+            args = (ast.Literal(lo), ast.Literal(hi))
+        key = _key_from_predicates(node.alias, node.predicates)
+        if key is not None:
+            args += (key, key)
+        elif window is None:
             return node
-        lo_date = window[0] if window[0] is not None else 0
-        hi_date = window[1] if window[1] is not None else _MAX_DATE
-        segnos = hints.segments_overlapping(lo_date, hi_date)
-        lo, hi = (min(segnos), max(segnos)) if segnos else (0, -1)
-        if lo == hi and not hints.compressed:
-            predicate = ast.BinaryOp(
-                "=", ast.ColumnRef(node.alias, "segno"), ast.Literal(lo)
-            )
-            details.append(
-                f"{node.alias}: history_{table}() -> {table} WHERE segno = {lo}"
-            )
-            return nodes.Scan(table, node.alias, node.predicates + (predicate,))
-        kind = "seg" if lo == hi else "slice"
-        details.append(
-            f"{node.alias}: history_{table}() -> {kind}_{table}({lo}, {hi})"
-        )
+        detail = f"{node.alias}: history_{table}() -> {_call_sql(function, args)}"
+        if key is not None:
+            detail += f" for id = {expr_to_sql(key)}"
+        details.append(detail)
         return nodes.FunctionScan(
-            f"{kind}_{table}",
-            (ast.Literal(lo), ast.Literal(hi)),
-            node.alias,
-            node.columns,
-            node.predicates,
+            function, args, node.alias, node.columns, node.predicates
         )
 
     return walk(plan), details
+
+
+def _call_sql(function, args) -> str:
+    return f"{function}({', '.join(expr_to_sql(a) for a in args)})"
+
+
+def _key_from_predicates(alias, predicates):
+    """The value node of an ``id = <int literal | :param>`` conjunct."""
+    for predicate in predicates:
+        bound = _equals_constant(predicate)
+        if bound is None or not _is_column(bound[0], alias, "id"):
+            continue
+        value = bound[1]
+        if isinstance(value, ast.Param) or (
+            isinstance(value, ast.Literal)
+            and isinstance(value.value, int)
+            and not isinstance(value.value, bool)
+        ):
+            return value
+    return None
 
 
 def _window_from_predicates(alias, predicates):

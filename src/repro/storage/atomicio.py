@@ -19,7 +19,8 @@ import os
 from repro.storage.crashpoints import fire
 
 #: Format version written into (and required from) every JSON sidecar.
-SIDECAR_VERSION = 1
+#: Version 2: BlockZIP ``<t>_blob`` tables carry a ``startid`` column.
+SIDECAR_VERSION = 2
 
 _TMP_SUFFIX = ".tmp"
 

@@ -52,16 +52,10 @@ def _alive_keys(archis, relation, day: int) -> list:
     table = archis.db.table(table_name)
     tstart_pos = table.schema.position("tstart")
     tend_pos = table.schema.position("tend")
-    seg_pos = table.schema.position("segno")
-    if table_name in archis.archive.compressed_tables and (
-        segno != archis.segments.live_segno
-    ):
+    if segno in archis.archive.zipped_segments(table_name):
         rows = archis.archive.read_rows(table_name, [segno])
         return [
-            row[0]
-            for row in rows
-            if row[seg_pos] == segno
-            and row[tstart_pos] <= day <= row[tend_pos]
+            row[0] for row in rows if row[tstart_pos] <= day <= row[tend_pos]
         ]
     result = archis.db.sql(
         f"SELECT t.id FROM {table_name} t "

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.archis import ArchIS, ArchISConfig
-from repro.errors import ArchisError, StorageError
+from repro.errors import ArchisError, CatalogError, StorageError
 from repro.rdb import ColumnType, Database
 from repro.xmlkit import serialize
 
@@ -114,6 +114,42 @@ def test_compressed_archive_reopens(db_path):
         allow_fallback=False,
     )
     assert count_after == count_before
+
+
+@pytest.mark.parametrize(
+    "sidecars, error, which",
+    [
+        (("archis",), ArchisError, "archive"),
+        (("archis", "catalog"), CatalogError, "catalog"),
+    ],
+)
+def test_version_1_archive_is_refused(db_path, sidecars, error, which):
+    """Version 1 predates the BlockZIP directory column: opening such an
+    archive is a typed error, never a failed row unpack."""
+    import json
+
+    from repro.archis.persistence import sidecar_path as archive_sidecar
+    from repro.rdb.persistence import sidecar_path as catalog_sidecar
+
+    archis = build(db_path)
+    churn(archis, employees=8, rounds=12)
+    archis.compress_archive()
+    archis.save()
+    archis.db.close()
+    paths = {
+        "archis": archive_sidecar(db_path),
+        "catalog": catalog_sidecar(db_path),
+    }
+    for name in sidecars:
+        with open(paths[name], encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["version"] = 1
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+    with pytest.raises(
+        error, match=rf"unsupported {which} sidecar version 1\b"
+    ):
+        ArchIS.open(db_path)
 
 
 def test_validation_clean_after_reopen(db_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ArchisError, CompressionError
+from repro.obs import get_registry
 from repro.archis.compression import (
     DEFAULT_BLOCK_SIZE,
     compress_records,
@@ -10,7 +11,7 @@ from repro.archis.compression import (
     decompress_block,
     iter_all_rows,
 )
-from repro.util.timeutil import parse_date
+from repro.util.timeutil import format_date, parse_date
 
 from tests.archis.conftest import make_archis
 from tests.archis.test_clustering import churn
@@ -165,3 +166,118 @@ class TestCompressedArchive:
         frozen_archis.compress_archive()
         after = frozen_archis.storage_bytes()
         assert after < before
+
+
+class TestSegmentsFrozenAfterCompression:
+    """A segment frozen after ``compress_archive()`` stays in the heap;
+    windowed reads must still find it (the per-segment source rule)."""
+
+    @pytest.fixture
+    def refrozen(self):
+        archis = make_archis(umin=0.4, min_segment_rows=8)
+        churn(archis, employees=12, rounds=12)
+        archis.compress_archive()
+        zipped = len(archis.segments.archived_segments())
+        emp = archis.db.table("employee")
+        for round_no in range(12):
+            archis.db.advance_days(30)
+            for i in range(12):
+                emp.update_where(
+                    lambda r, i=i: r["id"] == i,
+                    {"salary": 5000 + round_no * 100 + i},
+                )
+        archis.apply_pending()
+        # both kinds are present: segments in BLOBs and frozen heap ones
+        assert 0 < zipped < len(archis.segments.archived_segments())
+        return archis
+
+    @staticmethod
+    def window_sql(start, end, key):
+        where = "" if key is None else f" WHERE t.id = {key}"
+        return (
+            "SELECT t.id, t.salary, t.tstart, t.tend FROM employee_salary t "
+            f"FOR SYSTEM_TIME FROM DATE '{format_date(start)}' "
+            f"TO DATE '{format_date(end)}'{where}"
+        )
+
+    @pytest.mark.parametrize("key", [None, 3])
+    def test_every_frozen_segment_answers(self, refrozen, key):
+        history = [tuple(r) for r in refrozen.history("employee", "salary")]
+        if key is not None:
+            history = [r for r in history if r[0] == key]
+        for segno, start, end in refrozen.segments.archived_segments():
+            day = (start + end) // 2
+            where = "" if key is None else f" WHERE t.id = {key}"
+            as_of = refrozen.sql(
+                "SELECT t.id, t.salary FROM employee_salary t "
+                f"FOR SYSTEM_TIME AS OF DATE '{format_date(day)}'{where}"
+            ).rows
+            assert sorted(as_of) == sorted(
+                (i, s) for i, s, ts, te in history if ts <= day <= te
+            ), f"AS OF in segment {segno}"
+            window = refrozen.sql(self.window_sql(start, end, key)).rows
+            assert sorted(window) == sorted(
+                r for r in history if r[2] < end and r[3] >= start
+            ), f"FROM..TO in segment {segno}"
+
+    def test_snapshot_rows_reads_the_heap_segment(self, refrozen):
+        history = refrozen.history("employee", "salary")
+        for segno, start, end in refrozen.segments.archived_segments():
+            day = (start + end) // 2
+            got = refrozen.snapshot_rows("employee", "salary", day).rows
+            assert sorted(got) == sorted(
+                (i, s) for i, s, ts, te in history if ts <= day <= te
+            ), f"snapshot in segment {segno}"
+
+
+class TestKeyedBlockReads:
+    """The ``(segno, startid)`` first-key directory: a keyed read inflates
+    only the blocks that can hold the key, and loses no row of it — also
+    when one key's versions straddle a block boundary."""
+
+    @pytest.fixture
+    def small_blocks(self):
+        archis = make_archis(umin=0.4, min_segment_rows=8)
+        churn(archis, employees=12, rounds=24)
+        archis.archive.block_size = 120  # a few rows per block
+        archis.compress_archive()
+        return archis
+
+    def test_every_key_reads_exactly_its_rows(self, small_blocks):
+        archive = small_blocks.archive
+        everything = archive.read_rows("employee_salary")
+        zipped = sorted(archive.zipped_segments("employee_salary"))
+        info = archive.compressed_tables["employee_salary"]
+        assert info.blocks > 2 * len(zipped)
+        decompressed = get_registry().counter("blockzip.blocks_decompressed")
+        for segno in zipped:
+            for key in range(-1, 14):
+                want = [r for r in everything if r[4] == segno and r[0] == key]
+                before = decompressed.value
+                got = archive.read_rows("employee_salary", [segno], (key, key))
+                assert got == want
+                assert decompressed.value - before <= 2
+
+    def test_key_range_spans_blocks(self, small_blocks):
+        archive = small_blocks.archive
+        everything = archive.read_rows("employee_salary")
+        for segno in archive.zipped_segments("employee_salary"):
+            want = [r for r in everything if r[4] == segno and 3 <= r[0] <= 9]
+            assert archive.read_rows("employee_salary", [segno], (3, 9)) == want
+
+    def test_keyed_as_of_touches_one_block_per_segment(self, small_blocks):
+        decompressed = get_registry().counter("blockzip.blocks_decompressed")
+        segno, start, end = small_blocks.segments.archived_segments()[0]
+        day = format_date((start + end) // 2)
+        query = (
+            "SELECT t.id, t.salary FROM employee_salary t "
+            f"FOR SYSTEM_TIME AS OF DATE '{day}' WHERE t.id = 5"
+        )
+        before = decompressed.value
+        keyed = small_blocks.sql(query).rows
+        assert decompressed.value - before <= 2
+        small_blocks.db.optimizer_enabled = False
+        try:
+            assert small_blocks.sql(query).rows == keyed
+        finally:
+            small_blocks.db.optimizer_enabled = True

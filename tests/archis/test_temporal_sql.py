@@ -156,3 +156,110 @@ class TestTemporalOperatorsOnArchive:
         before = queries.value
         archis.sql(as_of_sql())
         assert queries.value == before + 1
+
+
+class TestWindowAcrossFreezes:
+    """A version closed on a freeze boundary day is counted once by a
+    FROM..TO window spanning the boundary (``slice_`` keeps the copy in
+    the later segment, where the version was still live)."""
+
+    def test_version_closed_on_the_boundary_counts_once(self):
+        archis = build(min_segment_rows=4, umin=0.01, profile="atlas")
+        emp = archis.db.table("employee")
+        for i in range(3):
+            emp.insert((i, f"e{i}", 1000 + i))
+        for round_no in range(4):
+            archis.db.advance_days(1)
+            for i in range(3):
+                emp.update_where(
+                    lambda r, i=i: r["id"] == i,
+                    {"salary": 1000 + i + 10 * round_no},
+                )
+            archis.apply_pending()
+            if round_no < 3:
+                archis.segments.freeze()
+        segments = archis.segments.archived_segments()
+        assert len(segments) >= 2
+        low, high = segments[0][1], segments[1][2]
+        history = archis.history("employee", "salary")
+        assert any(tend == segments[0][2] for _, _, _, tend in history)
+        for where, keys in (("", {0, 1, 2}), (" WHERE t.id = 1", {1})):
+            got = archis.sql(
+                "SELECT t.id, t.salary, t.tstart, t.tend FROM employee_salary t "
+                f"FOR SYSTEM_TIME FROM {low} TO {high}{where}"
+            ).rows
+            want = [
+                tuple(row)
+                for row in history
+                if row[0] in keys and row[2] < high and row[3] >= low
+            ]
+            assert sorted(got) == sorted(want)
+
+    def test_version_opened_and_closed_on_the_boundary_day_is_kept(self):
+        # day D: key 1 is updated and then deleted, so its new version
+        # is (D, D) and closed before the freeze at segend = D; its only
+        # copy is in segment 1, yet its tend equals segend(1)
+        archis = build(min_segment_rows=4, umin=0.01, profile="atlas")
+        emp = archis.db.table("employee")
+        for i in range(3):
+            emp.insert((i, f"e{i}", 1000 + i))
+        archis.db.advance_days(1)
+        for i in range(3):
+            emp.update_where(
+                lambda r, i=i: r["id"] == i, {"salary": 2000 + i}
+            )
+        emp.delete_where(lambda r: r["id"] == 1)
+        archis.apply_pending()
+        archis.segments.freeze()
+        boundary = archis.segments.archived_segments()[0][2]
+        archis.db.advance_days(1)
+        for i in (0, 2):
+            emp.update_where(
+                lambda r, i=i: r["id"] == i, {"salary": 3000 + i}
+            )
+        archis.apply_pending()
+        assert (1, 2001, boundary, boundary) in archis.history(
+            "employee", "salary"
+        )
+        for where in ("", " WHERE t.id = 1"):
+            query = (
+                "SELECT t.id, t.salary, t.tstart, t.tend FROM employee_salary t "
+                f"FOR SYSTEM_TIME FROM 0 TO {boundary + 10}{where}"
+            )
+            plan = archis.explain_sql(query).plan.optimized
+            assert "slice_employee_salary(1, 2" in plan
+            got = sorted(archis.sql(query).rows)
+            archis.db.optimizer_enabled = False
+            try:
+                naive = sorted(archis.sql(query).rows)
+            finally:
+                archis.db.optimizer_enabled = True
+            assert (1, 2001, boundary, boundary) in got
+            assert got == naive
+
+
+class TestKeyedReads:
+    """``id = :k`` reaches the history functions as key arguments; a
+    NULL or wrongly typed key matches nothing, as in the naive plan."""
+
+    @pytest.mark.parametrize("key", [3, None, "3", 99])
+    def test_param_key_answers_like_the_naive_plan(self, key):
+        archis = build()
+        churn(archis)
+        archis.compress_archive()
+        for clause in (
+            f"AS OF DATE '{AS_OF}'",  # one compressed segment: seg_
+            "FROM 0 TO 99999",  # every segment: slice_
+        ):
+            query = (
+                "SELECT t.id, t.salary, t.tstart FROM employee_salary t "
+                f"FOR SYSTEM_TIME {clause} WHERE t.id = :k"
+            )
+            keyed = sorted(archis.sql(query, {"k": key}).rows)
+            archis.db.optimizer_enabled = False
+            try:
+                naive = sorted(archis.sql(query, {"k": key}).rows)
+            finally:
+                archis.db.optimizer_enabled = True
+            assert keyed == naive
+            assert bool(keyed) == (key == 3)

@@ -66,6 +66,21 @@ class TestDetection:
         violations = check_archive(archis)
         assert any(v.check == "blob-integrity" for v in violations)
 
+    def test_detects_corrupt_block_directory(self):
+        archis = make_archis(umin=0.4, min_segment_rows=8)
+        churn(archis, employees=10, rounds=12)
+        archis.compress_archive()
+        assert check_archive(archis) == []
+        info = archis.archive.compressed_tables["employee_salary"]
+        archis.db.table(info.blob_table).update_where(
+            lambda r: r["blockno"] == 0, {"startid": 10**6}
+        )
+        violations = check_archive(archis)
+        assert any(
+            v.check == "blob-integrity" and "block 0: startid" in v.detail
+            for v in violations
+        )
+
     def test_detects_covering_violation(self):
         archis = make_archis(umin=0.4, min_segment_rows=8)
         churn(archis)

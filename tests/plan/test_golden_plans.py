@@ -77,6 +77,7 @@ class TestGoldenPlans:
         assert report == golden(
             """
             rules:
+              predicate-pushdown: 1 predicate(s) into d
               predicate-pushdown: 2 predicate(s) into e
               index-selection: e: employee via index emp_dept
               join-selection: hash join on e.deptno = d.deptno
@@ -90,7 +91,7 @@ class TestGoldenPlans:
               Project [e.name, d.dname]
                 Join [hash] on e.deptno = d.deptno
                   IndexScan employee AS e using emp_dept eq [deptno = 7] range salary in [50000, +inf] [e.salary >= 50000]
-                  Scan dept AS d
+                  Scan dept AS d [d.deptno = 7]
             physical plan:
               Project
                 HashJoin on e.deptno = d.deptno
@@ -189,6 +190,36 @@ class TestGoldenTemporalPlans:
             "SELECT t.id, t.salary FROM emp_salary AS t "
             "WHERE t.tstart <= 4000 AND t.tend >= 4000 AND t.segno = 2"
         )
+
+    def test_key_reaches_the_history_function(self, temporal_db):
+        plan, report = report_of(
+            temporal_db,
+            "SELECT t.salary FROM TABLE(history_emp_salary()) "
+            "AS t(id, salary, tstart, tend, segno) WHERE t.id = 4",
+        )
+        assert report == golden(
+            """
+            rules:
+              predicate-pushdown: 1 predicate(s) into t
+              segment-restriction: t: history_emp_salary() -> history_emp_salary(4, 4) for id = 4
+            logical plan:
+              Project [t.salary]
+                Filter [t.id = 4]
+                  FunctionScan history_emp_salary() AS t
+            optimized plan:
+              Project [t.salary]
+                FunctionScan history_emp_salary(4, 4) AS t [t.id = 4]
+            physical plan:
+              Project
+                FunctionScan history_emp_salary AS t
+            """
+        )
+        assert to_sql(plan.optimized) == (
+            "SELECT t.salary FROM TABLE(history_emp_salary(4, 4)) "
+            "AS t(id, salary, tstart, tend, segno) WHERE t.id = 4"
+        )
+        again = SelectPlan(temporal_db, parse_sql(to_sql(plan.optimized)))
+        assert to_sql(again.optimized) == to_sql(plan.optimized)
 
     def test_temporal_join_reads_through_history_functions(self, temporal_db):
         plan, report = report_of(

@@ -115,6 +115,38 @@ class TestPredicatePushdown:
         assert isinstance(filter_node, nodes.Filter)
         assert len(filter_node.predicates) == 1  # only the join conjunct
 
+    def test_equality_crosses_the_join(self, db):
+        plan, ctx = plan_and_ctx(
+            db,
+            "SELECT e.name FROM employee AS e, dept AS d "
+            "WHERE e.id = d.deptno AND e.id = 2",
+        )
+        plan, details = rules.push_down_predicates(plan, ctx)
+        assert details == ["1 predicate(s) into d", "1 predicate(s) into e"]
+        dept = [leaf for leaf in nodes.leaves(plan) if leaf.alias == "d"][0]
+        assert dept.predicates == (
+            ast.BinaryOp("=", ast.ColumnRef("d", "deptno"), ast.Literal(2)),
+        )
+        assert len(plan.child.predicates) == 1  # the join conjunct stays
+
+    def test_stated_equality_is_not_derived_again(self, db):
+        plan, ctx = plan_and_ctx(
+            db,
+            "SELECT e.name FROM employee AS e, dept AS d "
+            "WHERE e.id = d.deptno AND e.id = 2 AND 2 = d.deptno",
+        )
+        plan, details = rules.push_down_predicates(plan, ctx)
+        assert details == ["1 predicate(s) into d", "1 predicate(s) into e"]
+
+    @pytest.mark.parametrize("constant", ["1", "NULL"])
+    def test_crossed_equality_answers_unchanged(self, db, constant):
+        optimized, naive = rows_with_and_without_optimizer(
+            db,
+            "SELECT e.name, d.dname FROM employee AS e, dept AS d "
+            f"WHERE e.id = d.deptno AND d.deptno = {constant}",
+        )
+        assert optimized == naive
+
 
 class TestSegmentRestriction:
     DATE = 4000
@@ -196,6 +228,55 @@ class TestSegmentRestriction:
         assert isinstance(plan, nodes.Scan)
         assert details
 
+    def key_predicate(self, value):
+        return ast.BinaryOp("=", ast.ColumnRef("t", "id"), value)
+
+    def test_key_without_window_becomes_key_arguments(self):
+        plan = self.history_scan((self.key_predicate(ast.Literal(7)),))
+        plan, details = rules.restrict_segments(plan, self.ctx(True, [1]))
+        assert plan.function == "history_employee"
+        assert plan.args == (ast.Literal(7), ast.Literal(7))
+        assert plan.predicates == (self.key_predicate(ast.Literal(7)),)
+        assert details == [
+            "t: history_employee() -> history_employee(7, 7) for id = 7"
+        ]
+
+    def test_key_param_joins_the_window_arguments(self):
+        key = ast.Param("k")
+        plan = self.history_scan(
+            self.snapshot_predicates() + (self.key_predicate(key),)
+        )
+        plan, details = rules.restrict_segments(plan, self.ctx(True, [2]))
+        assert plan.function == "seg_employee"
+        assert plan.args == (ast.Literal(2), ast.Literal(2), key, key)
+        assert details == [
+            "t: history_employee() -> seg_employee(2, 2, :k, :k) for id = :k"
+        ]
+
+    def test_key_rewrite_is_idempotent(self):
+        plan = self.history_scan((self.key_predicate(ast.Literal(7)),))
+        ctx = self.ctx(True, [1])
+        once, _ = rules.restrict_segments(plan, ctx)
+        twice, details = rules.restrict_segments(once, ctx)
+        assert twice is once
+        assert details == []
+
+    def test_single_uncompressed_segment_keeps_the_key_in_predicates(self):
+        plan = self.history_scan(
+            self.snapshot_predicates() + (self.key_predicate(ast.Literal(7)),)
+        )
+        plan, _ = rules.restrict_segments(plan, self.ctx(False, [2]))
+        assert isinstance(plan, nodes.Scan)  # index selection takes the key
+        assert self.key_predicate(ast.Literal(7)) in plan.predicates
+
+    def test_text_key_is_not_an_argument(self):
+        plan = self.history_scan((self.key_predicate(ast.Literal("7")),))
+        rewritten, details = rules.restrict_segments(
+            plan, self.ctx(True, [1])
+        )
+        assert rewritten is plan
+        assert details == []
+
     def test_no_window_means_no_rewrite(self):
         predicates = (
             ast.BinaryOp(">", ast.ColumnRef("t", "salary"), ast.Literal(5)),
@@ -253,6 +334,13 @@ class TestIndexSelection:
         plan, details = rules.select_indexes(plan, ctx)
         assert details == []
         assert isinstance(only_leaf(plan), nodes.Scan)
+
+    def test_null_equality_on_an_index_matches_nothing(self, db):
+        db.sql("CREATE INDEX emp_salary ON employee (salary)")
+        assert db.sql("SELECT name FROM employee WHERE salary = NULL").rows == []
+        assert db.sql(
+            "SELECT name FROM employee WHERE salary = :s", {"s": None}
+        ).rows == []
 
     def test_index_scan_answers_match_heap_scan(self, db):
         db.sql("CREATE INDEX emp_salary ON employee (salary)")

@@ -5,7 +5,7 @@ scans, hash joins, folded constants) must return exactly the rows the
 naive logical plan returns.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.rdb import Database
 
@@ -53,11 +53,11 @@ def where_clause(predicates):
     return " WHERE " + " AND ".join(conjuncts)
 
 
-def run_both(db, sql):
-    optimized = sorted(db.sql(sql).rows, key=repr)
+def run_both(db, sql, params=None):
+    optimized = sorted(db.sql(sql, params).rows, key=repr)
     db.optimizer_enabled = False
     try:
-        naive = sorted(db.sql(sql).rows, key=repr)
+        naive = sorted(db.sql(sql, params).rows, key=repr)
     finally:
         db.optimizer_enabled = True
     return optimized, naive
@@ -104,4 +104,107 @@ def test_constant_folding_equivalence(rows, value, factor):
     db = build_db(rows, None)
     sql = f"SELECT a FROM t WHERE a >= {value} - {factor} * 2"
     optimized, naive = run_both(db, sql)
+    assert optimized == naive
+
+
+small_or_null = st.one_of(st.none(), st.integers(0, 5))
+
+
+@seed(32)
+@settings(max_examples=80, deadline=None)
+@given(
+    left=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), small_or_null),
+        max_size=25,
+    ),
+    right=st.lists(st.tuples(small_or_null, small_or_null), max_size=25),
+    join=st.sampled_from([("t.a", "s.x"), ("t.c", "s.x"), ("s.y", "t.c")]),
+    constants=st.lists(
+        st.tuples(
+            st.sampled_from(["t.a", "t.c", "s.x", "s.y"]),
+            small_or_null,
+            st.sampled_from(["column first", "constant first", "param"]),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    index=index_strategy,
+)
+def test_equi_join_with_constant_equalities(left, right, join, constants, index):
+    """Equalities inferred across the join (``t.a = s.x AND t.a = 3``
+    implies ``s.x = 3``) never change the answer, NULLs included."""
+    db = build_db(left, index)
+    db.sql("CREATE TABLE s (x INT, y INT)")
+    table = db.table("s")
+    for row in right:
+        table.insert(row)
+    conjuncts = [f"{join[0]} = {join[1]}"]
+    params = {}
+    for number, (column, value, shape) in enumerate(constants):
+        if shape == "param":
+            params[f"k{number}"] = value
+            conjuncts.append(f"{column} = :k{number}")
+            continue
+        literal = "NULL" if value is None else str(value)
+        if shape == "column first":
+            conjuncts.append(f"{column} = {literal}")
+        else:
+            conjuncts.append(f"{literal} = {column}")
+    sql = (
+        "SELECT t.a, t.b, t.c, s.x, s.y FROM t, s WHERE "
+        + " AND ".join(conjuncts)
+    )
+    optimized, naive = run_both(db, sql, params)
+    assert optimized == naive
+
+
+int_or_text = st.one_of(
+    st.none(), st.integers(0, 3), st.sampled_from(["0", "1", "bob"])
+)
+
+
+@seed(32)
+@settings(max_examples=60, deadline=None)
+@given(
+    left=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), small_or_null),
+        max_size=15,
+    ),
+    names=st.lists(
+        st.one_of(st.none(), st.sampled_from(["0", "1", "bob"])), max_size=15
+    ),
+    join=st.sampled_from([("t.a", "s.n"), ("s.n", "t.b")]),
+    column=st.sampled_from(["t.a", "t.b", "s.n"]),
+    value=int_or_text,
+    as_param=st.booleans(),
+    index=index_strategy,
+    name_index=st.booleans(),
+)
+def test_mixed_type_equi_join(
+    left, names, join, column, value, as_param, index, name_index
+):
+    """An equi-join of an INT and a VARCHAR column carries a constant of
+    either type across (``t.a = s.n AND s.n = 'bob'`` implies
+    ``t.a = 'bob'``); an index probe with a value of another type than
+    its column matches no row, as the naive comparison does."""
+    db = build_db(left, index)
+    db.sql("CREATE TABLE s (n VARCHAR)")
+    table = db.table("s")
+    for name in names:
+        table.insert((name,))
+    if name_index:
+        table.create_index("s_ix", ("n",))
+    params = {}
+    if as_param:
+        params["k"] = value
+        constant = ":k"
+    elif value is None:
+        constant = "NULL"
+    else:
+        constant = repr(value) if isinstance(value, str) else str(value)
+    sql = (
+        "SELECT t.a, t.b, s.n FROM t, s "
+        f"WHERE {join[0]} = {join[1]} AND {column} = {constant}"
+    )
+    optimized, naive = run_both(db, sql, params)
     assert optimized == naive
