@@ -1,65 +1,26 @@
-"""Fig. 10: scalability — 7x data, query time grows ~linearly; sharding cells.
+"""Fig. 10: scalability — query time at 1x vs 7x data.
 
 Paper: on a 7x dataset most query times grow approximately linearly;
 single-object queries (Q1/Q3) grow much less, because the id index
-isolates them from the archive size.  The pytest half of this module
-reproduces that table.
+isolates them from the archive size.  This module reproduces that
+table.
 
-The CLI half measures the other scalability axis this reproduction adds:
-**key-partitioned shard stores** behind the ``ShardRouter`` with the
-scatter-gather ``Exchange`` operator.  A multi-key single-key-query
-workload — per-employee snapshot scans (``id = K AND tstart <= d <= tend``)
-and per-employee temporal scans (``id = K``) — runs against the same
-dataset archived once into a single store and once into ``--shards`` (4
-by default) partitioned stores.  Key-equality pruning collapses every
-query's fan-out to the one owning shard (visible in EXPLAIN as
-``Exchange ... shards=1/N`` and in the ``exchange.shards_pruned``
-counter), so each query scans ~1/N of the history and throughput must
-rise by at least ``SHARD_TARGET`` (2x) at 4 shards on the full run.
+Run with pytest::
 
-Both cells must return **identical answers** for every key before any
-timing is reported; the benchmark refuses to print a speedup on
-divergent state.
-
-Run directly::
-
-    PYTHONPATH=src python benchmarks/bench_fig10_scalability.py            # full
-    PYTHONPATH=src python benchmarks/bench_fig10_scalability.py --smoke    # CI-sized
-
-Emits ``BENCH_fig10_scalability.json`` next to this file (``--out``
-overrides) and exits non-zero if answers diverge, pruning is not
-observed, or (full run only) either workload's sharded throughput falls
-below ``SHARD_TARGET``.
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_fig10_scalability.py
 """
-
-import argparse
-import json
-import os
-import sys
-import time
 
 import pytest
 
 from repro.bench import (
     averaged,
-    build_archis,
     build_setup,
     default_queries,
     format_table,
     run_archis_cold,
 )
-from repro.obs import get_registry
-
-RESULTS_PATH = os.path.join(
-    os.path.dirname(__file__), "BENCH_fig10_scalability.json"
-)
 
 BASE_EMPLOYEES = 20
-
-#: minimum sharded/unsharded throughput ratio, per workload, on the
-#: full run (the acceptance target: pruned queries touch ~1/N of the
-#: archive, so 4 shards must buy at least 2x)
-SHARD_TARGET = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -108,206 +69,3 @@ def test_archive_size_scales_linearly(scaled_setups):
     ratio = large_rows / small_rows
     assert 4 < ratio < 10, f"7x population gave {ratio:.1f}x history rows"
 
-
-# -- sharded scalability (CLI) ----------------------------------------------
-
-_HISTORY = (
-    "TABLE(history_employee_salary()) "
-    "AS t(id, salary, tstart, tend, segno)"
-)
-SNAPSHOT_SQL = (
-    f"SELECT t.id, t.salary FROM {_HISTORY} "
-    "WHERE t.id = :k AND t.tstart <= :d AND t.tend >= :d"
-)
-TEMPORAL_SQL = (
-    f"SELECT t.tstart, t.tend, t.salary FROM {_HISTORY} WHERE t.id = :k"
-)
-
-WORKLOADS = (
-    ("snapshot_scan", SNAPSHOT_SQL),
-    ("temporal_scan", TEMPORAL_SQL),
-)
-
-
-def _build_store(shards, employees, years, scale):
-    _, archis, _ = build_archis(
-        employees=employees,
-        years=years,
-        scale=scale,
-        umin=0.4,
-        min_segment_rows=256,
-        shards=shards,
-    )
-    return archis
-
-
-def _workload_keys(archis, sample):
-    """Every key in the archive, thinned to ``sample`` evenly spaced ids."""
-    rows = archis.db.sql("SELECT t.id FROM employee_id t").rows
-    keys = sorted({row[0] for row in rows})
-    if len(keys) > sample:
-        step = len(keys) / sample
-        keys = [keys[int(i * step)] for i in range(sample)]
-    return keys
-
-
-def _answers(archis, keys, day):
-    """Canonical per-key result sets for both workloads (equivalence)."""
-    out = {}
-    for name, sql in WORKLOADS:
-        out[name] = {
-            k: sorted(archis.db.sql(sql, {"k": k, "d": day}).rows)
-            for k in keys
-        }
-    return out
-
-
-def _time_workload(archis, sql, keys, day, repeats):
-    """Total seconds and queries/sec for ``repeats`` passes over ``keys``."""
-    queries = 0
-    start = time.perf_counter()
-    for _ in range(repeats):
-        for k in keys:
-            archis.db.sql(sql, {"k": k, "d": day})
-            queries += 1
-    elapsed = time.perf_counter() - start
-    return elapsed, queries / max(elapsed, 1e-9)
-
-
-def run_shard_cells(shards, employees, years, scale, sample, repeats):
-    """One unsharded and one ``shards``-way cell over the same dataset."""
-    registry = get_registry()
-    pruned = registry.counter("exchange.shards_pruned")
-    exchanges = registry.counter("exchange.queries")
-
-    plain = _build_store(None, employees, years, scale)
-    day = plain.db.current_date - (years * 365) // 2
-    keys = _workload_keys(plain, sample)
-    history_rows = plain.db.table("employee_salary").row_count
-    reference = _answers(plain, keys, day)
-
-    sharded = _build_store(shards, employees, years, scale)
-    diverged = []
-    for name, answers in _answers(sharded, keys, day).items():
-        for k in keys:
-            if answers[k] != reference[name][k]:
-                diverged.append(f"{name} key={k}")
-
-    # pruning evidence: one sharded query, read back the plan + counters
-    pruned_before = pruned.value
-    exchanges_before = exchanges.value
-    sharded.db.sql(SNAPSHOT_SQL, {"k": keys[0], "d": day})
-    plan_text = sharded.db.last_plan.report().physical.splitlines()
-    exchange_line = next(
-        (line.strip() for line in plan_text if "Exchange" in line), ""
-    )
-    pruning_seen = (
-        f"shards=1/{shards}" in exchange_line
-        and pruned.value - pruned_before == shards - 1
-        and exchanges.value > exchanges_before
-    )
-
-    cell = {
-        "shards": shards,
-        "employees": employees,
-        "years": years,
-        "scale": scale,
-        "history_rows": history_rows,
-        "keys_sampled": len(keys),
-        "repeats": repeats,
-        "diverged": diverged,
-        "exchange_plan": exchange_line,
-        "pruning_seen": pruning_seen,
-        "workloads": {},
-    }
-    if diverged:
-        plain.close()
-        sharded.close()
-        return cell  # no timings on wrong answers
-
-    for name, sql in WORKLOADS:
-        base_s, base_qps = _time_workload(plain, sql, keys, day, repeats)
-        shard_s, shard_qps = _time_workload(sharded, sql, keys, day, repeats)
-        cell["workloads"][name] = {
-            "unsharded_seconds": round(base_s, 4),
-            "unsharded_qps": round(base_qps, 1),
-            "sharded_seconds": round(shard_s, 4),
-            "sharded_qps": round(shard_qps, 1),
-            "speedup": round(shard_qps / max(base_qps, 1e-9), 2),
-        }
-
-    plain.close()
-    sharded.close()
-    return cell
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized workload: gates equivalence + pruning, not speed",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="shard count for the partitioned cell (default: 4)",
-    )
-    parser.add_argument(
-        "--out",
-        default=RESULTS_PATH,
-        help="where to write the JSON results "
-        "(default: BENCH_fig10_scalability.json)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        employees, years, scale, sample, repeats = 32, 6, 1, 8, 1
-    else:
-        employees, years, scale, sample, repeats = 120, 17, 2, 24, 3
-
-    cell = run_shard_cells(
-        args.shards, employees, years, scale, sample, repeats
-    )
-
-    payload = {"smoke": args.smoke, "shard_cell": cell}
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    failed = False
-    if cell["diverged"]:
-        print(
-            "FAIL: sharded answers diverge from the single store: "
-            + ", ".join(cell["diverged"][:5]),
-            file=sys.stderr,
-        )
-        failed = True
-    if not cell["pruning_seen"]:
-        print(
-            "FAIL: key-equality pruning not observed "
-            f"(plan line: {cell['exchange_plan']!r})",
-            file=sys.stderr,
-        )
-        failed = True
-    for name, w in cell["workloads"].items():
-        print(
-            f"{name}: unsharded {w['unsharded_qps']} q/s, "
-            f"{cell['shards']} shards {w['sharded_qps']} q/s "
-            f"({w['speedup']}x)  [{cell['exchange_plan']}]",
-            flush=True,
-        )
-        if not args.smoke and w["speedup"] < SHARD_TARGET:
-            print(
-                f"FAIL: {name} sharded speedup {w['speedup']}x below the "
-                f"{SHARD_TARGET}x target at {cell['shards']} shards",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,8 +18,7 @@ Three comparisons over one generated employee history:
 
 Answers are cross-checked before any timing is reported.  EXPLAIN
 evidence is gated in every mode (including ``--smoke``): the AS OF plan
-must show ``segment-restriction`` firing, and on a 4-shard archive a
-key-equality AS OF query must prune the Exchange to ``shards=1/4``.
+must show ``segment-restriction`` firing.
 
 Run directly::
 
@@ -143,37 +142,6 @@ def _plan_evidence(archis, date: str):
     }
 
 
-def _shard_evidence(shards, employees, years, scale, date: str):
-    """A keyed AS OF query on a sharded archive must prune to one shard."""
-    _, archis, _ = build_archis(
-        employees=employees,
-        years=years,
-        scale=scale,
-        umin=0.4,
-        min_segment_rows=256,
-        shards=shards,
-    )
-    keyed = (
-        "SELECT t.id, t.salary FROM employee_salary t "
-        f"FOR SYSTEM_TIME AS OF DATE '{date}' WHERE t.id = :k"
-    )
-    rows = archis.sql(
-        "SELECT t.id FROM employee_salary t "
-        f"FOR SYSTEM_TIME AS OF DATE '{date}'"
-    ).rows
-    key = sorted({row[0] for row in rows})[0]
-    explained = archis.explain_sql(keyed, {"k": key})
-    physical = explained.plan.physical.splitlines()
-    exchange_line = next(
-        (line.strip() for line in physical if "Exchange" in line), ""
-    )
-    archis.close()
-    return {
-        "exchange_plan": exchange_line,
-        "pruned_to_one": f"shards=1/{shards}" in exchange_line,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -240,16 +208,6 @@ def main(argv=None) -> int:
         print(
             "FAIL: AS OF plan did not fire segment-restriction: "
             + "; ".join(evidence["rules"]),
-            file=sys.stderr,
-        )
-        failed = True
-
-    shard_cell = _shard_evidence(4, employees, years, scale, date)
-    payload["sharded"] = shard_cell
-    if not shard_cell["pruned_to_one"]:
-        print(
-            "FAIL: keyed AS OF did not prune the Exchange to one shard "
-            f"(plan line: {shard_cell['exchange_plan']!r})",
             file=sys.stderr,
         )
         failed = True

@@ -366,125 +366,6 @@ def stress_maintenance(seconds):
     return None
 
 
-def stress_sharded(seconds):
-    """Phase 5: a key-partitioned archive under live writers and readers.
-
-    Transactional writers update disjoint keys while XQuery readers
-    scatter-gather across every shard store and each shard's own
-    background maintenance worker freezes segments.  The drained
-    archive must pass every invariant check *per shard*, the final
-    snapshot must match the writers' last committed steps exactly, and
-    closing the coordinator must join the exchange pool and every
-    per-shard worker (the leak check in ``main`` catches stragglers).
-    """
-    db = Database()
-    db.set_date("1995-01-01")
-    db.create_table(
-        "employee",
-        [
-            ("id", ColumnType.INT),
-            ("name", ColumnType.VARCHAR),
-            ("salary", ColumnType.INT),
-        ],
-        primary_key=("id",),
-    )
-    archis = ArchIS(
-        db,
-        config=ArchISConfig(
-            shards=4,
-            umin=0.8,
-            min_segment_rows=16,
-            maintenance="background",
-            maintenance_step_rows=64,
-        ),
-    )
-    archis.track_table("employee", document_name="employees.xml")
-    manager = TxnManager(db, archis)
-    stop = threading.Event()
-    failures = []
-    final_steps = {}
-
-    for writer_id in range(WRITERS):
-        with manager.begin() as txn:
-            txn.sql(
-                f"INSERT INTO employee VALUES "
-                f"({writer_id}, 'w{writer_id}', 0)"
-            )
-
-    def writer(writer_id):
-        try:
-            step = 0
-            while not stop.is_set() and step < 200:
-                step += 1
-                with manager.begin() as txn:
-                    txn.sql(
-                        f"UPDATE employee SET salary = {step} "
-                        f"WHERE id = {writer_id}"
-                    )
-                final_steps[writer_id] = step
-        except Exception as exc:
-            failures.append(exc)
-
-    def reader():
-        query = (
-            'for $s in doc("employees.xml")/employees/employee/salary '
-            "return $s"
-        )
-        try:
-            while not stop.is_set():
-                archis.xquery(query, allow_fallback=False)
-        except Exception as exc:
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=writer, args=(w,)) for w in range(WRITERS)
-    ] + [threading.Thread(target=reader) for _ in range(READERS // 2)]
-    for thread in threads:
-        thread.start()
-    deadline = time.monotonic() + max(seconds, 1.0) * 10
-    for thread in threads[:WRITERS]:
-        thread.join(timeout=max(0.1, deadline - time.monotonic()))
-    stop.set()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    if any(thread.is_alive() for thread in threads):
-        failures.append(RuntimeError("sharded stress thread stuck"))
-    if failures:
-        archis.close()
-        return f"sharded stress errors: {failures[:3]}"
-
-    archis.apply_pending()  # route + archive the committed entries
-    archis.drain_maintenance()
-    # check_archive audits shard by shard, unions live history across
-    # shards against the coordinator's current table, and verifies every
-    # history row sits in the shard its key routes to
-    violations = check_archive(archis)
-    freezes = sum(s.segments.freeze_count for s in archis.shard_stores)
-    backlog = sum(
-        len(s.db.update_log.pending()) for s in archis.shard_stores
-    )
-    snapshot = dict(
-        archis.snapshot_rows("employee", "salary", db.current_date).rows
-    )
-    archis.close()
-    if backlog:
-        return f"{backlog} update-log entries left unarchived in shards"
-    if freezes == 0:
-        return "workload never froze a segment in any shard"
-    if violations:
-        return f"shard archive invariants violated: {violations[:3]}"
-    if snapshot != final_steps:
-        return (
-            f"final sharded snapshot diverges from committed steps: "
-            f"{snapshot} != {final_steps}"
-        )
-    print(
-        f"  sharded: {sum(final_steps.values())} updates routed across "
-        f"4 shards, {freezes} shard freezes, snapshot exact"
-    )
-    return None
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -503,7 +384,6 @@ def main():
         ("deadlock", stress_deadlock),
         ("group-commit", stress_group_commit),
         ("maintenance", lambda: stress_maintenance(args.seconds)),
-        ("sharded", lambda: stress_sharded(args.seconds)),
     ):
         error = phase()
         if error:

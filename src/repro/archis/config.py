@@ -49,17 +49,6 @@ class ArchISConfig:
     ``maintenance_step_rows``
         Row budget per background rewrite step (bounds how long the
         worker holds the history lock at a time).
-    ``shards``
-        Number of independent H-table stores the archive is partitioned
-        into by key (each with its own pager, WAL, blob store, segment
-        table and maintenance worker).  ``None`` means "unset" and
-        behaves as 1 — the single-store engine, byte-identical to the
-        pre-sharding code path; an explicit value is checked against a
-        persisted archive's layout on open.
-    ``shard_by``
-        Key-partitioning scheme: ``"hash"`` (stable multiplicative hash)
-        or ``"range"`` (block-striped key ranges, preserving key
-        locality within a block).  ``None`` means "unset" (hash).
     """
 
     profile: str = "atlas"
@@ -71,24 +60,14 @@ class ArchISConfig:
     buffer_pages: int = 1024
     maintenance: str = "inline"
     maintenance_step_rows: int = 1024
-    shards: int | None = None
-    shard_by: str | None = None
 
     def __post_init__(self) -> None:
         from repro.archis.clustering import MAINTENANCE_MODES
-        from repro.archis.sharding import SHARD_MODES
 
         if self.maintenance not in MAINTENANCE_MODES:
             raise ArchisError(
                 f"unknown maintenance mode {self.maintenance!r}; use "
                 + ", ".join(MAINTENANCE_MODES)
-            )
-        if self.shards is not None and self.shards < 1:
-            raise ArchisError("shards must be >= 1 (or None)")
-        if self.shard_by is not None and self.shard_by not in SHARD_MODES:
-            raise ArchisError(
-                f"unknown shard_by {self.shard_by!r}; use "
-                + ", ".join(SHARD_MODES)
             )
         if self.maintenance_step_rows < 1:
             raise ArchisError("maintenance_step_rows must be >= 1")
@@ -102,16 +81,6 @@ class ArchISConfig:
             raise ArchisError(
                 f"unknown durability {self.durability!r}; use wal or none"
             )
-
-    @property
-    def shard_count(self) -> int:
-        """Effective shard count (``shards`` with the unset default)."""
-        return self.shards if self.shards is not None else 1
-
-    @property
-    def shard_mode(self) -> str:
-        """Effective partitioning scheme (``shard_by`` defaulted)."""
-        return self.shard_by if self.shard_by is not None else "hash"
 
     def replace(self, **changes) -> "ArchISConfig":
         """A copy with ``changes`` applied (re-validated)."""

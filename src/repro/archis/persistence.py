@@ -38,13 +38,6 @@ def archive_payload(archis) -> dict:
     return {
         "version": SIDECAR_VERSION,
         "profile": archis.profile.name,
-        # the key-partitioning layout is part of the on-disk format: a
-        # reopen must route keys exactly as the writer did, so an
-        # explicit mismatching config is rejected at load
-        "sharding": {
-            "shards": archis.router.count,
-            "shard_by": archis.router.shard_by,
-        },
         "segments": {
             "umin": archis.segments.umin,
             "min_rows": archis.segments.min_rows,
@@ -160,25 +153,13 @@ def load_archive(
                 f"unsupported archive sidecar version {version!r} at "
                 f"{meta_path} (this build reads version {SIDECAR_VERSION})"
             )
-        layout = payload.get("sharding") or {"shards": 1, "shard_by": "hash"}
-        if config.shards is not None and config.shards != layout["shards"]:
+        # archives written by the retired key-partitioned layout keep
+        # their history in per-partition files this build cannot read
+        layout = payload.get("sharding") or {}
+        if layout.get("shards", 1) > 1:
             raise ArchisError(
-                f"archive at {path} (sidecar version {version}) is "
-                f"partitioned into {layout['shards']} shard(s) but the "
-                f"config requests shards={config.shards}; in-place "
-                "resharding is not supported — reopen with the saved "
-                "layout (or leave shards unset)"
-            )
-        if (
-            config.shard_by is not None
-            and config.shard_by != layout["shard_by"]
-        ):
-            raise ArchisError(
-                f"archive at {path} (sidecar version {version}) is "
-                f"partitioned by {layout['shard_by']!r} but the config "
-                f"requests shard_by={config.shard_by!r}; the key layout "
-                "is fixed at creation — reopen with the saved scheme "
-                "(or leave shard_by unset)"
+                f"archive at {path} is sharded: sharded archives are no "
+                "longer supported"
             )
     except ArchisError:
         db.close()
@@ -190,8 +171,6 @@ def load_archive(
             profile=payload["profile"],
             umin=seg["umin"],
             min_segment_rows=seg["min_rows"],
-            shards=layout["shards"],
-            shard_by=layout["shard_by"],
         ),
     )
     archis.segments.live_segno = seg["live_segno"]
@@ -231,16 +210,6 @@ def load_archive(
         archis.archive._register_table_function(
             spec["table"], spec["blob_table"]
         )
-    if archis.router.sharded:
-        # shard stores were reopened (each through this same function)
-        # by ArchIS.__init__; mirror any relation a fresh shard is
-        # missing and expose the scatter targets for the plan layer
-        doc_of = {rel: doc for doc, rel in archis._doc_names.items()}
-        for relation in archis.relations.values():
-            archis._track_shard_relation(
-                relation.name, relation.key, doc_of.get(relation.name)
-            )
-            archis._register_shard_targets(relation)
     if archis.maintenance is not None:
         # resume any rewrite a crash (or an unfinished queue) left behind
         archis.maintenance.kick()

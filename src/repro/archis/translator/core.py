@@ -818,12 +818,7 @@ class Analyzer:
         segments = self.archis.segments
         compressed = table in self.archis.archive.compressed_tables
         segmented = segments.segmented and segments.segment_count() > 1
-        # a sharded coordinator's own H-tables are empty and never
-        # freeze, so its segment state says nothing about the shard
-        # stores: always read through the deduplicating history_
-        # function and let the Exchange re-optimize it per shard
-        # (each shard applies its own restriction/dedup choice)
-        if compressed or segmented or self.archis.is_sharded:
+        if compressed or segmented:
             # correct-for-every-query full read; the optimizer's
             # segment-restriction rule narrows it when the pushed-down
             # predicates bound this alias to a snapshot/slicing window

@@ -57,8 +57,6 @@ def build_archis(
     seed: int = 20060403,
     maintenance: str = "inline",
     maintenance_step_rows: int = 1024,
-    shards: int | None = None,
-    shard_by: str | None = None,
 ) -> tuple[EmployeeHistoryGenerator, ArchIS, int]:
     """Generate the dataset into a tracked current database."""
     generator = EmployeeHistoryGenerator(
@@ -77,8 +75,6 @@ def build_archis(
             min_segment_rows=min_segment_rows,
             maintenance=maintenance,
             maintenance_step_rows=maintenance_step_rows,
-            shards=shards,
-            shard_by=shard_by,
         ),
     )
     archis.track_table("employee", document_name="employees.xml")

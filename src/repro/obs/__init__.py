@@ -112,16 +112,6 @@ METRIC_INVENTORY: dict[str, str] = {
     "ingest.clearance_granted": "batches granted freeze clearance",
     "ingest.clearance_denied": "batches denied freeze clearance",
     "updatelog.backlog": "update-log entries pending archival, per log",
-    # -- sharding (key-partitioned stores + scatter-gather) --------------
-    "shard.entries_routed": (
-        "update-log entries routed to each shard store, per shard"
-    ),
-    "shard.applies": "cross-shard apply rounds that archived entries",
-    "exchange.queries": "scatter-gather exchange executions",
-    "exchange.shards_hit": "shards scanned per exchange execution",
-    "exchange.shards_pruned": (
-        "shard scans avoided by key-equality pruning"
-    ),
     # -- background segment maintenance ---------------------------------
     "maintenance.freezes_enqueued": (
         "freeze rewrites handed to the maintenance worker"

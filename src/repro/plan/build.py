@@ -201,8 +201,7 @@ def _temporal_table_leaf(ref: ast.TableRef, scope: Scope):
     When a ``history_<table>()`` function is registered (the table is an
     archived H-table) the source becomes a FunctionScan of the full
     history with the window as pushed-down predicates — exactly the
-    shape the Section 6.4 segment-restriction rule (and the Exchange
-    shard pruner) rewrite.  A plain table with its own tstart/tend
+    shape the Section 6.4 segment-restriction rule rewrites.  A plain table with its own tstart/tend
     columns is scanned directly with the same predicates.
     """
     predicates = _temporal_predicates(ref.alias, ref.temporal)

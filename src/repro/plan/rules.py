@@ -278,7 +278,7 @@ def restrict_segments(plan, ctx):
 
     The ``id`` conjunct stays on the leaf as a residual filter.  Only an
     argument-less ``history_<t>()`` is rewritten, so the rule is
-    idempotent — the Exchange operator runs it again per shard.
+    idempotent.
     """
     details = []
 

@@ -238,12 +238,6 @@ class TxnManager:
         if archis is not None:
             archis.txn_manager = self
             archis.segments.freeze_floor = self._freeze_floor
-            # a sharded coordinator archives through per-shard segment
-            # managers; every one must respect the snapshot floor or a
-            # shard-local freeze could strand an active snapshot's day
-            # in a frozen segment mid-read
-            for store in getattr(archis, "shard_stores", ()):
-                store.segments.freeze_floor = self._freeze_floor
 
     # -- lifecycle ---------------------------------------------------------
 

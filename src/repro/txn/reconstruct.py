@@ -37,16 +37,8 @@ def _alive_keys(archis, relation, day: int) -> list:
 
     Mirrors ``ArchIS.snapshot_rows``: restricted to the segment covering
     the day and read through the compressed archive when that segment
-    has been BlockZIPed.  A sharded coordinator holds no history itself —
-    the alive set is the union over its shard stores (keys are disjoint
-    across shards).
+    has been BlockZIPed.
     """
-    stores = getattr(archis, "shard_stores", ())
-    if stores:
-        keys: list = []
-        for store in stores:
-            keys.extend(_alive_keys(store, store.relations[relation.name], day))
-        return keys
     table_name = relation.key_table
     segno = archis.segments.segment_for(day)
     table = archis.db.table(table_name)

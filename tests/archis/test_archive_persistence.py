@@ -152,6 +152,66 @@ def test_version_1_archive_is_refused(db_path, sidecars, error, which):
         ArchIS.open(db_path)
 
 
+def _rewrite_archive_sidecar(db_path, **fields):
+    import json
+
+    from repro.archis.persistence import sidecar_path
+
+    with open(sidecar_path(db_path), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload.update(fields)
+    with open(sidecar_path(db_path), "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
+def test_sharded_archive_is_refused(db_path, monkeypatch):
+    """A sidecar from the retired multi-store layout is a typed error
+    naming the archive, and the database it opened is closed again."""
+    archis = build(db_path)
+    churn(archis, employees=8, rounds=12)
+    archis.save()
+    archis.db.close()
+    _rewrite_archive_sidecar(
+        db_path, sharding={"shards": 4, "shard_by": "hash"}
+    )
+    closed = []
+    original = Database.close
+    monkeypatch.setattr(
+        Database, "close", lambda db: closed.append(db) or original(db)
+    )
+    with pytest.raises(
+        ArchisError, match="sharded archives are no longer supported"
+    ) as excinfo:
+        ArchIS.open(db_path)
+    assert db_path in str(excinfo.value)
+    assert len(closed) == 1
+
+
+@pytest.mark.parametrize(
+    "sharding", [None, {"shards": 1, "shard_by": "hash"}], ids=["absent", "one"]
+)
+def test_unsharded_sidecar_opens(db_path, sharding):
+    """Saves write no ``sharding`` key; single-store archives saved
+    while the key existed carry ``shards: 1``.  Both open as before."""
+    import json
+
+    from repro.archis.persistence import sidecar_path
+
+    archis = build(db_path)
+    churn(archis, employees=8, rounds=12)
+    before = serialize(archis.publish("employee"))
+    archis.save()
+    archis.db.close()
+    if sharding is None:
+        with open(sidecar_path(db_path), encoding="utf-8") as handle:
+            assert "sharding" not in json.load(handle)
+    else:
+        _rewrite_archive_sidecar(db_path, sharding=sharding)
+    again = ArchIS.open(db_path)
+    assert serialize(again.publish("employee")) == before
+    again.close()
+
+
 def test_validation_clean_after_reopen(db_path):
     from repro.archis.validation import check_archive
 

@@ -41,9 +41,9 @@ class TestValidation:
             {"batch_size": 0},
             {"buffer_pages": 0},
             {"durability": "fsync-every-byte"},
-            {"shards": 0},
-            {"shards": -2},
-            {"shard_by": "modulo"},
+            {"translation_cache_size": -2},
+            {"batch_size": -2},
+            {"durability": ""},
             {"maintenance": "eventually"},
             {"maintenance_step_rows": 0},
         ],
@@ -51,6 +51,11 @@ class TestValidation:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ArchisError):
             ArchISConfig(**bad)
+
+    @pytest.mark.parametrize("field", ["shards", "shard_by"])
+    def test_sharding_fields_are_gone(self, field):
+        with pytest.raises(TypeError):
+            ArchISConfig(**{field: 2})
 
     def test_replace_revalidates(self):
         config = ArchISConfig()
@@ -76,71 +81,6 @@ class TestResolution:
         # legacy flag is now an ordinary TypeError, not a warning
         with pytest.raises(TypeError):
             resolve_config(None, umin=0.9)
-
-
-class TestShardingConfig:
-    def test_unset_shards_behave_as_one(self):
-        config = ArchISConfig()
-        assert config.shards is None
-        assert config.shard_count == 1
-        assert config.shard_mode == "hash"
-
-    def test_explicit_shards_and_mode(self):
-        config = ArchISConfig(shards=4, shard_by="range")
-        assert config.shard_count == 4
-        assert config.shard_mode == "range"
-        assert ArchISConfig(**config.as_dict()) == config
-
-    def test_shards_round_trip_through_persisted_catalog(self, tmp_path):
-        path = str(tmp_path / "sharded.db")
-        db = Database(path)
-        db.set_date("1995-01-01")
-        db.create_table(
-            "employee",
-            [("id", ColumnType.INT), ("salary", ColumnType.INT)],
-            primary_key=("id",),
-        )
-        archis = ArchIS(db, config=ArchISConfig(shards=3, shard_by="range"))
-        archis.track_table("employee")
-        db.sql("INSERT INTO employee VALUES (1, 100)")
-        archis.apply_pending()
-        archis.save()
-        archis.close()
-
-        again = ArchIS.open(path)  # shards unset: adopt the saved layout
-        try:
-            assert again.config.shards == 3
-            assert again.config.shard_by == "range"
-            assert len(again.shard_stores) == 3
-        finally:
-            again.close()
-
-    def test_mismatched_shards_on_open_is_a_versioned_error(self, tmp_path):
-        path = str(tmp_path / "sharded.db")
-        db = Database(path)
-        db.set_date("1995-01-01")
-        db.create_table(
-            "employee",
-            [("id", ColumnType.INT), ("salary", ColumnType.INT)],
-            primary_key=("id",),
-        )
-        archis = ArchIS(db, config=ArchISConfig(shards=2))
-        archis.track_table("employee")
-        archis.save()
-        archis.close()
-
-        with pytest.raises(ArchisError, match=r"sidecar version \d+"):
-            ArchIS.open(path, config=ArchISConfig(shards=4))
-        with pytest.raises(ArchisError, match="shard_by"):
-            ArchIS.open(path, config=ArchISConfig(shard_by="range"))
-        # matching explicit layout opens fine
-        again = ArchIS.open(
-            path, config=ArchISConfig(shards=2, shard_by="hash")
-        )
-        try:
-            assert len(again.shard_stores) == 2
-        finally:
-            again.close()
 
 
 class TestArchISPlumbing:

@@ -1,8 +1,8 @@
 """Property tests: SQL-native FOR SYSTEM_TIME agrees with every other
 time-travel surface, whatever the storage layout.
 
-For random update histories, on unsegmented, segmented and sharded
-(1 and 4 shards) archives alike:
+For random update histories, on unsegmented, segmented, log-tracked
+(``atlas`` profile) and BlockZIP-compressed archives alike:
 
 - ``FOR SYSTEM_TIME AS OF d`` returns exactly ``snapshot_rows(d)``;
 - ``FOR SYSTEM_TIME FROM lo TO hi`` returns exactly the versions whose
@@ -16,15 +16,20 @@ from repro.archis import ArchIS, ArchISConfig
 from repro.rdb import ColumnType, Database
 
 
+#: label -> config overrides; the ``compressed`` variant additionally
+#: BlockZIPs its frozen segments once the operations are applied, and
+#: freezes eagerly so that short histories still leave rows to compress
+LAYOUTS = (
+    ("unsegmented", dict(umin=None)),
+    ("segmented", dict(umin=0.5)),
+    ("atlas", dict(profile="atlas")),
+    ("compressed", dict(umin=0.95, min_segment_rows=2)),
+)
+
+
 def build_variants():
     variants = []
-    for label, overrides in (
-        ("unsegmented", dict(umin=None)),
-        ("segmented", dict(umin=0.5)),
-        # sharding needs log tracking, i.e. the atlas profile
-        ("sharded1", dict(profile="atlas", shards=1, shard_by="hash")),
-        ("sharded4", dict(profile="atlas", shards=4, shard_by="hash")),
-    ):
+    for label, overrides in LAYOUTS:
         db = Database()
         db.set_date("1990-01-01")
         db.create_table(
@@ -72,11 +77,19 @@ def apply_ops(archis: ArchIS, ops) -> None:
     archis.apply_pending()
 
 
+def layouts(ops):
+    """Every layout variant with ``ops`` applied."""
+    for label, archis in build_variants():
+        apply_ops(archis, ops)
+        if label == "compressed":
+            archis.compress_archive()
+        yield label, archis
+
+
 @settings(max_examples=10, deadline=None)
 @given(operations, st.integers(min_value=0, max_value=1200))
 def test_as_of_matches_snapshot_rows_on_every_layout(ops, offset):
-    for label, archis in build_variants():
-        apply_ops(archis, ops)
+    for label, archis in layouts(ops):
         date = archis.db.current_date - offset
         if date < 0:
             return
@@ -101,8 +114,7 @@ def test_as_of_matches_snapshot_rows_on_every_layout(ops, offset):
 def test_from_to_matches_manual_window_on_every_layout(ops, start, width):
     lo, hi = start, start + width
     expected = None
-    for label, archis in build_variants():
-        apply_ops(archis, ops)
+    for label, archis in layouts(ops):
         got = archis.sql(
             "SELECT t.id, t.price, t.tstart, t.tend FROM item_price t "
             "FOR SYSTEM_TIME FROM :lo TO :hi "

@@ -100,7 +100,7 @@ class TestBacklogGauge:
         assert "test-backlog-closed" in gauge.values
         log.close()
         # a closed log must not linger in the family: stale series would
-        # accumulate per archive/shard ever opened and poison total()
+        # accumulate per archive ever opened and poison total()
         assert "test-backlog-closed" not in gauge.values
         log.close()  # idempotent
         assert "test-backlog-closed" not in gauge.values
