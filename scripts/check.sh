@@ -44,6 +44,17 @@ if [ -n "$SHARDING" ]; then
     echo "$SHARDING" >&2
     exit 1
 fi
+# Row-at-a-time log apply (tracker.apply_log, ArchISConfig.batch_size
+# and the batch_size= parameters of apply_pending) and the second freeze
+# algorithm (SegmentManager._rewrite_table) were deleted: every drain is
+# the BatchArchiver, every freeze the switch/rewrite/compact steps.
+WRITE_PATHS="$(grep -rnE '\bapply_log\(|batch_size=None|ArchISConfig\([^()]*\bbatch_size=|apply_pending\([^()]*\bbatch_size=|_rewrite_table' \
+    --include='*.py' src tests examples scripts benchmarks || true)"
+if [ -n "$WRITE_PATHS" ]; then
+    echo "FAIL: the update log has one drain (BatchArchiver) and freezes one algorithm:" >&2
+    echo "$WRITE_PATHS" >&2
+    exit 1
+fi
 echo "no references to removed legacy API surface"
 
 echo "== metric inventory lint =="
@@ -88,7 +99,8 @@ echo "no stray .tmp or WAL files left behind"
 echo "== WAL ingest smoke (spine ingest-hotkey) =="
 # File-backed archive, durable WAL batches, drain/compress/save, then a
 # reopen check against the oracle; exits non-zero on any wrong answer.
-# Batch-vs-row-at-a-time equivalence lives in tests/archis/test_batch_ingest.py.
+# Equivalence of the drain with the db2 trigger reference lives in
+# tests/archis/test_batch_ingest.py.
 PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
     --workload ingest-hotkey
 

@@ -1,10 +1,10 @@
-"""Batched archival ingest (the bulk-load-speed write path).
+"""Batched archival ingest: the one path that drains the update log.
 
-Row-at-a-time archival pays one H-table lookup per log entry: every
-``_upsert_version``/``_close_history`` re-scans the key's versions, and
-every entry runs its own segment-usefulness check.  The
-:class:`BatchArchiver` drains the update log in configurable batches
-and amortizes both costs:
+Archiving one entry at a time pays one H-table lookup per log entry:
+every ``_upsert_version``/``_close_history`` re-scans the key's
+versions, and every entry runs its own segment-usefulness check.  The
+:class:`BatchArchiver` drains the update log in batches of
+:data:`DEFAULT_BATCH_SIZE` entries and amortizes both costs:
 
 * **One lookup per (key, table) per apply run.**  The batch is grouped
   per relation and key and sorted by ``(table, key, when)``; the
@@ -19,19 +19,21 @@ and amortizes both costs:
   per-entry ``maybe_freeze`` calls are suspended for the batch.  When
   it cannot be proven (usefulness genuinely near U_min), the batch
   falls back to per-entry checks — freezes then happen on exactly the
-  entry they would have under row-at-a-time apply.
+  entry they would have under per-entry archival.
 * **One WAL commit per batch** (optional, ``durable=True``): the
   catalog and archive sidecars are staged, then the pager logs each
   page the batch dirtied once, followed by a single COMMIT frame,
   through the group-commit path, making each completed batch a
   crash-consistent recovery point.
 
-Equivalence: entries are *applied* in the same day order as
-:func:`~repro.archis.tracker.apply_log` and dispatched through the same
-per-entry operations — the ``(table, key, when)`` sort drives only the
-cache-warming read plan, never the write order — so batch apply
-produces byte-identical H-tables, the same segment boundaries and the
-same segment-manager counters as row-at-a-time apply.
+Equivalence: entries are *applied* in day order (see
+:meth:`~repro.rdb.updatelog.UpdateLog.drain_ordered`) and dispatched
+through :func:`~repro.archis.tracker.dispatch_entry`, the same
+per-entry operation a ``db2``-profile trigger performs — the
+``(table, key, when)`` sort drives only the cache-warming read plan,
+never the write order — so batch apply produces byte-identical
+H-tables, the same segment boundaries and the same segment-manager
+counters as trigger archival of the same changes.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _SECONDS = get_registry().histogram("ingest.seconds")
 _CLEARED = get_registry().counter("ingest.clearance_granted")
 _UNCLEARED = get_registry().counter("ingest.clearance_denied")
 
-#: default batch size when batching is requested without an explicit one
+#: update-log entries archived per batch by every drain of the log
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -84,10 +86,11 @@ class BatchArchiver:
     def apply(self, predicate=None) -> int:
         """Drain matching pending entries and archive them in batches.
 
-        Returns the number of entries applied.  The writers' version
-        caches live for the whole drain (every batch of one apply call
-        shares them); entries for untracked tables are dropped, as in
-        row-at-a-time apply.
+        Returns the number of entries applied.  The history write lock
+        is held for the whole drain, so a snapshot reader never sees
+        half of it.  The writers' version caches live for the whole
+        drain (every batch of one apply call shares them); entries for
+        untracked tables are dropped — they have no H-tables.
 
         A failure partway through a batch re-queues the drained-but-
         unapplied suffix to the front of the update log before
@@ -95,46 +98,45 @@ class BatchArchiver:
         same relative order — a transient error never silently drops
         history.
         """
-        entries = [
-            entry
-            for entry in self.db.update_log.drain_ordered(predicate)
-            if entry.table in self.writers
-        ]
-        if not entries:
-            return 0
-        applied = 0
-        try:
-            with get_tracer().span(
-                "archis.batch_apply",
-                entries=len(entries),
-                batch_size=self.batch_size,
-            ) as span:
-                for writer in self.writers.values():
-                    writer.begin_batch()
-                try:
-                    for start in range(0, len(entries), self.batch_size):
-                        batch = entries[start:start + self.batch_size]
-                        self._batch_progress = 0
-                        self._apply_batch(batch)
-                        applied += len(batch)
-                finally:
+        with self.archis.history_lock.write():
+            entries = [
+                entry
+                for entry in self.db.update_log.drain_ordered(predicate)
+                if entry.table in self.writers
+            ]
+            if not entries:
+                return 0
+            applied = 0
+            try:
+                with get_tracer().span(
+                    "archis.batch_apply",
+                    entries=len(entries),
+                    batch_size=self.batch_size,
+                ) as span:
                     for writer in self.writers.values():
-                        writer.end_batch()
-                span.set("applied", applied)
-        except BaseException:
-            self.db.update_log.requeue(
-                entries[applied + self._batch_progress:]
-            )
-            raise
-        return applied
+                        writer.begin_batch()
+                    try:
+                        for start in range(
+                            0, len(entries), self.batch_size
+                        ):
+                            batch = entries[start:start + self.batch_size]
+                            self._batch_progress = 0
+                            self._archive_batch(batch)
+                            applied += len(batch)
+                    finally:
+                        for writer in self.writers.values():
+                            writer.end_batch()
+                    span.set("applied", applied)
+            except BaseException:
+                self.db.update_log.requeue(
+                    entries[applied + self._batch_progress:]
+                )
+                raise
+            return applied
 
     # -- one batch ---------------------------------------------------------
 
-    def _apply_batch(self, batch: list) -> None:
-        with self.archis.history_lock.write():
-            self._apply_batch_locked(batch)
-
-    def _apply_batch_locked(self, batch: list) -> None:
+    def _archive_batch(self, batch: list) -> None:
         started = perf_counter()
         # Group per relation and key, sorted by (table, key, when):
         # warming the caches in this order turns the batch's H-table

@@ -6,10 +6,15 @@ frozen:
 
 1. a new segment number is allocated and its interval recorded in the
    ``segment`` table;
-2. every tuple of the live segment is rewritten sorted by id under the
-   frozen segment number (including the still-live ones — this is the
-   controlled redundancy the paper trades for clustering, Eq. 3);
-3. live tuples are additionally copied into the new live segment.
+2. live tuples are copied into the new live segment (steps 1-2 are the
+   logical *switch*);
+3. every tuple of the frozen segment is rewritten sorted by id
+   (including the still-live ones — this is the controlled redundancy
+   the paper trades for clustering, Eq. 3), and the heap is compacted.
+
+``inline`` maintenance runs all three inside the apply that triggered
+the freeze; ``background`` maintenance runs the switch there and leaves
+step 3 to a worker.  Both run the same code.
 
 The invariants of Section 6.1 hold for every tuple in a frozen segment:
 ``tstart <= segend`` and ``tend >= segstart``.
@@ -18,6 +23,7 @@ The invariants of Section 6.1 hold for every tuple in a frozen segment:
 from __future__ import annotations
 
 import contextlib
+import sys
 import time
 from dataclasses import dataclass
 
@@ -40,9 +46,9 @@ _LIVE_SEGNO = get_registry().gauge("clustering.live_segno")
 #: triggered it — its duration is exactly how long that apply (and every
 #: waiter on the history lock) stalled
 _FREEZE_STALL = get_registry().histogram("ingest.freeze_stall.seconds")
-#: in background-maintenance mode the apply path only pays the logical
-#: switch (segment-table row + live-copy); the sorted rewrite happens on
-#: the maintenance worker
+#: the logical switch (segment-table row + live-copy); in
+#: background-maintenance mode it is all the apply path pays, the sorted
+#: rewrite happens on the maintenance worker
 _SWITCH_SECONDS = get_registry().histogram("maintenance.switch.seconds")
 
 #: recognized maintenance modes (see ArchISConfig.maintenance)
@@ -241,73 +247,32 @@ class SegmentManager:
     # -- the freeze operation (paper Section 6.1 steps 1-4) -------------------------
 
     def freeze(self) -> None:
-        if not self.segmented:
-            raise ArchisError("cannot freeze: segmentation is disabled")
-        boundary = max(self.last_change, self.live_start)
-        frozen_segno = self.live_segno
-        usefulness = self.stats.usefulness
+        """Freeze the live segment synchronously (``inline`` maintenance).
+
+        Runs the background path's steps back to back: the logical
+        :meth:`freeze_switch`, one unbounded :meth:`rewrite_step` per
+        table, a :meth:`~repro.rdb.table.Table.compact` of every table
+        and :meth:`finish_rewrite`.  The compaction is what keeps the
+        heap dense — releasing only the pages the moves emptied leaves
+        half-full pages behind, freeze after freeze.
+        """
         started = time.perf_counter()
         with get_tracer().span(
-            "archis.freeze", segno=frozen_segno, usefulness=usefulness
+            "archis.freeze",
+            segno=self.live_segno,
+            usefulness=self.stats.usefulness,
         ) as span:
-            self.db.table(SEGMENT_TABLE).insert(
-                (frozen_segno, self.live_start, boundary)
-            )
-            new_live = frozen_segno + 1
-            live_count = 0
+            frozen_segno = self.freeze_switch()
             rewritten = 0
             for table_name in self._tables:
-                live, frozen = self._rewrite_table(
-                    table_name, frozen_segno, new_live
-                )
-                live_count += live
-                rewritten += frozen
-            self.live_segno = new_live
-            self.live_start = boundary + 1
-            self.stats = SegmentStats(live=live_count, total=live_count)
-            self.freeze_count += 1
+                rewritten += self.rewrite_step(
+                    table_name, frozen_segno, None, sys.maxsize
+                )[1]
+            for table_name in self._tables:
+                self.db.table(table_name).compact()
+            self.finish_rewrite(frozen_segno)
             span.set("rows_rewritten", rewritten)
-            span.set("live_rows_copied", live_count)
         _FREEZE_STALL.observe(time.perf_counter() - started)
-        _SEGMENTS_FROZEN.inc()
-        _ROWS_REWRITTEN.inc(rewritten)
-        _LIVE_COPIED.inc(live_count)
-        _USEFULNESS_AT_FREEZE.observe(usefulness)
-        _LIVE_SEGNO.set(new_live)
-
-    def _rewrite_table(
-        self, table_name: str, frozen_segno: int, new_live: int
-    ) -> tuple[int, int]:
-        """Rewrite one H-table's live segment.
-
-        Returns ``(live_copied, frozen_rewritten)`` tuple counts.
-        """
-        table = self.db.table(table_name)
-        live_rows = []
-        frozen_rows = []
-        victims = []
-        seg_pos = table.schema.position("segno")
-        id_pos = table.schema.position("id")
-        tend_pos = table.schema.position("tend")
-        for rid, row in table.scan():
-            if row[seg_pos] == frozen_segno:
-                victims.append(rid)
-                frozen_rows.append(row)
-                if row[tend_pos] == FOREVER:
-                    live_rows.append(row)
-        for rid in victims:
-            table.delete_rid(rid)
-        # archived copy, clustered (sorted) by id
-        frozen_rows.sort(key=lambda r: r[id_pos])
-        for row in frozen_rows:
-            table.insert(row)
-        # fresh live segment holding only current tuples
-        for row in live_rows:
-            fresh = list(row)
-            fresh[seg_pos] = new_live
-            table.insert(tuple(fresh))
-        table.compact()
-        return len(live_rows), len(frozen_rows)
 
     # -- background maintenance: logical switch now, sorted rewrite later ---------
 

@@ -2,8 +2,8 @@
 
 :class:`ArchISConfig` gathers every knob that used to be a scattered
 positional flag — profile selection, clustering thresholds, cache and
-buffer sizes, durability mode and the batched-ingest batch size — into
-a single keyword-only frozen dataclass consumed by
+buffer sizes, durability and maintenance mode — into a single
+keyword-only frozen dataclass consumed by
 ``ArchIS.__init__``/``ArchIS.open``.  The old per-call flags
 (``profile=``, ``umin=``, ``buffer_pages=``, ...) were deprecated
 aliases for several releases and are now gone: pass
@@ -33,19 +33,16 @@ class ArchISConfig:
         Minimum live-segment size before a freeze may trigger.
     ``translation_cache_size``
         Bound on the XQuery → Translation LRU cache.
-    ``batch_size``
-        Update-log entries archived per :class:`BatchArchiver` batch.
-        ``None`` keeps the row-at-a-time apply path.
     ``durability``
         Pager mode for file-backed archives: ``"wal"`` or ``"none"``.
     ``buffer_pages``
         Buffer-pool capacity for file-backed archives.
     ``maintenance``
-        How segment freezes run: ``"inline"`` (synchronous sorted
-        rewrite inside the apply that triggered it), ``"background"``
-        (cheap logical switch on the apply path; a maintenance worker
-        performs the rewrite in bounded steps), or ``"off"`` (never
-        freeze).
+        When segment freezes run: ``"inline"`` (the switch, the sorted
+        rewrite and the compaction all inside the apply that triggered
+        the freeze), ``"background"`` (the switch on the apply path; a
+        maintenance worker performs the rewrite in bounded steps), or
+        ``"off"`` (never freeze).
     ``maintenance_step_rows``
         Row budget per background rewrite step (bounds how long the
         worker holds the history lock at a time).
@@ -55,7 +52,6 @@ class ArchISConfig:
     umin: float | None = 0.4
     min_segment_rows: int = 64
     translation_cache_size: int = DEFAULT_TRANSLATION_CACHE_SIZE
-    batch_size: int | None = None
     durability: str = "wal"
     buffer_pages: int = 1024
     maintenance: str = "inline"
@@ -73,8 +69,6 @@ class ArchISConfig:
             raise ArchisError("maintenance_step_rows must be >= 1")
         if self.translation_cache_size < 1:
             raise ArchisError("translation_cache_size must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ArchisError("batch_size must be >= 1 (or None)")
         if self.buffer_pages < 1:
             raise ArchisError("buffer_pages must be >= 1")
         if self.durability not in ("wal", "none"):

@@ -30,6 +30,7 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracer import get_tracer
 from repro.rdb.database import Database
 from repro.txn.locks import HistoryLock
+from repro.archis.batch import DEFAULT_BATCH_SIZE, BatchArchiver
 from repro.archis.blobstore import CompressedArchive
 from repro.archis.clustering import SegmentManager
 from repro.archis.config import (
@@ -39,12 +40,7 @@ from repro.archis.config import (
 )
 from repro.archis.htables import TrackedRelation, create_htables
 from repro.archis.publisher import history_rows, publish_relation
-from repro.archis.tracker import (
-    HTableWriter,
-    LogTracker,
-    TriggerTracker,
-    apply_log,
-)
+from repro.archis.tracker import HTableWriter, LogTracker, TriggerTracker
 
 _XQUERY_COUNT = get_registry().counter("archis.xquery.count")
 _XQUERY_SECONDS = get_registry().histogram("archis.xquery.seconds")
@@ -53,10 +49,6 @@ _TEMPORAL_SECONDS = get_registry().histogram("temporal.query.seconds")
 _FALLBACKS = get_registry().labeled_counter("xquery.fallback")
 _CACHE_HITS = get_registry().counter("translator.cache_hits")
 _CACHE_MISSES = get_registry().counter("translator.cache_misses")
-
-#: sentinel distinguishing "batch_size not passed" (use the configured
-#: default) from an explicit ``batch_size=None`` (row-at-a-time apply)
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -208,23 +200,21 @@ class ArchIS:
 
     # -- change flow ---------------------------------------------------------------
 
-    def apply_pending(
-        self, batch_size: int | None = _UNSET, durable: bool = False
-    ) -> int:
+    def apply_pending(self, durable: bool = False) -> int:
         """Drain the update log into H-tables (ATLaS profile).
 
-        A no-op (returns 0) under trigger tracking, where archival is
-        synchronous.  With a transaction manager attached, only entries
-        of *committed* transactions are applied — readers running beside
-        in-flight writers must never archive uncommitted changes.
+        Returns the number of entries archived.  A no-op (returns 0)
+        under trigger tracking, where archival is synchronous.  With a
+        transaction manager attached, only entries of *committed*
+        transactions are applied — readers running beside in-flight
+        writers must never archive uncommitted changes.
 
-        ``batch_size`` selects the ingest path: ``None`` archives
-        row-at-a-time (the legacy path), an integer hands the drain to
-        the :class:`~repro.archis.batch.BatchArchiver` in batches of
-        that size (defaults to ``config.batch_size``).  Both produce
-        byte-identical H-tables.  ``durable=True`` additionally commits
-        to the WAL once per batch on a file-backed archive, making each
-        completed batch a crash-consistent recovery point.
+        The drain goes through the
+        :class:`~repro.archis.batch.BatchArchiver` in batches of
+        :data:`~repro.archis.batch.DEFAULT_BATCH_SIZE` entries.
+        ``durable=True`` additionally commits to the WAL once per batch
+        on a file-backed archive, making each completed batch a
+        crash-consistent recovery point.
         """
         if self.profile.tracking != "log":
             return 0
@@ -234,39 +224,21 @@ class ArchIS:
             # stay pending for the next apply outside the read
             return 0
         if self.txn_manager is not None:
-            self.txn_manager.apply_committed()
-            return 0
-        if batch_size is _UNSET:
-            batch_size = self.config.batch_size
-        if batch_size is None:
-            return apply_log(self.db, self.writers, history=self.history_lock)
-        from repro.archis.batch import BatchArchiver
+            return self.txn_manager.apply_committed()
+        return BatchArchiver(self, durable=durable).apply()
 
-        return BatchArchiver(self, batch_size, durable=durable).apply()
-
-    def apply_log_entries(
-        self, predicate, batch_size: int | None = _UNSET
-    ) -> int:
+    def apply_log_entries(self, predicate) -> int:
         """Apply matching update-log entries (transaction-layer hook).
 
         Unlike :meth:`apply_pending` this does not consult the
         transaction manager — the manager calls it with its own
-        committed-entries predicate, under its apply lock.  Batching
-        follows ``config.batch_size`` unless overridden; durability is
-        the caller's concern (the transaction layer commits the whole
+        committed-entries predicate, under its apply lock.  Durability
+        is the caller's concern (the transaction layer commits the whole
         transaction as one WAL frame).
         """
         if self.profile.tracking != "log":
             return 0
-        if batch_size is _UNSET:
-            batch_size = self.config.batch_size
-        if batch_size is None:
-            return apply_log(
-                self.db, self.writers, predicate, history=self.history_lock
-            )
-        from repro.archis.batch import BatchArchiver
-
-        return BatchArchiver(self, batch_size, durable=False).apply(predicate)
+        return BatchArchiver(self).apply(predicate)
 
     # -- publication ------------------------------------------------------------------
 
@@ -701,8 +673,8 @@ class ArchIS:
         """Reopen an archive saved with :meth:`save` (runs WAL recovery).
 
         ``config`` supplies the runtime knobs (buffer pool, durability,
-        batch size, cache sizes); the archive's *state* — profile, U_min,
-        segment boundaries — always comes from the saved sidecar.
+        cache sizes, maintenance mode); the archive's *state* — profile,
+        U_min, segment boundaries — always comes from the saved sidecar.
         """
         from repro.archis.persistence import load_archive
 
@@ -756,7 +728,7 @@ class ArchIS:
                 ),
             },
             "ingest": {
-                "batch_size": self.config.batch_size,
+                "batch_size": DEFAULT_BATCH_SIZE,
                 "batches": get_registry().counter("ingest.batches").value,
                 "entries": get_registry().counter("ingest.entries").value,
                 "clearance_granted": get_registry().counter(

@@ -5,7 +5,8 @@ Two mechanisms, matching the paper's two deployments:
 - **triggers** (ArchIS-DB2): a row trigger on the current table archives
   every change synchronously;
 - **update log** (ArchIS-ATLaS): mutations append to the database's update
-  log and :meth:`LogArchiver.apply_pending` archives them in batch.
+  log and :class:`~repro.archis.batch.BatchArchiver` archives them in
+  batches when :meth:`ArchIS.apply_pending` drains it.
 
 Timestamp semantics follow the paper's sample data: when an attribute
 changes on day T, the old version is closed with ``tend = T - 1`` and the
@@ -15,11 +16,8 @@ created and closed on the same day keeps a one-day interval.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from repro.errors import ArchisError
 from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer
 from repro.rdb.database import Database
 from repro.rdb.table import Table
 from repro.util.timeutil import FOREVER
@@ -374,49 +372,12 @@ class LogTracker:
         self._table.remove_trigger(self._on_change)
 
 
-def apply_log(
-    db: Database, writers: dict[str, HTableWriter], predicate=None,
-    history=None,
-) -> int:
-    """Drain the update log into H-tables, dispatching by relation name.
-
-    Entries for untracked tables are dropped (they have no H-tables).
-    With a ``predicate`` only matching entries are consumed — the
-    transaction layer passes "the entry's transaction has committed" so
-    in-flight writers' changes stay pending.  Returns the number of
-    entries applied.
-
-    ``history`` (a :class:`~repro.txn.locks.HistoryLock`) is held on the
-    write side for the whole drain when given, so snapshot readers and
-    the maintenance worker never interleave with a half-applied entry.
-    A failure mid-drain re-queues the unapplied suffix (including the
-    failing entry) before re-raising — drained entries are never lost.
-    """
-    applied = 0
-    guard = history.write() if history is not None else nullcontext()
-    with get_tracer().span("archis.apply_log") as span, guard:
-        # Day order, not log order — see UpdateLog.drain_ordered.
-        entries = db.update_log.drain_ordered(predicate)
-        try:
-            for index, entry in enumerate(entries):
-                writer = writers.get(entry.table)
-                if writer is None:
-                    continue
-                dispatch_entry(writer, entry)
-                applied += 1
-        except BaseException:
-            db.update_log.requeue(entries[index:])
-            raise
-        span.set("applied", applied)
-    return applied
-
-
 def dispatch_entry(writer: HTableWriter, entry) -> None:
     """Archive one update-log entry through ``writer``.
 
-    Shared by the row-at-a-time :func:`apply_log` and the
-    :class:`~repro.archis.batch.BatchArchiver` so both paths perform the
-    identical mutation per entry.
+    The :class:`~repro.archis.batch.BatchArchiver` drains the log through
+    this; it performs the same mutation a trigger would have performed
+    at the entry's timestamp.
     """
     if entry.op == "insert":
         writer.archive_insert(entry.row, entry.timestamp)

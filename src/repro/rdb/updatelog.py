@@ -137,9 +137,9 @@ class UpdateLog:
         order, and the segment manager's freeze boundary relies on
         archive timestamps never going backwards.  The sort is stable,
         so entries sharing a day (one transaction's statements) keep
-        their relative order.  Both the row-at-a-time archiver and the
-        :class:`~repro.archis.batch.BatchArchiver` consume this, so the
-        two paths see the identical entry sequence.
+        their relative order.  The
+        :class:`~repro.archis.batch.BatchArchiver` consumes this, so it
+        archives the changes in the order triggers would have.
         """
         return sorted(self.drain(predicate), key=lambda e: e.timestamp)
 

@@ -489,33 +489,32 @@ class TxnManager:
 
     # -- archive integration ----------------------------------------------
 
-    def apply_committed(self, include_day: int | None = None) -> None:
+    def apply_committed(self, include_day: int | None = None) -> int:
         """Archive committed update-log entries into the H-tables.
 
-        Entries stamped with a day belonging to a transaction still in
-        flight stay pending (they are not committed yet); ``include_day``
-        lets a committing transaction apply its own entries.  No-op
-        unless an ATLaS-profile archive is attached.
+        Returns the number of entries archived.  Entries stamped with a
+        day belonging to a transaction still in flight stay pending
+        (they are not committed yet); ``include_day`` lets a committing
+        transaction apply its own entries.  No-op (returns 0) unless an
+        ATLaS-profile archive is attached.
 
-        The drain itself goes through ``archis.apply_log_entries``,
-        which honours the archive's configured ``batch_size``: with
-        batching on, committed entries are archived through the
-        :class:`~repro.archis.batch.BatchArchiver` (amortized H-table
-        lookups, one clustering check per batch) while this manager's
-        history write lock and day-order guarantees are unchanged —
+        The drain itself goes through ``archis.apply_log_entries``, that
+        is through the :class:`~repro.archis.batch.BatchArchiver`
+        (amortized H-table lookups, one clustering check per batch),
+        inside this manager's history write lock and in day order —
         durability stays one WAL commit frame per *transaction*, not
         per batch.
         """
         if self.archis is None:
-            return
+            return 0
         if getattr(self.archis.profile, "tracking", None) != "log":
-            return
+            return 0
         if self.history.held_read():
             # A snapshot read on this thread re-entered (the XQuery path
             # calls apply_pending).  Its view was settled before the read
             # began — anything still pending is from a later day — and
             # applying now would rewrite H-rows under the active scan.
-            return
+            return 0
         # Both the pending() check and the active-day snapshot must be
         # taken *inside* the lock.  The check: a thread mid-apply has
         # already drained the log, and a reader skipping past it here
@@ -529,10 +528,10 @@ class TxnManager:
         # since discard_pending then finds nothing to discard).
         with self.history.write():
             if not self.db.update_log.pending():
-                return
+                return 0
             uncommitted = self.active_days()
             uncommitted.discard(include_day)
-            self.archis.apply_log_entries(
+            return self.archis.apply_log_entries(
                 lambda entry: entry.timestamp not in uncommitted
             )
 

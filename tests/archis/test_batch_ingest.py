@@ -1,19 +1,27 @@
 """Batched ingest equivalence matrix and durable-batch crash recovery.
 
-The contract under test (DESIGN.md §4f): ``apply_pending(batch_size=N)``
-must be *observably identical* to row-at-a-time apply — same H-table
+The contract under test (DESIGN.md §4f): draining the update log through
+``BatchArchiver(archis, N).apply()`` must be *observably identical* to
+the ``db2`` profile's triggers fed the same changes — same H-table
 bytes, same segment boundaries, same segment-manager counters — for
 every batch size, every workload shape, and every crash point a durable
-batch can die at.
+batch can die at.  Triggers archive each change as it happens, with no
+version cache and no freeze clearance, so they are an independent
+reference for the drain.  The archived history is also checked against
+the pointwise model in ``tests/model``, which shares no code with the
+archiver.
 """
 
 import pytest
 
 from repro.archis import ArchIS, ArchISConfig, BatchArchiver
+from repro.archis.batch import DEFAULT_BATCH_SIZE
 from repro.archis.validation import check_archive
 from repro.obs import get_registry
 from repro.rdb import ColumnType, Database
 from repro.storage import InjectedCrash, get_crash_points
+
+from tests.model.oracle import KEY, Oracle
 
 BATCH_SIZES = (1, 7, 256)
 
@@ -36,6 +44,7 @@ def employee_ops(count=120, population=9, per_round=4):
     ops = []
     day = 0
     alive = []
+    departed = []
     emitted = 0
     step = 0
     while emitted < count:
@@ -47,11 +56,16 @@ def employee_ops(count=120, population=9, per_round=4):
             if step < population:
                 ops.append(("insert", step, f"n{step}", 1000 + step))
                 alive.append(step)
-            elif step % 29 == 0:  # late hires keep the population topped up
-                ops.append(("insert", 1000 + step, f"n{step}", 1000 + step))
-                alive.append(1000 + step)
+            elif step % 29 == 0:
+                # late hires keep the population topped up; the latest
+                # departed key comes back when there is one (a delete
+                # and re-insert, sometimes on the same day)
+                key = departed.pop() if departed else 1000 + step
+                ops.append(("insert", key, f"n{step}", 1000 + step))
+                alive.append(key)
             elif step % 17 == 0 and len(alive) > 4:
-                ops.append(("delete", alive.pop(0)))
+                departed.append(alive.pop(0))
+                ops.append(("delete", departed[-1]))
             else:
                 key = alive[step % len(alive)]
                 ops.append(("update", key, 1000 + step))
@@ -103,14 +117,54 @@ def replay(db, ops, upto=None):
     return applied
 
 
-def make_tracked(umin, min_segment_rows=8, path=None):
+def model(ops, epoch):
+    """The :class:`Oracle` of the employee changes in ``ops``."""
+    oracle = Oracle(("name", "salary"))
+    current = {}
+    day = epoch
+    for op in ops:
+        if op[0] == "advance":
+            day = epoch + op[1]
+        elif op[0] == "insert":
+            _, key, name, salary = op
+            oracle.insert(day, (key, name, salary))
+            current[key] = salary
+        elif op[0] == "update":
+            _, key, salary = op
+            if salary != current[key]:
+                oracle.update(day, key, "salary", salary)
+            current[key] = salary
+        else:
+            oracle.delete(day, op[1])
+            current.pop(op[1])
+    return oracle
+
+
+def assert_matches_model(archis, ops, epoch):
+    """Every archived history row of ``employee`` is the model's."""
+    oracle = model(ops, epoch)
+    for attr in (KEY, "name", "salary"):
+        assert archis.history("employee", attr) == oracle.history(attr), attr
+
+
+def make_tracked(umin, min_segment_rows=8, path=None, profile="atlas"):
     db = build_db(path)
     archis = ArchIS(
         db,
-        config=ArchISConfig(umin=umin, min_segment_rows=min_segment_rows),
+        config=ArchISConfig(
+            profile=profile, umin=umin, min_segment_rows=min_segment_rows
+        ),
     )
     archis.track_table("employee")
     return archis
+
+
+def trigger_reference(umin, ops, upto=None):
+    """The ``db2`` profile fed ``ops``: its triggers archive every
+    change as it happens, the reference every drain must reproduce."""
+    reference = make_tracked(umin, profile="db2")
+    replay(reference.db, ops, upto=upto)
+    return reference
 
 
 def archive_state(archis, with_rids=True):
@@ -137,40 +191,39 @@ def archive_state(archis, with_rids=True):
 
 
 class TestEquivalenceMatrix:
-    """Batch apply == row-at-a-time apply, byte for byte."""
+    """Batch apply == trigger archival, byte for byte."""
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     @pytest.mark.parametrize("umin", [None, 0.5], ids=["unsegmented", "segmented"])
     def test_identical_state_for_every_batch_size(self, batch_size, umin):
-        reference = make_tracked(umin)
-        replay(reference.db, employee_ops())
-        reference.apply_pending(batch_size=None)
+        reference = trigger_reference(umin, employee_ops())
         expected = archive_state(reference)
 
         batched = make_tracked(umin)
+        epoch = batched.db.current_date
         replay(batched.db, employee_ops())
-        applied = batched.apply_pending(batch_size=batch_size)
+        applied = BatchArchiver(batched, batch_size).apply()
         assert applied > 0
         assert archive_state(batched) == expected
         assert check_archive(batched) == []
+        assert_matches_model(batched, employee_ops(), epoch)
+        assert_matches_model(reference, employee_ops(), epoch)
 
     @pytest.mark.parametrize("umin", [None, 0.5], ids=["unsegmented", "segmented"])
     def test_segment_boundaries_match(self, umin):
-        reference = make_tracked(umin)
-        replay(reference.db, employee_ops(count=300))
-        reference.apply_pending(batch_size=None)
+        reference = trigger_reference(umin, employee_ops(count=300))
 
         batched = make_tracked(umin)
         replay(batched.db, employee_ops(count=300))
-        batched.apply_pending(batch_size=13)
+        BatchArchiver(batched, 13).apply()
         assert batched.segments.freeze_count == reference.segments.freeze_count
         assert sorted(batched.db.table("segment").rows()) == sorted(
             reference.db.table("segment").rows()
         )
 
     def test_multi_relation_batches(self):
-        def build():
-            archis = make_tracked(0.5)
+        def build(profile):
+            archis = make_tracked(0.5, profile=profile)
             db = archis.db
             db.create_table(
                 "dept",
@@ -187,22 +240,20 @@ class TestEquivalenceMatrix:
             dept.delete_rid(drids.pop(0))
             return archis
 
-        reference = build()
-        reference.apply_pending(batch_size=None)
-        batched = build()
-        batched.apply_pending(batch_size=7)
+        reference = build("db2")
+        batched = build("atlas")
+        BatchArchiver(batched, 7).apply()
         assert archive_state(batched) == archive_state(reference)
         assert check_archive(batched) == []
 
     def test_batch_of_one_equals_row_at_a_time(self):
         """batch_size=1 is the degenerate case: per-entry batches must
-        still match exactly (clearance checks run per entry)."""
-        reference = make_tracked(0.5)
-        replay(reference.db, employee_ops())
-        reference.apply_pending(batch_size=None)
+        still match the per-change triggers exactly (clearance checks
+        run per entry)."""
+        reference = trigger_reference(0.5, employee_ops())
         batched = make_tracked(0.5)
         replay(batched.db, employee_ops())
-        batched.apply_pending(batch_size=1)
+        BatchArchiver(batched, 1).apply()
         assert archive_state(batched) == archive_state(reference)
 
     def test_untracked_entries_are_dropped_like_row_apply(self):
@@ -210,9 +261,9 @@ class TestEquivalenceMatrix:
         db = archis.db
         replay(db, employee_ops(count=20))
         # a stray entry for a never-tracked table (e.g. tracked in a past
-        # run): row-at-a-time apply drains and drops it, so must batches
+        # run) has no H-tables: the drain consumes and drops it
         db.update_log.append(db.current_date, "scratch", "insert", (1,), None)
-        applied = archis.apply_pending(batch_size=4)
+        applied = BatchArchiver(archis, 4).apply()
         assert applied == 20
         assert db.update_log.pending() == []
 
@@ -232,26 +283,52 @@ class TestBatchArchiverApi:
         batches_before = registry.counter("ingest.batches").value
         archis = make_tracked(None)
         replay(archis.db, employee_ops(count=40))
-        archis.apply_pending(batch_size=16)
+        BatchArchiver(archis, 16).apply()
         stats = archis.stats()["ingest"]
         assert stats["batches"] - batches_before >= 3
         assert stats["clearance_granted"] >= 1
-        assert archis.stats()["config"]["batch_size"] is None
+        assert stats["batch_size"] == DEFAULT_BATCH_SIZE
+        assert "batch_size" not in archis.stats()["config"]
 
-    def test_config_batch_size_is_the_default(self):
+    def test_apply_pending_drains_in_default_batches(self):
         archis = make_tracked(None)
-        archis.config = archis.config.replace(batch_size=5)
-        replay(archis.db, employee_ops(count=20))
+        replay(archis.db, employee_ops(count=DEFAULT_BATCH_SIZE + 20))
         before = get_registry().counter("ingest.batches").value
-        archis.apply_pending()
-        assert get_registry().counter("ingest.batches").value - before == 4
+        assert archis.apply_pending() == DEFAULT_BATCH_SIZE + 20
+        assert get_registry().counter("ingest.batches").value - before == 2
+
+    def test_drain_holds_the_history_write_lock(self, monkeypatch):
+        """A reader never sees half a drain: every batch of one apply
+        runs inside a single hold of the history write lock."""
+        archis = make_tracked(None)
+        replay(archis.db, employee_ops(count=40))
+        held = []
+        archiver = BatchArchiver(archis, 4)
+        real = archiver._archive_batch
+
+        def spy(batch):
+            held.append(archis.history_lock.held_write())
+            return real(batch)
+
+        monkeypatch.setattr(archiver, "_archive_batch", spy)
+        acquisitions = []
+        acquire = archis.history_lock.acquire_write
+
+        def counting():
+            acquisitions.append(archis.history_lock.held_write())
+            return acquire()
+
+        monkeypatch.setattr(archis.history_lock, "acquire_write", counting)
+        archiver.apply()
+        assert held == [True] * 10
+        assert acquisitions == [False]
 
     def test_clearance_denied_falls_back_to_per_entry_checks(self):
         registry = get_registry()
         denied_before = registry.counter("ingest.clearance_denied").value
         archis = make_tracked(0.5, min_segment_rows=4)
         replay(archis.db, employee_ops(count=300))
-        archis.apply_pending(batch_size=64)
+        BatchArchiver(archis, 64).apply()
         assert archis.segments.freeze_count > 0
         assert registry.counter("ingest.clearance_denied").value > denied_before
 
@@ -274,18 +351,19 @@ class TestDurableBatches:
         return archis
 
     def prefix_states(self):
-        """Row-at-a-time replays of every whole-batch prefix (rid-free:
-        the file-backed run's physical layout may differ)."""
+        """Trigger-reference replays of every whole-batch prefix
+        (rid-free: the file-backed run's physical layout may differ)."""
         ops = employee_ops()
         total = sum(1 for op in ops if op[0] != "advance")
         states = []
         boundaries = list(range(0, total, self.BATCH)) + [total]
         for upto in boundaries:
-            archis = make_tracked(0.5)
-            replay(archis.db, ops, upto=upto)
-            archis.apply_pending(batch_size=None)
-            states.append(archive_state(archis, with_rids=False))
+            reference = trigger_reference(0.5, ops, upto=upto)
+            states.append(archive_state(reference, with_rids=False))
         return states
+
+    def durable_apply(self, archis):
+        return BatchArchiver(archis, self.BATCH, durable=True).apply()
 
     def test_one_commit_frame_per_batch(self, tmp_path):
         registry = get_registry()
@@ -293,7 +371,7 @@ class TestDurableBatches:
         replay(archis.db, employee_ops())
         causes = registry.labeled_counter("wal.commits.cause")
         before = dict(causes.values).get("ingest", 0)
-        applied = archis.apply_pending(batch_size=self.BATCH, durable=True)
+        applied = self.durable_apply(archis)
         batches = -(-applied // self.BATCH)
         assert dict(causes.values)["ingest"] - before == batches
         archis.db.close()
@@ -314,7 +392,7 @@ class TestDurableBatches:
         replay(archis.db, employee_ops())
         with pytest.raises(InjectedCrash):
             with get_crash_points().crash_at("wal.commit.begin", occurrence):
-                archis.apply_pending(batch_size=self.BATCH, durable=True)
+                self.durable_apply(archis)
         again = ArchIS.open(str(tmp_path / f"crash{occurrence}.db"))
         recovered = archive_state(again, with_rids=False)
         assert recovered in expected_states, (
@@ -324,7 +402,7 @@ class TestDurableBatches:
         # The update log is volatile: after a mid-ingest crash the
         # current table (committed with the first batch) is ahead of the
         # partially-applied archive, so live-consistency is expectedly
-        # violated — exactly as after a crash mid row-at-a-time apply.
+        # violated.
         # Every *archive-internal* invariant must still hold.
         violations = [
             v for v in check_archive(again) if v.check != "live-consistency"
@@ -338,7 +416,7 @@ class TestDurableBatches:
         archis = self.build_saved(path)
         replay(archis.db, employee_ops())
         with get_crash_points().recording() as fired:
-            archis.apply_pending(batch_size=self.BATCH, durable=True)
+            self.durable_apply(archis)
         archis.db.close()
         commits = torn = 0
         frames = []
@@ -370,7 +448,7 @@ class TestDurableBatches:
         replay(archis.db, employee_ops())
         with pytest.raises(InjectedCrash):
             with get_crash_points().crash_at("wal.frame.torn", occurrence):
-                archis.apply_pending(batch_size=self.BATCH, durable=True)
+                self.durable_apply(archis)
         again = ArchIS.open(str(tmp_path / "torn.db"))
         assert archive_state(again, with_rids=False) == expected
         violations = [
@@ -384,7 +462,7 @@ class TestDurableBatches:
         archis = self.build_saved(tmp_path / "synced.db")
         replay(archis.db, employee_ops())
         with get_crash_points().recording() as fired:
-            archis.apply_pending(batch_size=self.BATCH, durable=True)
+            self.durable_apply(archis)
         archis.db.close()
         syncs = sum(1 for name in fired if name == "wal.commit.synced")
         assert syncs >= 2
@@ -393,7 +471,7 @@ class TestDurableBatches:
         replay(archis.db, employee_ops())
         with pytest.raises(InjectedCrash):
             with get_crash_points().crash_at("wal.commit.synced", syncs):
-                archis.apply_pending(batch_size=self.BATCH, durable=True)
+                self.durable_apply(archis)
         again = ArchIS.open(str(tmp_path / "synced2.db"))
         assert archive_state(again, with_rids=False) == expected_states[-1]
         assert check_archive(again) == []

@@ -24,7 +24,7 @@ class TestValidation:
         config = ArchISConfig()
         assert config.profile == "atlas"
         assert config.umin == 0.4
-        assert config.batch_size is None
+        assert config.maintenance == "inline"
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):
@@ -38,11 +38,11 @@ class TestValidation:
         "bad",
         [
             {"translation_cache_size": 0},
-            {"batch_size": 0},
+            {"maintenance_step_rows": -3},
             {"buffer_pages": 0},
             {"durability": "fsync-every-byte"},
             {"translation_cache_size": -2},
-            {"batch_size": -2},
+            {"buffer_pages": -2},
             {"durability": ""},
             {"maintenance": "eventually"},
             {"maintenance_step_rows": 0},
@@ -52,19 +52,21 @@ class TestValidation:
         with pytest.raises(ArchisError):
             ArchISConfig(**bad)
 
-    @pytest.mark.parametrize("field", ["shards", "shard_by"])
+    # removed fields: sharding (the single store is the only store) and
+    # the batch size (every drain batches at DEFAULT_BATCH_SIZE)
+    @pytest.mark.parametrize("field", ["shards", "shard_by", "batch_size"])
     def test_sharding_fields_are_gone(self, field):
         with pytest.raises(TypeError):
             ArchISConfig(**{field: 2})
 
     def test_replace_revalidates(self):
         config = ArchISConfig()
-        assert config.replace(batch_size=64).batch_size == 64
+        assert config.replace(buffer_pages=64).buffer_pages == 64
         with pytest.raises(ArchisError):
-            config.replace(batch_size=-1)
+            config.replace(buffer_pages=-1)
 
     def test_as_dict_round_trips(self):
-        config = ArchISConfig(umin=None, batch_size=32)
+        config = ArchISConfig(umin=None, buffer_pages=32)
         assert ArchISConfig(**config.as_dict()) == config
 
 
@@ -96,6 +98,6 @@ class TestArchISPlumbing:
             ArchIS(make_db(), profile="db2")
 
     def test_stats_reports_the_config(self):
-        archis = ArchIS(make_db(), config=ArchISConfig(batch_size=17))
+        archis = ArchIS(make_db(), config=ArchISConfig(buffer_pages=17))
         archis.track_table("employee")
-        assert archis.stats()["config"]["batch_size"] == 17
+        assert archis.stats()["config"]["buffer_pages"] == 17

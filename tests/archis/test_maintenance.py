@@ -1,19 +1,22 @@
 """Background segment maintenance: equivalence, crash recovery, requeue.
 
-The contract under test (DESIGN.md §4h): ``maintenance="background"``
+The contract under test (DESIGN.md §4h): inline and background freezes
+run the same steps at different times, so ``maintenance="background"``
 must be *observably identical* to inline freezes — same H-table content
 (rid-free: the deferred rewrite relocates rows), same segment
 boundaries, same ``clustering.*`` counters — once the worker has
-drained; a crash mid-rewrite recovers to a clean step boundary and the
-resumed worker converges; and an archiver that dies mid-batch hands the
-unapplied suffix back to the update log instead of losing it.
+drained; an inline freeze leaves every H-table compact; a crash
+mid-rewrite recovers to a clean step boundary and the resumed worker
+converges; and an archiver that dies mid-batch hands the unapplied
+suffix back to the update log instead of losing it.
 """
 
 import time
 
 import pytest
 
-from repro.archis import ArchIS, ArchISConfig
+from repro.archis import ArchIS, ArchISConfig, BatchArchiver
+from repro.archis.batch import DEFAULT_BATCH_SIZE
 from repro.archis.validation import check_archive
 from repro.errors import ArchisError
 from repro.obs import get_registry
@@ -25,9 +28,10 @@ from tests.archis.test_batch_ingest import (
     build_db,
     employee_ops,
     replay,
+    trigger_reference,
 )
 
-BATCH_SIZES = (None, 1, 7, 256)
+BATCH_SIZES = (1, 7, 256)
 
 #: the freeze-path counters that must move identically across modes
 CLUSTERING_COUNTERS = (
@@ -56,13 +60,15 @@ def counter_values():
     }
 
 
-def run_mode(maintenance, umin, batch_size, count=240, **overrides):
+def run_mode(
+    maintenance, umin, batch_size=DEFAULT_BATCH_SIZE, count=240, **overrides
+):
     """Build, replay, apply and drain one archive; returns it plus the
     ``clustering.*`` counter deltas its apply produced."""
     archis = make_tracked(umin, maintenance=maintenance, **overrides)
     replay(archis.db, employee_ops(count=count))
     before = counter_values()
-    archis.apply_pending(batch_size=batch_size)
+    BatchArchiver(archis, batch_size).apply()
     archis.drain_maintenance()
     deltas = {
         name: value - before[name]
@@ -98,14 +104,12 @@ class TestBackgroundEquivalence:
     def test_tiny_step_budget_converges_to_the_same_state(self):
         """A 3-row step budget forces many incremental steps per segment;
         the result must still be the inline state."""
-        reference, _ = run_mode("inline", 0.5, None)
+        reference, _ = run_mode("inline", 0.5)
         expected = archive_state(reference, with_rids=False)
         registry = get_registry()
         steps_before = registry.counter("maintenance.steps").value
 
-        background, _ = run_mode(
-            "background", 0.5, None, maintenance_step_rows=3
-        )
+        background, _ = run_mode("background", 0.5, maintenance_step_rows=3)
         assert archive_state(background, with_rids=False) == expected
         steps = registry.counter("maintenance.steps").value - steps_before
         assert steps > background.segments.freeze_count
@@ -114,7 +118,7 @@ class TestBackgroundEquivalence:
     def test_queries_stay_correct_while_rewrites_are_outstanding(self):
         """The logical switch alone must already answer queries exactly:
         park the queue (no worker wakeup) and compare publications."""
-        reference, _ = run_mode("inline", 0.5, None)
+        reference, _ = run_mode("inline", 0.5)
 
         archis = make_tracked(0.5, maintenance="background")
         archis.segments.on_freeze_request = lambda segno: None  # park
@@ -144,7 +148,7 @@ class TestBackgroundEquivalence:
         assert check_archive(archis) == []
 
     def test_stats_surface(self):
-        archis, _ = run_mode("background", 0.5, 16)
+        archis, _ = run_mode("background", 0.5, batch_size=16)
         section = archis.stats()["maintenance"]
         assert section["mode"] == "background"
         assert section["pending_rewrites"] == []
@@ -161,6 +165,32 @@ class TestBackgroundEquivalence:
             ArchISConfig(maintenance_step_rows=0)
 
 
+class TestInlineFreeze:
+    def test_compact_after_an_inline_freeze_frees_no_page(self, monkeypatch):
+        """An inline freeze leaves every H-table dense: compacting again
+        right after it frees no page.  A freeze that only released the
+        pages its moves emptied would leave half-full pages behind, and
+        the archive would grow freeze after freeze."""
+        archis = make_tracked(0.5)
+        segments = archis.segments
+        freeze = segments.freeze
+        freed = []
+
+        def freeze_then_recompact():
+            freeze()
+            for name in segments.registered_tables():
+                table = archis.db.table(name)
+                before = table.size_bytes(include_indexes=False)
+                table.compact()
+                freed.append(before - table.size_bytes(include_indexes=False))
+
+        monkeypatch.setattr(segments, "freeze", freeze_then_recompact)
+        replay(archis.db, employee_ops(count=600))
+        archis.apply_pending()
+        assert segments.freeze_count > 0
+        assert freed and not any(freed)
+
+
 class TestCrashRecovery:
     """A crash at a step-commit boundary loses no history and resumes."""
 
@@ -170,7 +200,7 @@ class TestCrashRecovery:
         get_crash_points().reset()
 
     def test_crash_mid_rewrite_recovers_and_resumes(self, tmp_path):
-        reference, _ = run_mode("inline", 0.5, None)
+        reference, _ = run_mode("inline", 0.5)
         expected = archive_state(reference, with_rids=False)
 
         path = str(tmp_path / "bg.db")
@@ -181,7 +211,7 @@ class TestCrashRecovery:
         # the first error, the worker may retry — every retry must also
         # die before committing, as a real process death would
         with get_crash_points().crash_from("maintenance.step.commit", 1):
-            archis.apply_pending(batch_size=16, durable=True)
+            BatchArchiver(archis, 16, durable=True).apply()
             with pytest.raises(InjectedCrash):
                 archis.drain_maintenance()
             archis.maintenance.stop()
@@ -203,14 +233,14 @@ class TestCrashRecovery:
         again.close()
 
     def test_completed_rewrite_survives_a_reopen(self, tmp_path):
-        reference, _ = run_mode("inline", 0.5, None)
+        reference, _ = run_mode("inline", 0.5)
         expected = archive_state(reference, with_rids=False)
 
         path = str(tmp_path / "settled.db")
         archis = make_tracked(0.5, path=path, maintenance="background")
         archis.save()
         replay(archis.db, employee_ops(count=240))
-        archis.apply_pending(batch_size=16, durable=True)
+        BatchArchiver(archis, 16, durable=True).apply()
         archis.drain_maintenance()
         archis.save()
         archis.close()
@@ -249,7 +279,7 @@ class TestWorkerLifecycle:
     def test_close_stops_the_worker_thread(self):
         import threading
 
-        archis, _ = run_mode("background", 0.5, None)
+        archis, _ = run_mode("background", 0.5)
         archis.close()
         deadline = time.time() + 5.0
         while time.time() < deadline and any(
@@ -267,9 +297,7 @@ class TestMidBatchFailureRequeue:
     """A dispatch failure mid-batch loses no update-log entries."""
 
     def test_unapplied_suffix_returns_to_the_log(self, monkeypatch):
-        reference = make_tracked(0.5)
-        replay(reference.db, employee_ops(count=60))
-        reference.apply_pending(batch_size=None)
+        reference = trigger_reference(0.5, employee_ops(count=60))
         expected = archive_state(reference, with_rids=False)
 
         archis = make_tracked(0.5)
@@ -287,39 +315,14 @@ class TestMidBatchFailureRequeue:
 
         monkeypatch.setattr(batch_module, "dispatch_entry", flaky)
         with pytest.raises(RuntimeError):
-            archis.apply_pending(batch_size=16)
+            BatchArchiver(archis, 16).apply()
         # 24 entries were dispatched (one full batch + 8 of the second);
         # everything from the failed entry on is pending again, in order
         pending = archis.db.update_log.pending()
         assert [entry.sequence for entry in pending] == list(range(25, 61))
 
         monkeypatch.setattr(batch_module, "dispatch_entry", real)
-        applied = archis.apply_pending(batch_size=16)
+        applied = BatchArchiver(archis, 16).apply()
         assert applied == 36
         assert archive_state(archis, with_rids=False) == expected
-        assert check_archive(archis) == []
-
-    def test_row_at_a_time_apply_also_requeues(self, monkeypatch):
-        archis = make_tracked(None)
-        replay(archis.db, employee_ops(count=20))
-        import repro.archis.tracker as tracker_module
-
-        real = tracker_module.dispatch_entry
-        calls = {"n": 0}
-
-        def flaky(writer, entry):
-            calls["n"] += 1
-            if calls["n"] == 8:
-                raise RuntimeError("injected dispatch failure")
-            return real(writer, entry)
-
-        monkeypatch.setattr(tracker_module, "dispatch_entry", flaky)
-        with pytest.raises(RuntimeError):
-            archis.apply_pending(batch_size=None)
-        pending = archis.db.update_log.pending()
-        assert [entry.sequence for entry in pending] == list(range(8, 21))
-
-        monkeypatch.setattr(tracker_module, "dispatch_entry", real)
-        archis.apply_pending(batch_size=None)
-        assert archis.db.update_log.pending() == []
         assert check_archive(archis) == []

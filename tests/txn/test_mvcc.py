@@ -149,6 +149,24 @@ class TestApplyCommittedOrdering:
         assert all(observed)
 
 
+class TestApplyPendingCount:
+    def test_apply_pending_reports_entries_archived(self):
+        """Regression: with a transaction manager attached,
+        ``apply_pending`` returned 0 even when it archived entries."""
+        archis, manager = make_managed(profile="atlas")
+        archis.db.sql("INSERT INTO employee VALUES (1, 'Bob', 60000)")
+        archis.db.sql("UPDATE employee SET salary = 70000 WHERE id = 1")
+        assert archis.apply_pending() == 2
+        assert archis.apply_pending() == 0
+        assert manager.apply_committed() == 0
+
+    def test_trigger_tracking_applies_nothing(self):
+        archis, manager = make_managed(profile="db2")
+        archis.db.sql("INSERT INTO employee VALUES (1, 'Bob', 60000)")
+        assert archis.apply_pending() == 0
+        assert manager.apply_committed() == 0
+
+
 class TestCommitFailurePoisoning:
     def test_failed_commit_after_archival_poisons_manager(self):
         """Once a committing transaction's update-log entries are
