@@ -63,4 +63,4 @@ def test_tiny_pool_still_answers_correctly(engines):
     small = clustered.xquery(query.xquery, allow_fallback=False)
     clustered.db.pool.set_capacity(1024)
     big = clustered.xquery(query.xquery, allow_fallback=False)
-    assert abs(small[0] - big[0]) < 1e-9
+    assert abs(small.rows[0] - big.rows[0]) < 1e-9

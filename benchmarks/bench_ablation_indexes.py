@@ -56,4 +56,4 @@ def test_answers_identical_without_indexes(engines):
     query = q2_snapshot_avg(generator.mid_history_date())
     a = indexed.xquery(query.xquery, allow_fallback=False)
     b = stripped.xquery(query.xquery, allow_fallback=False)
-    assert abs(a[0] - b[0]) < 1e-9
+    assert abs(a.rows[0] - b.rows[0]) < 1e-9

@@ -60,18 +60,6 @@ def test_snapshot_decompresses_fraction_of_blocks(setup_compressed):
     )
 
 
-def test_one_scan_temporal_join(setup_compressed, queries):
-    """Section 8.3: the ATLaS user-defined aggregate computes Q6 in one
-    scan and agrees with the translated SQL join."""
-    from repro.util.timeutil import parse_date
-
-    archis = setup_compressed.archis
-    after = parse_date(setup_compressed.generator.mid_history_date())
-    uda = archis.max_increase_one_scan("employee", "salary", after, 730)
-    joined = archis.xquery(queries[6].xquery, allow_fallback=False)
-    assert uda == joined[0]
-
-
 def test_q2_compressed_archis(benchmark, setup_compressed, queries):
     benchmark(lambda: run_archis_cold(setup_compressed.archis, queries[1]))
 

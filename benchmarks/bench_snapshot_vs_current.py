@@ -56,7 +56,7 @@ def test_snapshot_matches_current_average(setup):
 
     today = setup.archis.db.current_date
     query = q2_snapshot_avg(format_date(today))
-    snapshot = setup.archis.xquery(query.xquery, allow_fallback=False)[0]
+    snapshot = setup.archis.xquery(query.xquery, allow_fallback=False).rows[0]
     current = setup.archis.db.sql(
         "SELECT avg(e.salary) FROM employee e"
     ).scalar()

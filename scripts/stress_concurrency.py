@@ -338,7 +338,10 @@ def stress_maintenance(seconds):
     freezes = archis.segments.freeze_count
     violations = check_archive(archis)
     snapshot = dict(
-        archis.snapshot_rows("employee", "salary", db.current_date).rows
+        archis.sql(
+            "SELECT t.id, t.salary FROM employee_salary t "
+            f"FOR SYSTEM_TIME AS OF {db.current_date}"
+        ).rows
     )
     archis.close()
     if worker["error"] is not None:

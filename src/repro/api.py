@@ -1,7 +1,7 @@
 """The unified query-result surface.
 
 Every read entry point of the engine — ``ArchIS.xquery``,
-``ArchIS.snapshot_rows``, the SQL session's SELECTs and
+``ArchIS.sql`` (time travel included), the SQL session's SELECTs and
 ``server.Client.execute`` — returns a :class:`Result`: the rows, the
 column names (when the source has any), the row count, and a ``stats``
 / ``trace`` handle describing how the query ran.

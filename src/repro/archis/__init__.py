@@ -12,7 +12,7 @@ from repro.archis.compression import (
 )
 from repro.archis.htables import TrackedRelation, create_htables
 from repro.archis.maintenance import MaintenanceWorker
-from repro.archis.publisher import history_rows, publish_relation
+from repro.archis.publisher import publish_relation
 from repro.archis.system import ArchIS, PROFILES, Profile
 from repro.archis.validation import Violation, check_archive
 from repro.archis.xmlversions import XmlVersionArchive
@@ -33,7 +33,6 @@ __all__ = [
     "decompress_block",
     "TrackedRelation",
     "create_htables",
-    "history_rows",
     "publish_relation",
     "XmlVersionArchive",
     "Violation",

@@ -6,10 +6,12 @@ child and the coalesced, timestamped history of every attribute nested
 under it.
 
 Segmented archives store redundant copies of tuples that were live at a
-freeze (Section 6.1); the publisher deduplicates on ``(id, tstart)``
-keeping the *closed* version when one exists, then coalesces
-value-equivalent adjacent periods, so the published view is identical
-whatever the storage layout — the property the equivalence tests pin down.
+freeze (Section 6.1).  The publisher does not see them: it reads each
+H-table through ``history_of``, which the ArchIS facade backs with the
+deduplicating ``history_<t>()`` table function
+(:mod:`repro.archis.tablefuncs`).  It then coalesces value-equivalent
+adjacent periods, so the published view is identical whatever the
+storage layout — the property the equivalence tests pin down.
 """
 
 from __future__ import annotations
@@ -19,41 +21,6 @@ from repro.util.intervals import Interval, coalesce_valued
 from repro.util.timeutil import FOREVER, format_date
 from repro.xmlkit.dom import Element, Text
 from repro.archis.htables import RELATIONS_TABLE, TrackedRelation
-
-
-def history_rows(
-    db: Database, table_name: str, raw_rows=None
-) -> list[tuple]:
-    """Deduplicated ``(id, value..., tstart, tend)`` rows of an H-table.
-
-    A tuple that was live at a segment freeze exists once per segment it
-    lived through, open (tend = forever) in all but possibly the last; the
-    closed version carries the true end, so dedup keeps ``min(tend)`` per
-    ``(id, tstart)``.
-
-    ``raw_rows`` overrides the row source (used to read through the
-    compressed archive); defaults to the table heap.
-    """
-    table = db.table(table_name)
-    schema = table.schema
-    id_pos = schema.position("id")
-    tstart_pos = schema.position("tstart")
-    tend_pos = schema.position("tend")
-    seg_pos = schema.position("segno")
-    if raw_rows is None:
-        raw_rows = table.rows()
-    best: dict[tuple, tuple] = {}
-    for row in raw_rows:
-        key = (row[id_pos], row[tstart_pos])
-        kept = best.get(key)
-        if kept is None or row[tend_pos] < kept[tend_pos]:
-            best[key] = row
-    out = []
-    for row in sorted(best.values(), key=lambda r: (r[id_pos], r[tstart_pos])):
-        trimmed = list(row)
-        del trimmed[seg_pos]
-        out.append(tuple(trimmed))
-    return out
 
 
 def _timestamped(name: str, value: object, interval: Interval) -> Element:
@@ -71,23 +38,14 @@ def _render(value: object) -> str:
 
 
 def publish_relation(
-    db: Database,
-    relation: TrackedRelation,
-    root_name: str | None = None,
-    rows_provider=None,
+    db: Database, relation: TrackedRelation, history_of
 ) -> Element:
     """Build the H-document for one tracked relation.
 
-    ``rows_provider(table_name)`` overrides where raw rows come from (the
-    ArchIS facade passes an archive-aware reader so compressed segments
-    publish identically).
+    ``history_of(table_name)`` returns an H-table's deduplicated
+    ``(id, value..., tstart, tend)`` rows ordered by ``(id, tstart)``.
     """
-    root_name = root_name or f"{relation.name}s"
-
-    def history_of(table_name: str) -> list[tuple]:
-        raw = rows_provider(table_name) if rows_provider is not None else None
-        return history_rows(db, table_name, raw)
-    root = Element(root_name)
+    root = Element(f"{relation.name}s")
     root_interval = _relation_interval(db, relation.name)
     if root_interval is not None:
         root.set("tstart", format_date(root_interval[0]))

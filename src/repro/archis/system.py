@@ -39,7 +39,7 @@ from repro.archis.config import (
     resolve_config,
 )
 from repro.archis.htables import TrackedRelation, create_htables
-from repro.archis.publisher import history_rows, publish_relation
+from repro.archis.publisher import publish_relation
 from repro.archis.tracker import HTableWriter, LogTracker, TriggerTracker
 
 _XQUERY_COUNT = get_registry().counter("archis.xquery.count")
@@ -56,20 +56,23 @@ class Profile:
     """An engine profile (paper Section 7: ArchIS-DB2 vs ArchIS-ATLaS).
 
     ``tracking`` selects triggers vs update log; ``clustered_indexes``
-    models ATLaS/BerkeleyDB's clustered index (extra storage, Fig. 11);
-    ``one_scan_join`` enables the user-defined-aggregate optimization the
-    authors applied to the temporal join on ATLaS (Section 8.3).
+    models ATLaS/BerkeleyDB's clustered index (extra storage, Fig. 11).
+    Both profiles read archived history one way: ``history()``,
+    ``publish()``, snapshot reconstruction and every query go through
+    the table functions' row source ``rows()``
+    (:mod:`repro.archis.tablefuncs`).  The paper's one-scan UDA for the
+    ATLaS temporal join (Section 8.3) is not modelled: Q6 runs as the
+    translated join or as ``TEMPORAL JOIN``.
     """
 
     name: str
     tracking: str  # "triggers" | "log"
     clustered_indexes: bool
-    one_scan_join: bool
 
 
 PROFILES = {
-    "db2": Profile("db2", "triggers", clustered_indexes=False, one_scan_join=False),
-    "atlas": Profile("atlas", "log", clustered_indexes=True, one_scan_join=True),
+    "db2": Profile("db2", "triggers", clustered_indexes=False),
+    "atlas": Profile("atlas", "log", clustered_indexes=True),
 }
 
 
@@ -250,14 +253,17 @@ class ArchIS:
         """
         relation = self._relation(relation_name)
         with self.history_lock.read():
-            return publish_relation(
-                self.db, relation, rows_provider=self._all_rows_of
-            )
+            return publish_relation(self.db, relation, self._history_of)
 
-    def _all_rows_of(self, table_name: str):
-        yield from self.db.table(table_name).rows()
-        if table_name in self.archive.compressed_tables:
-            yield from self.archive.read_rows(table_name)
+    def _history_of(self, table_name: str) -> list[tuple]:
+        """Deduplicated ``(id, value..., tstart, tend)`` rows of an
+        H-table: ``history_<t>()`` without its ``segno`` column.  The
+        caller holds the history read lock."""
+        seg_pos = self.db.table(table_name).schema.position("segno")
+        return [
+            row[:seg_pos] + row[seg_pos + 1:]
+            for row in self.db.table_function(f"history_{table_name}")()
+        ]
 
     def document_names(self) -> list[str]:
         return sorted(self._doc_names)
@@ -277,7 +283,7 @@ class ArchIS:
             else relation.attribute_table(attribute)
         )
         with self.history_lock.read():
-            return history_rows(self.db, table, self._all_rows_of(table))
+            return self._history_of(table)
 
     # -- queries --------------------------------------------------------------------------
 
@@ -438,9 +444,7 @@ class ArchIS:
         with get_tracer().span("xquery.publish"), self.history_lock.read():
             documents = {
                 doc: publish_relation(
-                    self.db,
-                    self.relations[rel],
-                    rows_provider=self._all_rows_of,
+                    self.db, self.relations[rel], self._history_of
                 )
                 for doc, rel in self._doc_names.items()
             }
@@ -523,87 +527,6 @@ class ArchIS:
             params=dict(params or {}),
             plan=plan,
         )
-
-    # -- snapshots (the segment fast path, Section 6.3) -------------------------------------
-
-    def snapshot_rows(
-        self, relation_name: str, attribute: str, date: int
-    ) -> Result:
-        """(id, value) pairs of an attribute's snapshot at ``date``.
-
-        Returns a :class:`~repro.api.Result` with columns ``id`` and the
-        attribute name; the pairs are its ``rows``.
-        """
-        relation = self._relation(relation_name)
-        table_name = relation.attribute_table(attribute)
-        columns = ["id", attribute]
-        stats = {"table": table_name, "date": date}
-        with self.history_lock.read():
-            segno = self.segments.segment_for(date)
-            stats["segno"] = segno
-            if segno in self.archive.zipped_segments(table_name):
-                rows = self.archive.read_rows(table_name, [segno])
-                table = self.db.table(table_name)
-                tstart_pos = table.schema.position("tstart")
-                tend_pos = table.schema.position("tend")
-                stats["compressed"] = True
-                return Result(
-                    [
-                        (row[0], row[1])
-                        for row in rows
-                        if row[tstart_pos] <= date <= row[tend_pos]
-                    ],
-                    columns,
-                    stats=stats,
-                )
-            result = self.db.sql(
-                f"SELECT t.id, t.{attribute} FROM {table_name} t "
-                f"WHERE t.segno = :segno AND t.tstart <= :d AND t.tend >= :d",
-                {"segno": segno, "d": date},
-            )
-            stats["compressed"] = False
-        return Result(list(result.rows), columns, stats=stats)
-
-    def max_increase_one_scan(
-        self,
-        relation_name: str,
-        attribute: str,
-        after: int,
-        window_days: int,
-    ) -> float | None:
-        """The temporal join of Table 3 Q6 as a one-scan user-defined
-        aggregate (paper Section 8.3: "we effectively optimize the join
-        through a user-defined aggregate in one scan").
-
-        Finds the maximum value increase between two versions of the same
-        key where the later version starts within ``window_days`` of the
-        earlier one and the earlier starts at/after ``after``.  Only the
-        ``atlas`` profile uses this fast path.
-        """
-        if not self.profile.one_scan_join:
-            raise ArchisError(
-                "the one-scan join optimization is an ATLaS-profile feature"
-            )
-        best: float | None = None
-        open_versions: list[tuple[int, float]] = []  # (tstart, value)
-        last_id: object = None
-        for row in self.history(relation_name, attribute):
-            key, value, tstart, _ = row
-            if key != last_id:
-                open_versions = []
-                last_id = key
-            # drop versions that can no longer pair with later ones
-            open_versions = [
-                (s, v) for s, v in open_versions
-                if tstart - s <= window_days
-            ]
-            for earlier_start, earlier_value in open_versions:
-                if earlier_start >= after and tstart > earlier_start:
-                    increase = value - earlier_value
-                    if best is None or increase > best:
-                        best = increase
-            open_versions.append((tstart, value))
-        return best
 
     # -- compression ----------------------------------------------------------------------------
 

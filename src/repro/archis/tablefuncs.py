@@ -27,6 +27,14 @@ heap.  With a key the heap is probed through the ``(segno, id)`` index
 once per segment; without one the whole history is a heap scan.  Rows
 come out in the table's column order (``id, [value], tstart, tend,
 segno``).
+
+``rows()`` is the only reader of archived H-table rows:
+``ArchIS.history()``, ``ArchIS.publish()`` (and the XQuery native
+fallback) read ``history_<t>()``, and snapshot reconstruction
+(:mod:`repro.txn.reconstruct`) and every ``FOR SYSTEM_TIME`` or
+translated query read whichever of the three the planner picks.  Only
+the invariant checker (:mod:`repro.archis.validation`) reads the raw
+copies, because its job is to inspect them.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ intervals — so a snapshot cannot read them directly: it would see later
 (or worse, uncommitted) writes.  The archive already holds everything
 needed: the paper's snapshot query (Section 6.3) rebuilds a relation's
 state at day ``T`` from its key table (which keys were alive) and its
-attribute H-tables (each attribute's value at ``T``).
+attribute H-tables (each attribute's value at ``T``).  Each is one
+``FOR SYSTEM_TIME AS OF T`` SELECT, planned like any other time-travel
+read: the segment-restriction rule narrows ``history_<t>()`` to the
+segment covering ``T``, and the rows come from the table functions' one
+row source (:mod:`repro.archis.tablefuncs`), heap or BlockZIP alike.
 
 :func:`snapshot_table` materializes that reconstruction into an
 ephemeral in-memory :class:`~repro.rdb.table.Table` with the current
@@ -32,31 +36,6 @@ from repro.storage.pager import Pager
 _RECONSTRUCTIONS = get_registry().counter("txn.snapshot.reconstructions")
 
 
-def _alive_keys(archis, relation, day: int) -> list:
-    """Keys of ``relation`` whose key-table interval covers ``day``.
-
-    Mirrors ``ArchIS.snapshot_rows``: restricted to the segment covering
-    the day and read through the compressed archive when that segment
-    has been BlockZIPed.
-    """
-    table_name = relation.key_table
-    segno = archis.segments.segment_for(day)
-    table = archis.db.table(table_name)
-    tstart_pos = table.schema.position("tstart")
-    tend_pos = table.schema.position("tend")
-    if segno in archis.archive.zipped_segments(table_name):
-        rows = archis.archive.read_rows(table_name, [segno])
-        return [
-            row[0] for row in rows if row[tstart_pos] <= day <= row[tend_pos]
-        ]
-    result = archis.db.sql(
-        f"SELECT t.id FROM {table_name} t "
-        f"WHERE t.segno = :segno AND t.tstart <= :d AND t.tend >= :d",
-        {"segno": segno, "d": day},
-    )
-    return [row[0] for row in result.rows]
-
-
 def snapshot_table(archis, relation_name: str, day: int) -> Table:
     """The state of tracked relation ``relation_name`` at day ``day``,
     as an ephemeral in-memory table with the current table's schema.
@@ -65,15 +44,29 @@ def snapshot_table(archis, relation_name: str, day: int) -> Table:
     be recovered from the archive and come back as NULL.
     """
     relation = archis.relations[relation_name]
+    # one AS OF SELECT per H-table, on ``archis.db`` directly: the
+    # snapshot already holds its view of the archive, and ``ArchIS.sql``
+    # would re-take the history lock and drain the update log.  The day
+    # is a literal because segment restriction reads only literal bounds.
+    sql = archis.db.sql
+    as_of = f"FOR SYSTEM_TIME AS OF {int(day)}"
     # reconstruction reads the real catalog: drop the snapshot's own
     # overlay for this block or resolving the current table's schema
     # would re-enter the provider for the name being reconstructed
     with txcontext.providing_tables(None):
         current = archis.db.table(relation_name)
-        keys = sorted(_alive_keys(archis, relation, day))
+        keys = sorted(
+            key
+            for (key,) in sql(
+                f"SELECT t.id FROM {relation.key_table} t {as_of}"
+            ).rows
+        )
         values = {
             attribute: dict(
-                archis.snapshot_rows(relation_name, attribute, day).rows
+                sql(
+                    f"SELECT t.id, t.{attribute} FROM "
+                    f"{relation.attribute_table(attribute)} t {as_of}"
+                ).rows
             )
             for attribute in relation.attributes
         }
@@ -95,3 +88,4 @@ def snapshot_table(archis, relation_name: str, day: int) -> Table:
             view.insert(row)
     _RECONSTRUCTIONS.inc()
     return view
+

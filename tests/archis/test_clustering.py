@@ -137,7 +137,7 @@ class TestSegmentInvariants:
         assert set(s for s, _, _ in segments).issubset(window)
 
     def test_history_dedup_after_freezes(self, archis):
-        """history_rows deduplicates the freeze redundancy."""
+        """history() deduplicates the freeze redundancy."""
         churn(archis)
         unsegmented = make_archis(umin=None)
         churn(unsegmented)
@@ -145,12 +145,18 @@ class TestSegmentInvariants:
         noseg_history = unsegmented.history("employee", "salary")
         assert seg_history == noseg_history
 
-    def test_snapshot_rows_equal_unsegmented(self, archis):
+    def test_as_of_equal_unsegmented(self, archis):
         churn(archis)
         unsegmented = make_archis(umin=None)
         churn(unsegmented)
-        date = parse_date("1995-03-15")
-        a = sorted(archis.snapshot_rows("employee", "salary", date).rows)
-        b = sorted(unsegmented.snapshot_rows("employee", "salary", date).rows)
-        assert a == b
-        assert a  # non-empty: the window covers live employees
+        days = [parse_date("1995-03-15")]
+        for _, segstart, segend in archis.segments.archived_segments():
+            days += [segstart, (segstart + segend) // 2, segend, segend + 1]
+        for day in days:
+            query = (
+                "SELECT t.id, t.salary FROM employee_salary t "
+                f"FOR SYSTEM_TIME AS OF {day}"
+            )
+            a = sorted(archis.sql(query).rows)
+            assert a == sorted(unsegmented.sql(query).rows), day
+            assert a  # non-empty: every day has live employees

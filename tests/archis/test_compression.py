@@ -155,11 +155,25 @@ class TestCompressedArchive:
         assert after == [tuple(r) for r in before]
 
     def test_snapshot_identical_after_compression(self, frozen_archis):
-        date = parse_date("1995-03-15")
-        before = sorted(frozen_archis.snapshot_rows("employee", "salary", date).rows)
+        days = [parse_date("1995-03-15")]
+        for _, start, end in frozen_archis.segments.archived_segments():
+            days += [start, (start + end) // 2, end]
+
+        def as_of_all():
+            return [
+                sorted(
+                    frozen_archis.sql(
+                        "SELECT t.id, t.salary FROM employee_salary t "
+                        f"FOR SYSTEM_TIME AS OF {day}"
+                    ).rows
+                )
+                for day in days
+            ]
+
+        before = as_of_all()
         frozen_archis.compress_archive()
-        after = sorted(frozen_archis.snapshot_rows("employee", "salary", date).rows)
-        assert before == after
+        assert frozen_archis.archive.compressed_tables
+        assert as_of_all() == before
 
     def test_storage_shrinks_with_compression(self, frozen_archis):
         before = frozen_archis.storage_bytes()
@@ -220,12 +234,17 @@ class TestSegmentsFrozenAfterCompression:
                 r for r in history if r[2] < end and r[3] >= start
             ), f"FROM..TO in segment {segno}"
 
-    def test_snapshot_rows_reads_the_heap_segment(self, refrozen):
+    def test_snapshot_reconstruction_reads_every_segment(self, refrozen):
+        from repro.txn.reconstruct import snapshot_table
+
         history = refrozen.history("employee", "salary")
+        columns = refrozen.db.table("employee").schema.column_names
+        salary = columns.index("salary")
         for segno, start, end in refrozen.segments.archived_segments():
             day = (start + end) // 2
-            got = refrozen.snapshot_rows("employee", "salary", day).rows
-            assert sorted(got) == sorted(
+            view = snapshot_table(refrozen, "employee", day)
+            got = sorted((row[0], row[salary]) for row in view.rows())
+            assert got == sorted(
                 (i, s) for i, s, ts, te in history if ts <= day <= te
             ), f"snapshot in segment {segno}"
 

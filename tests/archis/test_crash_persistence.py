@@ -148,15 +148,19 @@ class TestCrashMatrix:
         self, tmp_path
     ):
         path = str(tmp_path / "snap.db")
+        as_of = (
+            "SELECT t.id, t.salary FROM employee_salary t "
+            "FOR SYSTEM_TIME AS OF 9150"
+        )
         archis = build_saved(path)
-        pre_rows = sorted(archis.snapshot_rows("employee", "salary", 9150).rows)
+        pre_rows = sorted(archis.sql(as_of).rows)
         advance_to_post(archis)
-        post_rows = sorted(archis.snapshot_rows("employee", "salary", 9150).rows)
+        post_rows = sorted(archis.sql(as_of).rows)
         with pytest.raises(InjectedCrash):
             with get_crash_points().crash_at("wal.checkpoint.page_applied", 3):
                 archis.save()
         again = ArchIS.open(path)
-        rows = sorted(again.snapshot_rows("employee", "salary", 9150).rows)
+        rows = sorted(again.sql(as_of).rows)
         assert rows in (pre_rows, post_rows)
         again.db.close()
 

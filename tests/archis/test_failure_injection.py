@@ -99,12 +99,6 @@ class TestTrackerMisuse:
         with pytest.raises(ArchisError):
             ArchIS(Database(), config=ArchISConfig(profile="oracle"))
 
-    def test_one_scan_join_requires_atlas(self):
-        archis = make_archis(profile="db2")
-        load_bob_history(archis)
-        with pytest.raises(ArchisError):
-            archis.max_increase_one_scan("employee", "salary", 0, 730)
-
 
 class TestTranslatorRejections:
     @pytest.fixture

@@ -1,9 +1,10 @@
 """End-to-end temporal SQL on the archive: ArchIS.sql / explain_sql.
 
-The SQL-native FOR SYSTEM_TIME path must agree with the engine's other
-time-travel surfaces (``snapshot_rows``, the ``history_`` functions) on
-single and segmented stores — and the plans must show the paper's
-access-path work (segment restriction) actually firing.
+The SQL-native FOR SYSTEM_TIME path must agree with the pointwise
+history model (``tests/model/oracle.py``) and with the engine's other
+temporal surfaces (XQuery, the ``history_`` functions) on single and
+segmented stores — and the plans must show the paper's access-path work
+(segment restriction) actually firing.
 """
 
 import pytest
@@ -12,6 +13,8 @@ from repro import ArchIS, ArchISConfig
 from repro.obs import get_registry
 from repro.rdb import ColumnType, Database
 from repro.util.timeutil import parse_date
+
+from tests.model.oracle import Oracle
 
 
 def build(**overrides):
@@ -34,17 +37,22 @@ def build(**overrides):
 
 
 def churn(archis, employees=9, rounds=6):
-    emp = archis.db.table("employee")
+    """Insert ``employees`` rows, then raise every salary ``rounds``
+    times 30 days apart; returns the model of the same changes."""
+    db = archis.db
+    emp = db.table("employee")
+    model = Oracle(("name", "salary"))
     for i in range(employees):
         emp.insert((i, f"e{i}", 1000 + i))
+        model.insert(db.current_date, (i, f"e{i}", 1000 + i))
     for round_no in range(rounds):
-        archis.db.advance_days(30)
+        db.advance_days(30)
         for i in range(employees):
-            emp.update_where(
-                lambda r, i=i: r["id"] == i,
-                {"salary": 2000 + round_no * 100 + i},
-            )
+            salary = 2000 + round_no * 100 + i
+            emp.update_where(lambda r, i=i: r["id"] == i, {"salary": salary})
+            model.update(db.current_date, i, "salary", salary)
     archis.apply_pending()
+    return model
 
 
 AS_OF = "1995-02-15"
@@ -58,17 +66,15 @@ def as_of_sql(date=AS_OF):
 
 
 class TestAsOfAgainstSnapshots:
-    def test_matches_snapshot_rows(self):
+    def test_matches_the_model(self):
         archis = build()
-        churn(archis)
-        got = archis.sql(as_of_sql()).rows
-        want = sorted(
-            (row[0], row[1])
-            for row in archis.snapshot_rows(
-                "employee", "salary", parse_date(AS_OF)
+        model = churn(archis)
+        for day in [parse_date(AS_OF), *model.days()]:
+            got = archis.sql(
+                "SELECT t.id, t.salary FROM employee_salary t "
+                f"FOR SYSTEM_TIME AS OF {day} ORDER BY t.id"
             ).rows
-        )
-        assert [tuple(r) for r in got] == want
+            assert got == sorted(model.snapshot("salary", day).items()), day
 
     def test_segmented_plan_restricts_segments(self):
         archis = build()
@@ -99,6 +105,36 @@ class TestTemporalOperatorsOnArchive:
         assert all(row[2] == "e1" for row in rows)
         starts = [row[3] for row in rows]
         assert starts == sorted(starts)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_temporal_join_matches_xquery_overlapinterval(self, compress):
+        from repro.bench import build_archis
+
+        _, archis, _ = build_archis(
+            employees=32,
+            years=6,
+            umin=0.4,
+            min_segment_rows=32,
+            compress=compress,
+        )
+        assert archis.segments.segment_count() >= 2
+        rows = archis.sql(
+            "SELECT a.id, a.salary, b.title, a.tstart, a.tend "
+            "FROM employee_salary a TEMPORAL JOIN employee_title b "
+            "ON a.id = b.id"
+        ).rows
+        xml = archis.xquery(
+            'for $e in doc("employees.xml")/employees/employee '
+            "for $s in $e/salary for $t in $e/title "
+            "where not(empty(overlapinterval($s, $t))) "
+            "return overlapinterval($s, $t)",
+            allow_fallback=False,
+        ).rows
+        assert rows
+        assert sorted((row[3], row[4]) for row in rows) == sorted(
+            (parse_date(e.get("tstart")), parse_date(e.get("tend")))
+            for e in xml
+        )
 
     def test_tavg_matches_xquery_temporal_aggregate(self):
         archis = build()

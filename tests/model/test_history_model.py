@@ -60,8 +60,14 @@ class Recorder:
                 self.oracle.history(attr)
             ), attr
         for day in self.oracle.days():
-            got = dict(self.archis.snapshot_rows("employee", "salary", day).rows)
-            assert got == self.oracle.snapshot("salary", day), day
+            for attr in ATTRIBUTES:
+                got = dict(
+                    self.archis.sql(
+                        f"SELECT t.id, t.{attr} FROM employee_{attr} t "
+                        f"FOR SYSTEM_TIME AS OF {day}"
+                    ).rows
+                )
+                assert got == self.oracle.snapshot(attr, day), (attr, day)
 
 
 @pytest.fixture(params=["db2", "atlas"])

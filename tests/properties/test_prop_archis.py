@@ -82,9 +82,12 @@ def test_snapshot_independent_of_segmentation(ops, offset):
     date = segmented.db.current_date - offset
     if date < 0:
         return
-    a = sorted(segmented.snapshot_rows("item", "price", date).rows)
-    b = sorted(unsegmented.snapshot_rows("item", "price", date).rows)
-    assert a == b
+    query = (
+        f"SELECT t.id, t.price FROM item_price t FOR SYSTEM_TIME AS OF {date}"
+    )
+    assert sorted(segmented.sql(query).rows) == sorted(
+        unsegmented.sql(query).rows
+    )
 
 
 @settings(max_examples=30, deadline=None)
