@@ -15,6 +15,10 @@ subsystem in one short run, then verifies the process is clean:
    run while the maintenance worker freezes and rewrites segments; the
    drained archive must pass every invariant check and the final
    snapshot must match the writers' last committed steps.
+5. **Shared plans** — two readers bind one cached keyed ``AS OF``
+   statement shape to different keys and days while a writer's commits
+   force segment freezes (which re-plan the shape); every answer must be
+   the committed value at its day.
 
 On exit the script fails if any ``repro-*`` thread or any socket file
 descriptor leaked.  Run it via ``scripts/check.sh`` or directly:
@@ -369,6 +373,108 @@ def stress_maintenance(seconds):
     return None
 
 
+def stress_shared_plan(seconds):
+    """Phase 5: two readers share a cached keyed AS OF plan across
+    freezes forced by a concurrent writer."""
+    db = Database()
+    db.set_date("1995-01-01")
+    db.create_table(
+        "employee",
+        [
+            ("id", ColumnType.INT),
+            ("name", ColumnType.VARCHAR),
+            ("salary", ColumnType.INT),
+        ],
+        primary_key=("id",),
+    )
+    archis = ArchIS(db, config=ArchISConfig(umin=0.8, min_segment_rows=16))
+    archis.track_table("employee", document_name="employees.xml")
+    manager = TxnManager(db, archis)
+    readers, writers = (1, 2), tuple(range(10, 18))
+    history = {}  # reader key -> [(day, salary)], in commit order
+    for key in readers + writers:
+        with manager.begin() as txn:
+            txn.sql(f"INSERT INTO employee VALUES ({key}, 'k{key}', 0)")
+        history[key] = [(txn.day, 0)]
+    for step in range(1, 8):
+        for key in readers:
+            with manager.begin() as txn:
+                txn.sql(
+                    f"UPDATE employee SET salary = {100 * key + step} "
+                    f"WHERE id = {key}"
+                )
+            history[key].append((txn.day, 100 * key + step))
+    first_day, last_day = history[1][0][0], history[2][-1][0] + 4
+    stop = threading.Event()
+    failures = []
+    hits = get_registry().counter("plan.cache.hits")
+    hits_before = hits.value
+    freezes_before = archis.segments.freeze_count
+
+    def expected(key, day):
+        values = [salary for start, salary in history[key] if start <= day]
+        return [(values[-1],)] if values else []
+
+    def reader(key):
+        day = first_day
+        try:
+            while not stop.is_set():
+                day = first_day + (day - first_day + 7) % (last_day - first_day)
+                rows = archis.sql(
+                    "SELECT t.salary FROM employee_salary t FOR SYSTEM_TIME "
+                    f"AS OF {day} WHERE t.id = {key}"
+                ).rows
+                if rows != expected(key, day):
+                    failures.append(f"key {key} day {day}: {rows}")
+                    return
+        except Exception as exc:
+            failures.append(exc)
+
+    def writer():
+        try:
+            step = 0
+            while archis.segments.freeze_count < freezes_before + 2:
+                step += 1
+                if step > 2000:
+                    failures.append("writes never forced a freeze")
+                    return
+                key = writers[step % len(writers)]
+                with manager.begin() as txn:
+                    txn.sql(
+                        f"UPDATE employee SET salary = {step} WHERE id = {key}"
+                    )
+                archis.apply_pending()
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=reader, args=(key,)) for key in readers
+    ]
+    for thread in threads:
+        thread.start()
+    write = threading.Thread(target=writer)
+    write.start()
+    write.join(timeout=max(seconds, 1.0) * 20)
+    time.sleep(min(seconds, 1.0) / 4)  # let readers re-plan past the freezes
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    if write.is_alive() or any(thread.is_alive() for thread in threads):
+        failures.append(RuntimeError("shared-plan stress thread stuck"))
+    freezes = archis.segments.freeze_count - freezes_before
+    shared = hits.value - hits_before
+    archis.close()
+    if failures:
+        return f"shared-plan errors: {failures[:3]}"
+    if shared == 0:
+        return "readers never bound the cached plan"
+    print(
+        f"  shared plans: {freezes} freezes under 2 readers, "
+        f"{shared} cache hits, every answer snapshot-exact"
+    )
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -387,6 +493,7 @@ def main():
         ("deadlock", stress_deadlock),
         ("group-commit", stress_group_commit),
         ("maintenance", lambda: stress_maintenance(args.seconds)),
+        ("shared-plan", lambda: stress_shared_plan(args.seconds)),
     ):
         error = phase()
         if error:

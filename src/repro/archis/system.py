@@ -121,20 +121,22 @@ class ArchIS:
         #: set by :class:`repro.txn.TxnManager` when a transaction layer
         #: is attached; apply_pending then only archives committed entries
         self.txn_manager = None
-        #: XQuery text -> [generation, Translation, rendered optimized SQL];
-        #: entries are dropped LRU past ``translation_cache_size`` and
-        #: invalidated when the generation (schema / clustering /
-        #: compression state) moves on.  Lookups, insertions and the
-        #: hit/miss counters share one lock so concurrent sessions keep
-        #: the LRU order intact and the counters exact.
+        #: XQuery text -> (generation, Translation); entries are dropped
+        #: LRU past ``translation_cache_size`` and invalidated when the
+        #: generation (schema / clustering / compression state) moves
+        #: on.  Lookups, insertions and the hit/miss counters share one
+        #: lock so concurrent sessions keep the LRU order intact and the
+        #: counters exact.
         self.translation_cache_size = config.translation_cache_size
-        self._translation_cache: OrderedDict[str, list] = OrderedDict()
+        self._translation_cache: OrderedDict[str, tuple] = OrderedDict()
         self._cache_lock = threading.RLock()
         #: queries slower than ``slow_query_log.threshold`` seconds are
         #: kept here (bounded); set the threshold to None to disable.
         self.slow_query_log = SlowQueryLog()
-        # let the segment-restriction optimizer rule see clustering state
+        # let the segment-restriction optimizer rule see clustering
+        # state, and the statement cache see when it changes
         self.db.segment_provider = self._segment_hints
+        self.db.segment_generation = self._segment_generation
         from repro.util.timeutil import FOREVER
 
         # tend with 'now' substitution (paper Section 4.3): the internal
@@ -298,28 +300,26 @@ class ArchIS:
             segments_overlapping=self.segments.segments_overlapping,
         )
 
+    def _segment_generation(self) -> tuple:
+        """``Database.segment_generation`` hook: moves whenever the
+        clustering state the optimizer reads changes."""
+        return (self.segments.generation, tuple(self.archive.compressed_tables))
+
     def _translation_generation(self) -> tuple:
         """Cache key component that moves whenever a cached Translation
-        (or its optimized rendering) could become stale: tracked views,
-        segment boundaries, compression state."""
-        return (
-            tuple(sorted(self._doc_names)),
-            self.segments.generation,
-            tuple(sorted(self.archive.compressed_tables)),
-        )
+        could become stale: tracked views, segment boundaries,
+        compression state."""
+        return (tuple(sorted(self._doc_names)), self._segment_generation())
 
     def translation(self, query: str):
         """The (LRU-cached) :class:`Translation` for an XQuery."""
-        return self._cached_translation(query)[1]
-
-    def _cached_translation(self, query: str) -> list:
         with self._cache_lock:
             generation = self._translation_generation()
             entry = self._translation_cache.get(query)
             if entry is not None and entry[0] == generation:
                 self._translation_cache.move_to_end(query)
                 _CACHE_HITS.inc()
-                return entry
+                return entry[1]
             _CACHE_MISSES.inc()
             from repro.archis.translator import translate
 
@@ -327,45 +327,31 @@ class ArchIS:
             # asking for the same new query would otherwise translate it
             # twice and double-count the miss.
             translation = translate(self, query)
-            entry = [generation, translation, None]
-            self._translation_cache[query] = entry
+            self._translation_cache[query] = (generation, translation)
             self._translation_cache.move_to_end(query)
             while len(self._translation_cache) > self.translation_cache_size:
                 self._translation_cache.popitem(last=False)
-            return entry
+            return translation
 
     def translate(self, query: str) -> str:
         """Translate XQuery on the H-views to SQL/XML on the H-tables.
 
-        The returned text is the *optimized* query: the translator's SQL
-        parsed, planned and rendered back after the rule pipeline ran, so
-        segment-restricted access paths (``segno = k``, ``seg_``/``slice_``
-        functions) appear in the SQL itself.  The rendering is cached
-        alongside the translation.
+        The returned text is the *optimized* query: the plan the
+        statement cache holds for the translator's SQL, rendered back to
+        SQL with this query's literals, so segment-restricted access
+        paths (``segno = k``, ``seg_``/``slice_`` functions) appear in
+        the SQL itself.
         """
-        with self._cache_lock:
-            entry = self._cached_translation(query)
-            if entry[2] is None:
-                entry[2] = self._optimized_sql(entry[1])
-            return entry[2]
-
-    def _optimized_sql(self, translation) -> str:
-        from repro.plan import PlanContext, build_logical, run_rules, to_sql
+        from repro.plan import to_sql
+        from repro.plan.render import bound_literals
         from repro.sql import ast as sql_ast
-        from repro.sql.parser import parse_sql
-        from repro.sql.planner import function_registry, source_scope
 
-        statement = parse_sql(translation.sql)
-        if not isinstance(statement, sql_ast.Select):
-            return translation.sql
-        scope = source_scope(self.db, statement.sources)
-        plan = build_logical(statement, scope)
-        if getattr(self.db, "optimizer_enabled", True):
-            ctx = PlanContext(
-                self.db, scope, function_registry(self.db)
-            )
-            plan, _ = run_rules(plan, ctx)
-        return to_sql(plan)
+        sql = self.translation(query).sql
+        bound = self.db.statements.prepare(sql)
+        if not isinstance(bound.statement, sql_ast.Select):
+            return sql
+        with bound_literals(bound.values):
+            return to_sql(bound.plan.optimized)
 
     def xquery(self, query: str, allow_fallback: bool = True) -> Result:
         """Answer a temporal XQuery against the (virtual) H-documents.
@@ -465,24 +451,22 @@ class ArchIS:
         path; use :meth:`explain_sql` / ``db.last_plan`` for the plan.
         """
         from repro.plan.build import select_is_temporal
-        from repro.sql import ast as sql_ast
-        from repro.sql.parser import parse_sql
-        from repro.sql.session import execute_statement
+        from repro.sql.lexer import statement_keyword
+        from repro.sql.session import execute_prepared
 
-        statement = parse_sql(text)
-        if not isinstance(statement, sql_ast.Select):
+        if statement_keyword(text) != "select":
             return self.db.sql(text, params)
-        temporal = select_is_temporal(statement)
         tracer = get_tracer()
         started = perf_counter()
         with tracer.span("archis.sql", sql=text):
             self.apply_pending()
+            # prepared after the drain and under the history lock: a
+            # drain can freeze a segment, and the plan reads segment state
             with self.history_lock.read():
-                result = execute_statement(
-                    self.db, statement, params, text=text
-                )
+                bound = self.db.statements.prepare(text)
+                result = execute_prepared(self.db, bound, params, text=text)
         elapsed = perf_counter() - started
-        if temporal:
+        if select_is_temporal(bound.statement):
             _TEMPORAL_QUERIES.inc()
             _TEMPORAL_SECONDS.observe(elapsed)
             self.slow_query_log.record(
@@ -700,6 +684,7 @@ class ArchIS:
                 "cache_hits": _CACHE_HITS.value,
                 "cache_misses": _CACHE_MISSES.value,
             },
+            "plan_cache": self.db.statements.stats(),
             "relations": sorted(self.relations),
             "compressed_tables": sorted(self.archive.compressed_tables),
             "slow_queries": [
@@ -745,7 +730,9 @@ class ArchIS:
     # -- measurement hooks ------------------------------------------------------------------------
 
     def reset_caches(self) -> None:
+        """Drop buffered pages, cached translations and cached plans."""
         self.db.reset_caches()
+        self.db.statements.clear()
         with self._cache_lock:
             self._translation_cache.clear()
 

@@ -132,6 +132,12 @@ METRIC_INVENTORY: dict[str, str] = {
     ),
     # -- plan / optimizer -----------------------------------------------
     "plan.rules_fired": "optimizer rule firings by rule",
+    "plan.cache.hits": "statements bound to a cached plan of their shape",
+    "plan.cache.misses": "statements of a shape with no cached plan",
+    "plan.cache.replans": (
+        "statements planned anew because no cached plan's guards "
+        "admitted their literals"
+    ),
     # -- temporal sql (FOR SYSTEM_TIME + sequenced operators) -----------
     "temporal.clauses": "FOR SYSTEM_TIME clauses planned, by kind",
     "temporal.queries": "temporal SQL statements executed via ArchIS.sql",

@@ -9,9 +9,35 @@ in the query text itself.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
+
 from repro.plan import nodes
 from repro.sql import ast
 from repro.util.timeutil import format_date
+
+#: the literal values lifted literals render as on this thread
+#: (``None``: each node's own, i.e. the values it was parsed with)
+_BINDING: ContextVar[tuple | None] = ContextVar("render_binding", default=None)
+
+
+@contextmanager
+def bound_literals(values) -> Iterator[None]:
+    """Render slotted literals with ``values`` inside the block, so a
+    plan shared by one statement shape shows one statement's literals."""
+    token = _BINDING.set(tuple(values))
+    try:
+        yield
+    finally:
+        _BINDING.reset(token)
+
+
+def _bound(node, own):
+    values = _BINDING.get()
+    if values is None or node.slot is None:
+        return own
+    return values[node.slot]
 
 # -- expressions --------------------------------------------------------------
 
@@ -31,9 +57,9 @@ def expr_to_sql(node) -> str:
 
 def _expr(node, parent_precedence: int) -> str:
     if isinstance(node, ast.Literal):
-        return _literal(node.value)
+        return _literal(_bound(node, node.value))
     if isinstance(node, ast.DateLiteral):
-        return f"DATE '{format_date(node.days)}'"
+        return f"DATE '{format_date(_bound(node, node.days))}'"
     if isinstance(node, ast.Param):
         return f":{node.name}"
     if isinstance(node, ast.ColumnRef):

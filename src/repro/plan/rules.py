@@ -1,9 +1,14 @@
 """The optimizer rules.
 
 Each rule is a pure function ``(plan, ctx) -> (plan, [detail, ...])``
-returning the rewritten plan and one human-readable detail string per
-firing.  Rules never change result semantics: a plan executed without
-them returns identical rows.
+returning the rewritten plan and one human-readable detail per firing.
+Rules never change result semantics: a plan executed without them
+returns identical rows.
+
+Every decision a rule takes on a literal's value is recorded in
+``ctx.guards`` (see :class:`repro.plan.optimizer.Guards`): the exact
+value where constants fold, the type where the key or a window date is
+read, and the segment range a window maps to.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import replace
 
 from repro.plan import nodes
 from repro.plan.build import referenced_aliases
+from repro.plan.optimizer import LazyDetail, bound_value
 from repro.plan.render import expr_to_sql
 from repro.sql import ast
 
@@ -33,13 +39,14 @@ def fold_constants(plan, ctx):
     (kept so the plan still shows the contradiction).
     """
     folded = 0
+    guards = ctx.guards
 
     def fold_conjuncts(predicates):
         nonlocal folded
         out = []
         for conjunct in predicates:
-            node = _fold_expr(conjunct)
-            verdict = _const_comparison(node)
+            node = _fold_expr(conjunct, guards)
+            verdict = _const_comparison(node, guards)
             if verdict is True:
                 folded += 1
                 continue
@@ -75,14 +82,16 @@ def _const_value(node):
     return None, False
 
 
-def _fold_expr(node):
+def _fold_expr(node, guards):
     """Fold constant arithmetic/concat/negation bottom-up."""
     if isinstance(node, ast.BinaryOp) and node.op in ("+", "-", "*", "/", "||"):
-        left = _fold_expr(node.left)
-        right = _fold_expr(node.right)
+        left = _fold_expr(node.left, guards)
+        right = _fold_expr(node.right, guards)
         lv, lok = _const_value(left)
         rv, rok = _const_value(right)
         if lok and rok:
+            guards.exact(left)
+            guards.exact(right)
             if node.op == "||":
                 return ast.Literal(_text(lv) + _text(rv))
             if lv is None or rv is None:
@@ -99,8 +108,10 @@ def _fold_expr(node):
             return ast.BinaryOp(node.op, left, right)
         return node
     if isinstance(node, ast.UnaryOp) and node.op == "-":
-        operand = _fold_expr(node.operand)
+        operand = _fold_expr(node.operand, guards)
         value, ok = _const_value(operand)
+        if ok:
+            guards.exact(operand)
         if ok and value is not None:
             return ast.Literal(-value)
         if operand is not node.operand:
@@ -109,15 +120,15 @@ def _fold_expr(node):
     if isinstance(node, ast.BinaryOp) and node.op in (
         "=", "<>", "<", "<=", ">", ">=",
     ):
-        left = _fold_expr(node.left)
-        right = _fold_expr(node.right)
+        left = _fold_expr(node.left, guards)
+        right = _fold_expr(node.right, guards)
         if left is not node.left or right is not node.right:
             return ast.BinaryOp(node.op, left, right)
         return node
     return node
 
 
-def _const_comparison(node):
+def _const_comparison(node, guards):
     """True/False for a constant comparison conjunct, else None."""
     if not isinstance(node, ast.BinaryOp):
         return None
@@ -127,6 +138,8 @@ def _const_comparison(node):
     rv, rok = _const_value(node.right)
     if not (lok and rok):
         return None
+    guards.exact(node.left)
+    guards.exact(node.right)
     if lv is None or rv is None:
         return False  # SQL comparisons with NULL never hold
     ops = {
@@ -170,7 +183,9 @@ def push_down_predicates(plan, ctx):
         leaf_aliases = nodes.node_aliases(node.child)
         pushed: dict[str, list] = {}
         remaining = []
-        derived = _implied_equalities(node.predicates, leaf_aliases, ctx.scope)
+        derived = _implied_equalities(
+            node.predicates, leaf_aliases, ctx.scope, ctx.guards
+        )
         for conjunct in node.predicates + derived:
             aliases = referenced_aliases(conjunct, ctx.scope)
             if len(aliases) == 1 and (alias := next(iter(aliases))) in leaf_aliases:
@@ -189,13 +204,15 @@ def push_down_predicates(plan, ctx):
     return walk(plan), details
 
 
-def _implied_equalities(conjuncts, leaf_aliases, scope) -> tuple:
+def _implied_equalities(conjuncts, leaf_aliases, scope, guards) -> tuple:
     """``column = constant`` conjuncts implied through column equalities.
 
     Columns joined by ``a.x = b.y`` conjuncts form classes; every
     constant one member equals is derived for the other members.  Sound
     under SQL's NULL rule: a NULL on either side fails the stated
     conjuncts, so the extra filter removes no row the Filter keeps.
+    Equal constants derive one conjunct, so the plan depends on which
+    constants are equal (``guards.equal_pattern``).
     """
     if len(leaf_aliases) < 2:
         return ()  # no equality between two sources
@@ -215,6 +232,8 @@ def _implied_equalities(conjuncts, leaf_aliases, scope) -> tuple:
         bound = _equals_constant(conjunct)
         if bound is not None:
             constants.append((scope.resolve(bound[0]), bound[1]))
+    if parent and len(constants) > 1:
+        guards.equal_pattern(value for _, value in constants)
     stated = set(constants)
     derived = []
     for column, value in constants:
@@ -295,12 +314,16 @@ def restrict_segments(plan, ctx):
         if hints is None:
             return node
         function, args = node.function, ()
-        window = _window_from_predicates(node.alias, node.predicates)
+        window = _window_from_predicates(
+            node.alias, node.predicates, ctx.guards
+        )
         if window is not None:
-            lo_date = window[0] if window[0] is not None else 0
-            hi_date = window[1] if window[1] is not None else _MAX_DATE
-            segnos = hints.segments_overlapping(lo_date, hi_date)
-            lo, hi = (min(segnos), max(segnos)) if segnos else (0, -1)
+            lo, hi = _segment_range(window, hints.segments_overlapping, None)
+            ctx.guards.check(
+                lambda values, window=window, hints=hints, lo=lo, hi=hi:
+                _segment_range(window, hints.segments_overlapping, values)
+                == (lo, hi)
+            )
             if lo == hi and not hints.compressed:
                 predicate = ast.BinaryOp(
                     "=", ast.ColumnRef(node.alias, "segno"), ast.Literal(lo)
@@ -313,15 +336,18 @@ def restrict_segments(plan, ctx):
                 )
             function = f"{'seg' if lo == hi else 'slice'}_{table}"
             args = (ast.Literal(lo), ast.Literal(hi))
-        key = _key_from_predicates(node.alias, node.predicates)
+        key = _key_from_predicates(node.alias, node.predicates, ctx.guards)
         if key is not None:
             args += (key, key)
         elif window is None:
             return node
-        detail = f"{node.alias}: history_{table}() -> {_call_sql(function, args)}"
-        if key is not None:
-            detail += f" for id = {expr_to_sql(key)}"
-        details.append(detail)
+        details.append(LazyDetail(
+            lambda alias=node.alias, table=table, function=function,
+            args=args, key=key: (
+                f"{alias}: history_{table}() -> {_call_sql(function, args)}"
+                + (f" for id = {expr_to_sql(key)}" if key is not None else "")
+            )
+        ))
         return nodes.FunctionScan(
             function, args, node.alias, node.columns, node.predicates
         )
@@ -333,13 +359,14 @@ def _call_sql(function, args) -> str:
     return f"{function}({', '.join(expr_to_sql(a) for a in args)})"
 
 
-def _key_from_predicates(alias, predicates):
+def _key_from_predicates(alias, predicates, guards):
     """The value node of an ``id = <int literal | :param>`` conjunct."""
     for predicate in predicates:
         bound = _equals_constant(predicate)
         if bound is None or not _is_column(bound[0], alias, "id"):
             continue
         value = bound[1]
+        guards.typed(value)
         if isinstance(value, ast.Param) or (
             isinstance(value, ast.Literal)
             and isinstance(value.value, int)
@@ -349,12 +376,13 @@ def _key_from_predicates(alias, predicates):
     return None
 
 
-def _window_from_predicates(alias, predicates):
-    """Extract a ``[lo, hi]`` date window from snapshot/slicing conjuncts.
+def _window_from_predicates(alias, predicates, guards):
+    """Extract a ``[lo, hi]`` window from snapshot/slicing conjuncts.
 
     Recognizes ``tstart <= D`` / ``tend >= D`` bounds (either side of the
     comparison) and ``toverlaps(tstart, tend, D1, D2)`` slicing calls with
-    literal dates.  Returns ``None`` when no bound was found.
+    literal dates.  Returns the ``(lo, hi)`` pair of date *nodes* (``None``
+    for an open side), or ``None`` when no bound was found.
     """
     lo = hi = None
     found = False
@@ -365,12 +393,17 @@ def _window_from_predicates(alias, predicates):
             bound = _column_bound(predicate, alias)
             if bound is None:
                 continue
-            column, op, date = bound
+            column, op, node = bound
+            if column not in ("tstart", "tend"):
+                continue
+            guards.typed(node)
+            if _const_date(node) is None:
+                continue
             if column == "tstart" and op in ("<", "<="):
-                hi = date
+                hi = node
                 found = True
             elif column == "tend" and op in (">", ">="):
-                lo = date
+                lo = node
                 found = True
         elif (
             isinstance(predicate, ast.FunctionCall)
@@ -383,25 +416,34 @@ def _window_from_predicates(alias, predicates):
                 and _is_column(end_col, alias, "tend")
             ):
                 continue
-            lo_date = _const_date(d1)
-            hi_date = _const_date(d2)
-            if lo_date is not None and hi_date is not None:
-                lo, hi = lo_date, hi_date
+            guards.typed(d1)
+            guards.typed(d2)
+            if _const_date(d1) is not None and _const_date(d2) is not None:
+                lo, hi = d1, d2
                 found = True
     return (lo, hi) if found else None
 
 
+def _segment_range(window, segments_overlapping, values) -> tuple:
+    """The ``(lo, hi)`` segment numbers a window overlaps under
+    ``values`` (``(0, -1)`` when none)."""
+    lo_node, hi_node = window
+    lo_date = 0 if lo_node is None else bound_value(lo_node, values)
+    hi_date = _MAX_DATE if hi_node is None else bound_value(hi_node, values)
+    segnos = segments_overlapping(lo_date, hi_date)
+    return (min(segnos), max(segnos)) if segnos else (0, -1)
+
+
 def _column_bound(node, alias):
-    """Normalize ``col OP const`` / ``const OP col`` to ``(col, op, date)``."""
+    """Normalize ``col OP const`` / ``const OP col`` to
+    ``(col, op, constant node)``."""
     if isinstance(node.left, ast.ColumnRef) and _is_owned(node.left, alias):
-        date = _const_date(node.right)
-        if date is not None:
-            return node.left.column, node.op, date
+        if _is_constant(node.right):
+            return node.left.column, node.op, node.right
     if isinstance(node.right, ast.ColumnRef) and _is_owned(node.right, alias):
-        date = _const_date(node.left)
-        if date is not None:
+        if _is_constant(node.left):
             flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[node.op]
-            return node.right.column, flipped, date
+            return node.right.column, flipped, node.left
     return None
 
 

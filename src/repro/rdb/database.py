@@ -79,8 +79,21 @@ class Database:
         #: by ArchIS so the segment-restriction rule can see clustering
         #: state without the SQL layer importing the archive
         self.segment_provider: Callable | None = None
-        #: the most recent SelectPlan executed through the session
-        #: (EXPLAIN reads its stage report)
+        #: optional hook ``() -> hashable`` installed beside it: moves
+        #: whenever that clustering state changes (segment boundaries,
+        #: the compressed-table set), so cached plans stop matching
+        self.segment_generation: Callable | None = None
+        #: bumped by every catalog, index and function registration
+        #: change; part of every statement-cache key
+        self._generation = 0
+        from repro.sql.cache import StatementCache
+
+        #: plans per statement shape (:mod:`repro.sql.cache`)
+        self.statements = StatementCache(self)
+        #: the most recent SELECT executed through the session, as a
+        #: :class:`repro.sql.cache.Bound`: its plan may be shared with
+        #: other statements of the same shape; ``report()`` renders this
+        #: statement's literals (EXPLAIN reads it)
         self.last_plan = None
 
     # -- clock ---------------------------------------------------------------
@@ -143,7 +156,9 @@ class Database:
                 raise CatalogError(f"table {name} already exists")
             schema = TableSchema(name, cols, primary_key)
             table = Table(schema, self.pool)
+            table.on_index_change = self.invalidate_plans
             self._tables[name] = table
+            self.invalidate_plans()
             return table
 
     def drop_table(self, name: str) -> None:
@@ -151,6 +166,19 @@ class Database:
             table = self.table(name)
             table.truncate()
             del self._tables[name]
+            self.invalidate_plans()
+
+    def invalidate_plans(self) -> None:
+        """Drop every cached plan: the catalog, an index or a function
+        registration changed."""
+        with self._catalog_lock:
+            self._generation += 1
+        self.statements.clear()
+
+    def plan_generation(self) -> tuple:
+        """What a cached plan was planned against besides its text."""
+        hook = self.segment_generation
+        return (self._generation, hook() if hook is not None else None)
 
     def table(self, name: str) -> Table:
         provider = txcontext.table_provider()
@@ -175,6 +203,7 @@ class Database:
     def register_function(self, name: str, fn: Callable) -> None:
         """Register a scalar SQL function (case-insensitive name)."""
         self._functions[name.lower()] = fn
+        self.invalidate_plans()
 
     def function(self, name: str) -> Callable | None:
         return self._functions.get(name.lower())
@@ -187,6 +216,7 @@ class Database:
         records from each BLOB").
         """
         self._table_functions[name.lower()] = fn
+        self.invalidate_plans()
 
     def table_function(self, name: str) -> Callable | None:
         return self._table_functions.get(name.lower())

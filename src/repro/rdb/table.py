@@ -91,6 +91,9 @@ class Table:
         if schema.primary_key:
             self._pk_index = BPlusTree()
         self._triggers: list[RowCallback] = []
+        #: called after an index is created or dropped (the owning
+        #: Database drops its cached plans)
+        self.on_index_change: Callable[[], None] | None = None
         # Physical latch (not a transaction lock): serializes heap/index
         # mutation and the snapshots reads take of them.
         self._latch = threading.RLock()
@@ -180,12 +183,16 @@ class Table:
             for rid, row in self._heap.scan():
                 self._index_insert(info, row, rid)
             self._indexes[name] = info
+        if self.on_index_change is not None:
+            self.on_index_change()
 
     def drop_index(self, name: str) -> None:
         with self._latch:
             if name not in self._indexes:
                 raise CatalogError(f"no index named {name}")
             del self._indexes[name]
+        if self.on_index_change is not None:
+            self.on_index_change()
 
     def _index_key(self, info: IndexInfo, row: tuple) -> tuple:
         return tuple(

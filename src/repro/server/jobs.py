@@ -49,7 +49,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.sql import ast
 from repro.sql.parser import parse_sql
-from repro.sql.session import execute_statement
+from repro.sql.session import execute_sql
 from repro.xmlkit.dom import Element
 from repro.xmlkit.serializer import serialize
 
@@ -347,13 +347,8 @@ class JobManager:
         result payload cached on the job (no engine objects retained)."""
         snapshot = self.manager.snapshot(job.day)
         if job.kind == "sql":
-            statement = parse_sql(job.text)
             result = snapshot.run(
-                execute_statement,
-                self.manager.db,
-                statement,
-                job.params,
-                text=job.text,
+                execute_sql, self.manager.db, job.text, job.params
             )
             rows = [
                 [

@@ -26,9 +26,8 @@ from repro.obs.promtext import render_prometheus
 from repro.obs.tracer import get_tracer
 from repro.server.encoding import CODEC, encode_result
 from repro.server.protocol import cell_default, check_request
-from repro.sql import ast
-from repro.sql.parser import parse_sql
-from repro.sql.session import execute_statement
+from repro.sql.lexer import statement_keyword
+from repro.sql.session import execute_sql
 
 _REQUESTS = get_registry().labeled_counter("server.requests")
 _ERRORS = get_registry().counter("server.errors")
@@ -227,17 +226,14 @@ class Session:
         transaction.  The split is decided by statement type — catching
         the snapshot's read-only rejection instead would also re-execute
         a SELECT whose TxnError had some unrelated cause."""
-        statement = parse_sql(text)
-        if isinstance(statement, ast.Select):
-            return self._snapshot.run(
-                execute_statement,
-                self.manager.db,
-                statement,
-                params,
-                text=text,
-            )
+        db = self.manager.db
+        if statement_keyword(text) == "select":
+            return self._snapshot.run(execute_sql, db, text, params)
+        # prepared before the transaction begins: a malformed statement
+        # fails without one
+        bound = db.statements.prepare(text)
         with self.manager.begin() as txn:
-            result = txn.sql(text, params)
+            result = self.manager.execute(txn, text, params, bound=bound)
         self._repin()
         return result
 

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 # -- expressions --------------------------------------------------------------
+
+# A literal parsed through the statement cache carries a ``slot``: its
+# index among the statement's lifted literals.  A compiled plan reads a
+# slotted literal from the execution's parameters (so one plan serves
+# every binding of the statement's shape) and EXPLAIN renders the bound
+# value.  Slots take no part in equality: rules compare literals by value.
 
 
 @dataclass(frozen=True)
 class Literal:
     value: object  # str, int, float, None
+    slot: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class DateLiteral:
     days: int
+    slot: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

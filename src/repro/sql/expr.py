@@ -93,14 +93,17 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
     """Compile an expression AST into a closure ``(env, params) -> value``.
 
     ``functions`` maps lower-case names to Python callables for scalar
-    functions (including the registered temporal UDFs).
+    functions (including the registered temporal UDFs).  A slotted
+    literal reads ``params[slot]``: the statement cache binds each
+    execution's literal values there, beside its ``:name`` parameters.
     """
-    if isinstance(node, ast.Literal):
-        value = node.value
+    if isinstance(node, (ast.Literal, ast.DateLiteral)):
+        slot = node.slot
+        if slot is not None:
+            # a lifted literal: bound per execution (statement cache)
+            return lambda env, params: params[slot]
+        value = node.days if isinstance(node, ast.DateLiteral) else node.value
         return lambda env, params: value
-    if isinstance(node, ast.DateLiteral):
-        days = node.days
-        return lambda env, params: days
     if isinstance(node, ast.Param):
         name = node.name
         def run_param(env, params):

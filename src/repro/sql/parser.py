@@ -5,12 +5,58 @@ from __future__ import annotations
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import Token, tokenize
+from repro.util.timeutil import parse_date
+
+
+def _number(text: str):
+    return float(text) if "." in text else int(text)
+
+
+def _day_number(text: str) -> int:
+    if "." in text:
+        raise ValueError(f"{text} is not a day number")
+    return int(text)
+
+
+#: how a lifted literal's token value becomes its AST value, by the
+#: grammar position it was parsed in.  The statement cache binds a new
+#: statement's literals with the converters its shape was parsed with;
+#: a converter that raises sends the statement back through the parser,
+#: which reports the error.
+CONVERTERS = {
+    "number": _number,
+    "day_number": _day_number,
+    "string": str,
+    "date": parse_date,
+}
 
 
 class SqlParser:
-    def __init__(self, text: str) -> None:
+    """Recursive descent over :func:`tokenize`'s tokens.
+
+    ``lifted`` maps the text offsets of the literals the statement cache
+    lifts out of the shape to their slot numbers; each becomes a slotted
+    ``Literal``/``DateLiteral`` and records, per slot, its converter name
+    (``converters``) and value (``values``).  A lifted literal the
+    grammar consumes as structure instead (never slotted) leaves its
+    converter ``None``.
+    """
+
+    def __init__(self, text: str, lifted: dict | None = None) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
+        self.lifted = lifted or {}
+        self.converters: list = [None] * len(self.lifted)
+        self.values: list = [None] * len(self.lifted)
+
+    def literal(self, token: Token, converter: str):
+        """The AST value of a literal token, and its slot if lifted."""
+        value = CONVERTERS[converter](token.value)
+        slot = self.lifted.get(token.pos)
+        if slot is not None:
+            self.converters[slot] = converter
+            self.values[slot] = value
+        return value, slot
 
     # -- plumbing ---------------------------------------------------------
 
@@ -246,7 +292,7 @@ class SqlParser:
             return ast.Param(token.value)
         if token.kind == "NUMBER" and "." not in token.value:
             self.next()
-            return ast.Literal(int(token.value))
+            return ast.Literal(*self.literal(token, "day_number"))
         if token.kind == "STRING" or self.at_keyword("date"):
             if self.at_keyword("date"):
                 self.next()
@@ -254,10 +300,8 @@ class SqlParser:
                 if token.kind != "STRING":
                     self.fail("DATE literal expects a string", token)
             self.next()
-            from repro.util.timeutil import parse_date
-
             try:
-                return ast.DateLiteral(parse_date(token.value))
+                return ast.DateLiteral(*self.literal(token, "date"))
             except ValueError:
                 self.fail(f"bad date {token.value!r} in temporal bound", token)
         self.fail("expected a date bound after FOR SYSTEM_TIME", token)
@@ -502,11 +546,10 @@ class SqlParser:
         token = self.peek()
         if token.kind == "NUMBER":
             self.next()
-            value = float(token.value) if "." in token.value else int(token.value)
-            return ast.Literal(value)
+            return ast.Literal(*self.literal(token, "number"))
         if token.kind == "STRING":
             self.next()
-            return ast.Literal(token.value)
+            return ast.Literal(*self.literal(token, "string"))
         if token.kind == "PARAM":
             self.next()
             return ast.Param(token.value)
@@ -519,9 +562,7 @@ class SqlParser:
                 literal = self.next()
                 if literal.kind != "STRING":
                     raise SqlSyntaxError("DATE literal expects a string")
-                from repro.util.timeutil import parse_date
-
-                return ast.DateLiteral(parse_date(literal.value))
+                return ast.DateLiteral(*self.literal(literal, "date"))
             if token.value == "case":
                 return self.parse_case()
             if token.value == "xmlelement":

@@ -11,9 +11,9 @@ from repro.obs.tracer import get_tracer
 from repro.rdb.database import Database
 from repro.rdb.types import ColumnType
 from repro.sql import ast
+from repro.sql.cache import Bound
 from repro.sql.expr import Scope, compile_expr
-from repro.sql.parser import parse_sql
-from repro.sql.planner import DmlMatchPlan, SelectPlan, function_registry
+from repro.sql.planner import function_registry
 from repro.sql.result import ResultSet
 
 _STATEMENTS = get_registry().counter("sql.statements")
@@ -34,32 +34,32 @@ _TYPE_MAP = {
 
 
 def execute_sql(db: Database, text: str, params: Mapping | None = None):
-    """Parse and execute one SQL statement.
+    """Prepare (through ``db.statements``) and execute one SQL statement.
 
     SELECT returns a :class:`ResultSet`; DML returns the affected row
     count; DDL returns 0.  Every statement is counted and timed
     (``sql.statements`` / ``sql.statement.seconds``) and emits a
     ``sql.statement`` span when tracing is enabled.
     """
-    return execute_statement(db, parse_sql(text), params, text=text)
+    return execute_prepared(db, db.statements.prepare(text), params, text=text)
 
 
-def execute_statement(
-    db: Database, statement, params: Mapping | None = None, *, text: str = ""
+def execute_prepared(
+    db: Database, bound: Bound, params: Mapping | None = None, *, text: str = ""
 ):
-    """Execute an already-parsed statement (same contract as
-    :func:`execute_sql`).
+    """Execute a prepared statement (same contract as :func:`execute_sql`).
 
-    The transaction layer parses first — it needs the statement shape to
+    The transaction layer prepares first — it needs the statement to
     compute the lock set — then executes through here, so a statement is
-    never parsed twice.
+    never prepared twice.  Prepare on the thread and under the snapshot
+    overlay the statement executes in: the plan depends on both.
     """
-    params = dict(params or {})
-    kind = type(statement).__name__
+    params = bound.params(params)
+    kind = type(bound.statement).__name__
     _STATEMENTS.inc()
     started = perf_counter()
     with get_tracer().span("sql.statement", kind=kind, sql=text) as span:
-        result = _dispatch(db, statement, params)
+        result = _dispatch(db, bound, params)
         if isinstance(result, ResultSet):
             _ROWS_RETURNED.inc(len(result.rows))
             span.set("rows_returned", len(result.rows))
@@ -69,19 +69,19 @@ def execute_statement(
     return result
 
 
-def _dispatch(db: Database, statement, params: dict):
+def _dispatch(db: Database, bound: Bound, params: dict):
+    statement, plan = bound.statement, bound.plan
     if isinstance(statement, ast.Select):
-        plan = SelectPlan(db, statement)
-        db.last_plan = plan
+        db.last_plan = bound
         return plan.execute(params)
     if isinstance(statement, ast.Insert):
         return _execute_insert(db, statement, params)
     if isinstance(statement, ast.InsertSelect):
-        return _execute_insert_select(db, statement, params)
+        return _execute_insert_select(db, statement, plan, params)
     if isinstance(statement, ast.Update):
-        return _execute_update(db, statement, params)
+        return _execute_update(db, statement, plan, params)
     if isinstance(statement, ast.Delete):
-        return _execute_delete(db, statement, params)
+        return _execute_delete(db, plan, params)
     if isinstance(statement, ast.CreateTable):
         return _execute_create_table(db, statement)
     if isinstance(statement, ast.CreateIndex):
@@ -132,8 +132,10 @@ def _execute_insert(db: Database, statement: ast.Insert, params) -> int:
     return count
 
 
-def _execute_insert_select(db: Database, statement: ast.InsertSelect, params) -> int:
-    result = SelectPlan(db, statement.select).execute(params)
+def _execute_insert_select(
+    db: Database, statement: ast.InsertSelect, plan, params
+) -> int:
+    result = plan.execute(params)
     table = db.table(statement.table)
     schema = table.schema
     count = 0
@@ -149,9 +151,8 @@ def _execute_insert_select(db: Database, statement: ast.InsertSelect, params) ->
     return count
 
 
-def _execute_update(db: Database, statement: ast.Update, params) -> int:
+def _execute_update(db: Database, statement: ast.Update, plan, params) -> int:
     table = db.table(statement.table)
-    plan = DmlMatchPlan(db, statement.table, statement.where)
     assignments = [
         (column, compile_expr(expr, plan.scope, plan.functions))
         for column, expr in statement.assignments
@@ -167,9 +168,8 @@ def _execute_update(db: Database, statement: ast.Update, params) -> int:
     return len(victims)
 
 
-def _execute_delete(db: Database, statement: ast.Delete, params) -> int:
-    table = db.table(statement.table)
-    plan = DmlMatchPlan(db, statement.table, statement.where)
+def _execute_delete(db: Database, plan, params) -> int:
+    table = db.table(plan.table_name)
     victims = [rid for rid, _ in plan.matches(params)]
     for rid in victims:
         table.delete_rid(rid)

@@ -110,10 +110,8 @@ def cmd_plan(args) -> int:
     """Show the three plan stages (logical / optimized / physical) of a
     query.  Accepts SQL directly, or an XQuery which is translated first."""
     from repro.errors import SqlPlanError
-    from repro.plan.render import to_sql
-    from repro.sql import parse_sql
+    from repro.plan.render import bound_literals, to_sql
     from repro.sql import ast as sql_ast
-    from repro.sql.planner import SelectPlan
 
     setup = _build(args)
     query = args.query
@@ -125,14 +123,14 @@ def cmd_plan(args) -> int:
         translation = setup.archis.translation(query)
         sql_text = translation.sql
         print(f"sql: {sql_text}\n")
-    statement = parse_sql(sql_text)
-    if not isinstance(statement, sql_ast.Select):
+    bound = setup.archis.db.statements.prepare(sql_text)
+    if not isinstance(bound.statement, sql_ast.Select):
         print("plan: only SELECT statements have plans", file=sys.stderr)
         return 1
-    plan = SelectPlan(setup.archis.db, statement)
-    print(plan.report().format())
+    print(bound.report().format())
     try:
-        print(f"\noptimized sql: {to_sql(plan.optimized)}")
+        with bound_literals(bound.values):
+            print(f"\noptimized sql: {to_sql(bound.plan.optimized)}")
     except (SqlPlanError, TypeError) as exc:
         print(f"\noptimized sql: (not renderable: {exc})")
     return 0
@@ -357,14 +355,16 @@ def cmd_top(args) -> int:
     """Live monitor: poll a running server's gauges and tail latencies.
 
     Each refresh issues one ``health`` and one ``metrics`` request and
-    prints the load gauges plus the quantile series of the key latency
-    histograms.  ``--iterations`` bounds the loop (default: forever).
+    prints the load gauges, the statement cache's hit/miss/replan
+    counters and the quantile series of the key latency histograms.
+    ``--iterations`` bounds the loop (default: forever).
     """
     import time
 
     from repro.server.client import Client
 
     watch = (
+        "repro_plan_cache_",
         "repro_server_request_seconds_quantile",
         "repro_txn_commit_seconds_quantile",
         "repro_txn_lock_wait_seconds_quantile",

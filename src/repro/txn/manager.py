@@ -40,8 +40,9 @@ from repro.obs.tracer import get_tracer
 from repro.rdb import txcontext
 from repro.rdb.database import Database
 from repro.sql import ast
+from repro.sql.lexer import statement_keyword
 from repro.sql.parser import parse_sql
-from repro.sql.session import execute_statement
+from repro.sql.session import execute_prepared, execute_sql
 from repro.txn.locks import HistoryLock, LockTable
 
 _BEGUN = get_registry().counter("txn.begun")
@@ -138,13 +139,11 @@ class Snapshot:
             return view
 
     def sql(self, text: str, params=None):
-        """Run a SELECT against the snapshot."""
-        statement = parse_sql(text)
-        if not isinstance(statement, ast.Select):
+        """Run a SELECT against the snapshot (prepared under its overlay)."""
+        if statement_keyword(text) != "select":
+            parse_sql(text)  # a malformed statement reports as one
             raise TxnError("snapshots are read-only; use a transaction")
-        return self.run(
-            execute_statement, self._manager.db, statement, params, text=text
-        )
+        return self.run(execute_sql, self._manager.db, text, params)
 
     def run(self, fn, *args, **kwargs):
         """Call ``fn`` with the snapshot pinned (for non-SQL read APIs,
@@ -297,12 +296,17 @@ class TxnManager:
 
     # -- statement execution ----------------------------------------------
 
-    def execute(self, txn: Transaction, text: str, params=None):
-        """Run one statement inside ``txn`` on the calling thread."""
+    def execute(self, txn: Transaction, text: str, params=None, bound=None):
+        """Run one statement inside ``txn`` on the calling thread.
+
+        ``bound`` is ``text`` already prepared by the caller
+        (``db.statements.prepare``), outside any snapshot overlay.
+        """
         self._check_active(txn)
         self._check_poisoned()
-        statement = parse_sql(text)
-        resources = self._lock_resources(statement)
+        if bound is None:
+            bound = self.db.statements.prepare(text)
+        resources = self._lock_resources(bound.statement)
         for resource in resources:
             self.locks.acquire(txn.id, resource)
         txcontext.set_clock(txn.day)
@@ -317,9 +321,7 @@ class TxnManager:
         )
         try:
             with history:
-                return execute_statement(
-                    self.db, statement, params, text=text
-                )
+                return execute_prepared(self.db, bound, params, text=text)
         finally:
             txcontext.set_clock(None)
             txcontext.set_undo_sink(None)

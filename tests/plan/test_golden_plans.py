@@ -2,9 +2,12 @@
 
 These pin the EXPLAIN format (``SelectPlan.report().format()``) and the
 optimized-SQL rendering so plan regressions show up as a readable diff.
-Run by ``scripts/check.sh``.
+Each report is taken cold (the statement cache's first plan of the
+shape) and again warm, after the same shape ran with other literals, and
+the two must be byte-identical.  Run by ``scripts/check.sh``.
 """
 
+import re
 import textwrap
 
 import pytest
@@ -26,9 +29,27 @@ def db():
     return database
 
 
+#: a number that is not part of a name, a date or another number
+_NUMBER = re.compile(r"(?<![\w.'-])\d+(?![\w.'-])")
+
+
+def other_literals(sql):
+    """The same statement shape with every number moved on by one."""
+    return _NUMBER.sub(lambda m: str(int(m.group()) + 1), sql)
+
+
 def report_of(db, sql):
-    plan = SelectPlan(db, parse_sql(sql))
-    return plan, plan.report().format()
+    """The plan of ``sql`` and its EXPLAIN report, planned cold through
+    the statement cache.  The report must read the same when ``sql``
+    binds to the plan the cache made for the shape with other literals
+    (or re-plans, where a guard refuses them)."""
+    bound = db.statements.prepare(sql)
+    report = bound.report().format()
+    db.statements.clear()
+    db.statements.prepare(other_literals(sql))
+    warm = db.statements.prepare(sql)
+    assert warm.report().format() == report
+    return bound.plan, report
 
 
 def golden(text):

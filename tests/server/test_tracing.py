@@ -126,6 +126,20 @@ class TestLiveExposition:
         ):
             assert f'{name}{{quantile="0.99"}}' in text
 
+    def test_top_shows_the_plan_cache_counters(self, served, capsys):
+        from repro.tools import main
+
+        _, _, _, host, port = served
+        with connect(served) as client:
+            for key in (1, 2):
+                client.execute(f"SELECT id FROM employee WHERE id = {key}")
+        assert main(
+            ["top", "--host", host, "--port", str(port), "--iterations", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        for name in ("hits", "misses", "replans"):
+            assert f"repro_plan_cache_{name} " in out
+
     def test_health_op_reports_gauges(self, served):
         with connect(served) as client:
             health = client.health()
