@@ -19,7 +19,8 @@ def main() -> None:
     queries = default_queries(generator)
     before_bytes = archis.storage_bytes()
     before_answers = {
-        q.key: archis.xquery(q.xquery, allow_fallback=False) for q in queries
+        q.key: archis.xquery(q.xquery, allow_fallback=False).rows
+        for q in queries
     }
 
     report = archis.compress_archive()
@@ -53,7 +54,7 @@ def main() -> None:
 
     print("\n== answers before vs after compression ==")
     for query in queries:
-        after = archis.xquery(query.xquery, allow_fallback=False)
+        after = archis.xquery(query.xquery, allow_fallback=False).rows
         same = canon(after) == canon(before_answers[query.key])
         print(f"  {query.key}: {'identical' if same else 'DIVERGED!'}")
         assert same

@@ -69,8 +69,9 @@ def build() -> ArchIS:
     return archis
 
 
-def show(title: str, results: list) -> None:
+def show(title: str, result) -> None:
     print(f"\n== {title} ==")
+    results = result.rows
     if not results:
         print("  (empty)")
     for item in results:

@@ -53,7 +53,7 @@ def main() -> None:
     for element in archis.xquery(
         'for $t in doc("employees.xml")/employees/employee[name="Bob"]/title '
         "return $t"
-    ):
+    ).rows:
         print(" ", serialize(element))
 
     print("\n== QUERY: Bob's salary on 1995-07-15 (snapshot) ==")
@@ -61,7 +61,7 @@ def main() -> None:
         'for $s in doc("employees.xml")/employees/employee[name="Bob"]'
         '/salary[tstart(.) <= xs:date("1995-07-15") and '
         'tend(.) >= xs:date("1995-07-15")] return $s'
-    ):
+    ).rows:
         print(" ", serialize(element))
 
     print("\n== the SQL/XML the translator emitted for the snapshot ==")

@@ -107,6 +107,14 @@ if [ -n "$STRAY_WAL" ]; then
 fi
 echo "no stray .tmp or WAL files left behind"
 
+echo "== examples =="
+# Every example runs end to end against the current API; one that exits
+# non-zero fails the gate.
+for example in examples/*.py; do
+    echo "-- $example"
+    PYTHONPATH=src timeout 300 python "$example" > /dev/null
+done
+
 echo "== WAL ingest smoke (spine ingest-hotkey) =="
 # File-backed archive, durable WAL batches, drain/compress/save, then a
 # reopen check against the oracle; exits non-zero on any wrong answer.

@@ -13,7 +13,16 @@ rows into:
   block range and period of each compressed segment.
 
 A keyed read of segment ``s`` inflates only the blocks of ``s``'s range
-that the directory admits — usually one.
+that the directory admits — usually one — and cuts each inflated block
+to the key's rows by bisection on its ``(segno, id)`` order (an
+all-integer block decodes only the rows the bisection reads; see
+:class:`~repro.archis.compression.RowRun`).
+
+Both side tables are written once, by :meth:`CompressedArchive.compress_table`.
+A reader therefore loads a table's directory (first keys, blob ids,
+segment ranges) once, on its first read after compression or after
+``ArchIS.open``, and keeps it.  A trigger on the two side tables drops
+the kept copy if anything else writes them.
 
 The live segment is never compressed ("the current segment has a high
 usefulness and is used for updates, thus not compressed").  A registered
@@ -25,7 +34,9 @@ from each BLOB").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Collection
 
 from repro.errors import ArchisError
 from repro.obs.metrics import get_registry
@@ -37,8 +48,8 @@ from repro.archis.clustering import SegmentManager
 _TABLES_COMPRESSED = get_registry().counter("blockzip.tables_compressed")
 from repro.archis.compression import (
     DEFAULT_BLOCK_SIZE,
+    block_rows,
     compress_records,
-    decompress_block,
 )
 
 
@@ -49,6 +60,41 @@ class CompressedTableInfo:
     segrange_table: str
     rows_compressed: int
     blocks: int
+
+
+@dataclass(frozen=True)
+class BlockDirectory:
+    """One compressed table's side tables, read once.
+
+    ``first_keys[b]`` is block ``b``'s first ``(segno, id)``, ``blob_ids[b]``
+    its BLOB, and ``ranges`` maps each compressed segment to its inclusive
+    block range.
+    """
+
+    first_keys: list[tuple]
+    blob_ids: list[int]
+    ranges: dict[int, tuple[int, int]]
+
+    def blocks_for(self, segnos, key: tuple | None) -> list[int]:
+        """Block numbers that can hold rows of ``segnos`` with ids in the
+        inclusive ``key`` range (any id when ``None``).
+
+        A block of a segment's range is admitted unless it starts above
+        ``(segno, id_hi)`` or the next block starts below ``(segno,
+        id_lo)``: with first keys in order, the admitted blocks are one
+        run, found by bisection.
+        """
+        first = self.first_keys
+        wanted: set[int] = set()
+        for segno in segnos:
+            if segno not in self.ranges:
+                continue
+            startblock, endblock = self.ranges[segno]
+            if key is not None:
+                startblock = max(startblock, bisect_left(first, (segno, key[0])) - 1)
+                endblock = min(endblock, bisect_right(first, (segno, key[1])) - 1)
+            wanted.update(range(startblock, endblock + 1))
+        return sorted(wanted)
 
 
 class CompressedArchive:
@@ -64,6 +110,7 @@ class CompressedArchive:
         self.segments = segments
         self.block_size = block_size
         self._compressed: dict[str, CompressedTableInfo] = {}
+        self._directories: dict[str, BlockDirectory] = {}
 
     @property
     def compressed_tables(self) -> dict[str, CompressedTableInfo]:
@@ -117,13 +164,25 @@ class CompressedArchive:
         for rid in victims:
             table.delete_rid(rid)
         table.compact()
-        self._register_table_function(table_name, blob_table)
         info = CompressedTableInfo(
             table_name, blob_table, segrange_table,
             len(frozen_rows), len(blocks),
         )
-        self._compressed[table_name] = info
+        self.adopt(info)
         return info
+
+    def adopt(self, info: CompressedTableInfo) -> None:
+        """Serve reads of a compressed table (just compressed, or
+        restored by ``ArchIS.open``)."""
+        self._compressed[info.table] = info
+        self._directories.pop(info.table, None)
+
+        def drop_directory(_op, _row, _old) -> None:
+            self._directories.pop(info.table, None)
+
+        for side_table in (info.blob_table, info.segrange_table):
+            self.db.table(side_table).add_trigger(drop_directory)
+        self._register_table_function(info.table)
 
     def _create_side_tables(self, blob_table: str, segrange_table: str) -> None:
         if not self.db.has_table(blob_table):
@@ -172,19 +231,18 @@ class CompressedArchive:
                 (segno, min(touching), max(touching), segstart, segend)
             )
 
-    def _register_table_function(self, table_name: str, blob_table: str) -> None:
-        db = self.db
+    def _register_table_function(self, table_name: str) -> None:
+        blobs = self.db.blobs
 
         def unzip(startblock: int | None = None, endblock: int | None = None):
             """Yield rows stored in the blocks [startblock, endblock]."""
-            for blockno, _, _, _, blob_id, _ in db.table(blob_table).rows():
-                if startblock is not None and blockno < startblock:
-                    continue
-                if endblock is not None and blockno > endblock:
-                    continue
-                yield from decompress_block(db.blobs.get(blob_id))
+            blob_ids = self.directory(table_name).blob_ids
+            first = 0 if startblock is None else max(startblock, 0)
+            last = len(blob_ids) - 1 if endblock is None else endblock
+            for blob_id in blob_ids[first : last + 1]:
+                yield from block_rows(blobs.get(blob_id))
 
-        db.register_table_function(f"unzip_{table_name}", unzip)
+        self.db.register_table_function(f"unzip_{table_name}", unzip)
 
     # -- reads -------------------------------------------------------------------
 
@@ -194,48 +252,39 @@ class CompressedArchive:
             raise ArchisError(f"{table_name} is not compressed")
         return info
 
-    def zipped_segments(self, table_name: str) -> set[int]:
+    def directory(self, table_name: str) -> BlockDirectory:
+        """The table's block directory, read from its side tables on first
+        use and kept until they change."""
+        directory = self._directories.get(table_name)
+        if directory is None:
+            info = self._info(table_name)
+            blocks = sorted(
+                (blockno, (segno, startid), blob_id)
+                for blockno, segno, _, _, blob_id, startid in self.db.table(
+                    info.blob_table
+                ).rows()
+            )
+            ranges = {
+                segno: (startblock, endblock)
+                for segno, startblock, endblock, _, _ in self.db.table(
+                    info.segrange_table
+                ).rows()
+            }
+            directory = BlockDirectory(
+                [first for _, first, _ in blocks],
+                [blob_id for _, _, blob_id in blocks],
+                ranges,
+            )
+            self._directories[table_name] = directory
+        return directory
+
+    def zipped_segments(self, table_name: str) -> Collection[int]:
         """The frozen segments of ``table_name`` held in BLOBs (none when
         the table is not compressed).  A segment frozen after compression
         stays in the heap and is not listed."""
-        info = self._compressed.get(table_name)
-        if info is None:
-            return set()
-        return {row[0] for row in self.db.table(info.segrange_table).rows()}
-
-    def _blocks_for(
-        self,
-        info: CompressedTableInfo,
-        directory: dict,
-        segnos: list[int] | None,
-        key: tuple | None,
-    ) -> list[int]:
-        """Block numbers that can hold rows of ``segnos`` (all segments
-        when ``None``) with ids in the inclusive ``key`` range.
-
-        ``directory`` maps block numbers to ``((segno, startid),
-        blob_id)``; only a keyed read consults it.
-        """
-        ranges = {
-            segno: (startblock, endblock)
-            for segno, startblock, endblock, _, _ in self.db.table(
-                info.segrange_table
-            ).rows()
-        }
-        wanted: set[int] = set()
-        for segno in ranges if segnos is None else segnos:
-            if segno not in ranges:
-                continue
-            startblock, endblock = ranges[segno]
-            for blockno in range(startblock, endblock + 1):
-                if key is not None:
-                    if directory[blockno][0] > (segno, key[1]):
-                        break  # this block and all later ones start above
-                    following = directory.get(blockno + 1)
-                    if following is not None and following[0] < (segno, key[0]):
-                        continue  # the next block starts below the key
-                wanted.add(blockno)
-        return sorted(wanted)
+        if table_name not in self._compressed:
+            return ()
+        return self.directory(table_name).ranges.keys()
 
     def read_rows(
         self,
@@ -249,37 +298,46 @@ class CompressedArchive:
         ``(id_lo, id_hi)`` range, to those ids.  Only the blocks that can
         hold such rows are decompressed — the BlockZIP payoff: a snapshot
         query inflates a segment's blocks, a keyed one about one block
-        per segment.  Without either, every block is read.
+        per segment — and each is cut to the wanted rows by bisection on
+        its ``(segno, id)`` order.  Without either, every block is read.
         """
-        info = self._info(table_name)
-        directory = {
-            blockno: ((segno, startid), blob_id)
-            for blockno, segno, _, _, blob_id, startid in self.db.table(
-                info.blob_table
-            ).rows()
-        }
+        directory = self.directory(table_name)
+        blobs = self.db.blobs
         if segnos is None and key is None:
-            blocks = sorted(directory)
-        else:
-            blocks = self._blocks_for(info, directory, segnos, key)
-        rows: list[tuple] = []
-        for blockno in blocks:
-            blob_id = directory[blockno][1]
-            rows.extend(decompress_block(self.db.blobs.get(blob_id)))
-        if segnos is None and key is None:
+            rows: list[tuple] = []
+            for blob_id in directory.blob_ids:
+                rows.extend(block_rows(blobs.get(blob_id)))
             return rows
+        segnos = sorted(directory.ranges if segnos is None else set(segnos))
         schema = self.db.table(table_name).schema
         seg_pos = schema.position("segno")
         id_pos = schema.position("id")
-        wanted = None if segnos is None else set(segnos)
-        return [
-            row
-            for row in rows
-            if (wanted is None or row[seg_pos] in wanted)
-            and (key is None or key[0] <= row[id_pos] <= key[1])
-        ]
+
+        def sid(row: tuple) -> tuple:
+            return (row[seg_pos], row[id_pos])
+
+        first_keys = directory.first_keys
+        rows = []
+        for blockno in directory.blocks_for(segnos, key):
+            block = block_rows(blobs.get(directory.blob_ids[blockno]))
+            # the wanted segments this block can hold: from its first
+            # key's segment to the next block's
+            low = bisect_left(segnos, first_keys[blockno][0])
+            high = (
+                bisect_right(segnos, first_keys[blockno + 1][0])
+                if blockno + 1 < len(first_keys)
+                else len(segnos)
+            )
+            for segno in segnos[low:high]:
+                if key is None:
+                    start = bisect_left(block, (segno,), key=sid)
+                    end = bisect_left(block, (segno + 1,), key=sid)
+                else:
+                    start = bisect_left(block, (segno, key[0]), key=sid)
+                    end = bisect_right(block, (segno, key[1]), key=sid)
+                rows.extend(block[start:end])
+        return rows
 
     def blocks_touched(self, table_name: str, segnos: list[int]) -> int:
         """How many blocks a read of ``segnos`` decompresses."""
-        # an unkeyed read takes whole segment ranges: no directory needed
-        return len(self._blocks_for(self._info(table_name), {}, segnos, None))
+        return len(self.directory(table_name).blocks_for(segnos, None))

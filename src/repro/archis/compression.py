@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     get_registry,
 )
-from repro.storage.record import decode_record, decode_run, encode_record
+from repro.storage.record import decode_record, encode_record, int_run
 
 _LEN = struct.Struct("<I")
 
@@ -124,15 +124,23 @@ def compress_records(
 
 def decompress_block(block: CompressedBlock | bytes) -> list[tuple]:
     """Decompress one block back into row tuples."""
+    rows = block_rows(block)
+    return list(rows) if isinstance(rows, RowRun) else rows
+
+
+def block_rows(block: CompressedBlock | bytes) -> RowRun | list[tuple]:
+    """Decompress one block into a sequence of its rows.  A block of
+    equal-length all-integer records — most H-table blocks — comes back
+    as a :class:`RowRun`, which decodes a row only when it is read."""
     data = block.data if isinstance(block, CompressedBlock) else block
     try:
         raw = zlib.decompress(data)
     except zlib.error as exc:
         raise CompressionError(f"corrupt BlockZIP block: {exc}") from exc
     _BLOCKS_DECOMPRESSED.inc()
-    rows = _decode_uniform_block(raw)
-    if rows is not None:
-        return rows
+    run = _uniform_run(raw)
+    if run is not None:
+        return run
     rows = []
     offset = 0
     end = len(raw)
@@ -146,9 +154,49 @@ def decompress_block(block: CompressedBlock | bytes) -> list[tuple]:
     return rows
 
 
-def _decode_uniform_block(raw: bytes) -> list[tuple] | None:
-    """Decode a block whose length prefixes are all equal in one run
-    (see :func:`~repro.storage.record.decode_run`), else ``None``."""
+class RowRun:
+    """The rows of an inflated block of equal-length all-integer records.
+
+    Every record was checked when the run was made (see
+    :func:`~repro.storage.record.int_run`), so row ``i`` is one
+    ``struct`` unpack at ``i * stride`` and a slice one ``iter_unpack``:
+    a bisection over the rows decodes only the rows it probes.
+    """
+
+    __slots__ = ("_raw", "_layout", "_stride", "_count")
+
+    def __init__(self, raw: bytes, layout, stride: int, count: int) -> None:
+        self._raw = raw
+        self._layout = layout
+        self._stride = stride
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self._layout.iter_unpack(self._raw)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._count)
+            if step != 1:
+                raise ValueError("a RowRun slice takes every row")
+            if stop <= start:
+                return []
+            view = memoryview(self._raw)[start * self._stride : stop * self._stride]
+            return list(self._layout.iter_unpack(view))
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("RowRun index out of range")
+        return self._layout.unpack_from(self._raw, index * self._stride)
+
+
+def _uniform_run(raw: bytes) -> RowRun | None:
+    """The rows of a block whose length prefixes are all equal and whose
+    records are all-integer (see :func:`~repro.storage.record.int_run`),
+    else ``None``."""
     if len(raw) < _LEN.size:
         return None
     (length,) = _LEN.unpack_from(raw, 0)
@@ -158,7 +206,8 @@ def _decode_uniform_block(raw: bytes) -> list[tuple] | None:
         raw[k::stride] != raw[k : k + 1] * count for k in range(_LEN.size)
     ):
         return None
-    return decode_run(raw, _LEN.size, count, stride, length)
+    layout = int_run(raw, _LEN.size, count, stride, length)
+    return None if layout is None else RowRun(raw, layout, stride, count)
 
 
 def iter_all_rows(blocks: Iterable[CompressedBlock | bytes]) -> Iterator[tuple]:

@@ -206,10 +206,7 @@ def load_archive(
             spec["table"], spec["blob_table"], spec["segrange_table"],
             spec["rows_compressed"], spec["blocks"],
         )
-        archis.archive._compressed[spec["table"]] = info
-        archis.archive._register_table_function(
-            spec["table"], spec["blob_table"]
-        )
+        archis.archive.adopt(info)
     if archis.maintenance is not None:
         # resume any rewrite a crash (or an unfinished queue) left behind
         archis.maintenance.kick()

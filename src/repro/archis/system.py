@@ -41,6 +41,8 @@ from repro.archis.config import (
 from repro.archis.htables import TrackedRelation, create_htables
 from repro.archis.publisher import publish_relation
 from repro.archis.tracker import HTableWriter, LogTracker, TriggerTracker
+from repro.archis.translator import Analyzer
+from repro.xquery.parser import query_shape
 
 _XQUERY_COUNT = get_registry().counter("archis.xquery.count")
 _XQUERY_SECONDS = get_registry().histogram("archis.xquery.seconds")
@@ -121,14 +123,15 @@ class ArchIS:
         #: set by :class:`repro.txn.TxnManager` when a transaction layer
         #: is attached; apply_pending then only archives committed entries
         self.txn_manager = None
-        #: XQuery text -> (generation, Translation); entries are dropped
-        #: LRU past ``translation_cache_size`` and invalidated when the
-        #: generation (schema / clustering / compression state) moves
-        #: on.  Lookups, insertions and the hit/miss counters share one
-        #: lock so concurrent sessions keep the LRU order intact and the
-        #: counters exact.
+        #: XQuery shape (the text with its value literals blanked, see
+        #: ``query_shape``) -> (generation, Template); entries are
+        #: dropped LRU past ``translation_cache_size`` and invalidated
+        #: when the generation (schema / clustering / compression state)
+        #: moves on.  Lookups, insertions and the hit/miss counters share
+        #: one lock so concurrent sessions keep the LRU order intact and
+        #: the counters exact.
         self.translation_cache_size = config.translation_cache_size
-        self._translation_cache: OrderedDict[str, tuple] = OrderedDict()
+        self._translation_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._cache_lock = threading.RLock()
         #: queries slower than ``slow_query_log.threshold`` seconds are
         #: kept here (bounded); set the threshold to None to disable.
@@ -312,26 +315,34 @@ class ArchIS:
         return (tuple(sorted(self._doc_names)), self._segment_generation())
 
     def translation(self, query: str):
-        """The (LRU-cached) :class:`Translation` for an XQuery."""
+        """The :class:`Translation` of an XQuery, bound from the LRU cache
+        of translated shapes: two queries that differ only in their value
+        literals share one entry, and a hit skips the parse and
+        Algorithm 1."""
+        key, literals = query_shape(query)
+        cache = self._translation_cache
         with self._cache_lock:
             generation = self._translation_generation()
-            entry = self._translation_cache.get(query)
-            if entry is not None and entry[0] == generation:
-                self._translation_cache.move_to_end(query)
+            entry = cache.get(key)
+            if (
+                entry is not None
+                and entry[0] == generation
+                and entry[1].answers(query)
+            ):
+                cache.move_to_end(key)
                 _CACHE_HITS.inc()
-                return entry[1]
-            _CACHE_MISSES.inc()
-            from repro.archis.translator import translate
-
-            # Translation happens under the lock: concurrent sessions
-            # asking for the same new query would otherwise translate it
-            # twice and double-count the miss.
-            translation = translate(self, query)
-            self._translation_cache[query] = (generation, translation)
-            self._translation_cache.move_to_end(query)
-            while len(self._translation_cache) > self.translation_cache_size:
-                self._translation_cache.popitem(last=False)
-            return translation
+                template = entry[1]
+            else:
+                _CACHE_MISSES.inc()
+                # Translation happens under the lock: concurrent sessions
+                # asking for the same new shape would otherwise translate
+                # it twice and double-count the miss.
+                template = Analyzer(self).template(query, literals)
+                cache[key] = (generation, template)
+                cache.move_to_end(key)
+                while len(cache) > self.translation_cache_size:
+                    cache.popitem(last=False)
+        return template.bind(literals)
 
     def translate(self, query: str) -> str:
         """Translate XQuery on the H-views to SQL/XML on the H-tables.
@@ -399,9 +410,7 @@ class ArchIS:
                 # other H-table mutator) out while the query scans
                 with self.history_lock.read():
                     with tracer.span("sql.execute"):
-                        result = self.db.sql(
-                            translation.sql, translation.params
-                        )
+                        result = self.db.sql(translation.sql)
                     with tracer.span("xquery.post"):
                         if translation.post is not None:
                             rows = translation.post(result)

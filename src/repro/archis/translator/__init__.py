@@ -5,14 +5,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.archis.translator.core import Analyzer, Translation
+from repro.xquery.parser import query_shape
 
 if TYPE_CHECKING:
     from repro.archis.system import ArchIS
 
 
 def translate(archis: "ArchIS", query: str) -> Translation:
-    """Full translation: SQL text plus post-processing step."""
-    return Analyzer(archis).translate(query)
+    """Full translation: SQL text plus post-processing step, translated
+    cold (no cache)."""
+    _, literals = query_shape(query)
+    return Analyzer(archis).template(query, literals).bind(literals)
 
 
 def translate_xquery(archis: "ArchIS", query: str) -> str:
@@ -31,7 +34,7 @@ def run_translated(archis: "ArchIS", sql_or_query: str) -> list:
         result = archis.db.sql(sql_or_query)
         return result.xml() or list(result.rows)
     translation = translate(archis, sql_or_query)
-    result = archis.db.sql(translation.sql, translation.params)
+    result = archis.db.sql(translation.sql)
     if translation.post is not None:
         return translation.post(result)
     return result.xml()

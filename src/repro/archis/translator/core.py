@@ -41,7 +41,8 @@ does; see DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, TYPE_CHECKING
 
@@ -67,7 +68,45 @@ class Translation:
 
     sql: str
     post: Callable | None = None
-    params: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Template:
+    """A translation with one hole per lifted literal: what the
+    translation cache keeps for a query shape (see
+    :func:`repro.xquery.parser.query_shape`).
+
+    ``parts`` is the SQL text around the holes, one more than there are
+    holes.  A hole is ``(kind, slot)``: :meth:`bind` fills it with
+    :func:`render_literal` of the shape's ``slot``-th literal, the same
+    renderer a fresh translation uses, so a bound template is the SQL a
+    fresh translation of that text would write.  A template whose text
+    lifted a literal the translator did not render as a value (one in a
+    direct constructor's content, say) is ``pinned`` to that text: it
+    holds its SQL whole and answers for no other binding.
+    """
+
+    parts: tuple[str, ...]
+    holes: tuple[tuple[str, int], ...]
+    post: Callable | None
+    pinned: str | None = None
+
+    def answers(self, query: str) -> bool:
+        return self.pinned is None or self.pinned == query
+
+    def bind(self, literals: list) -> Translation:
+        """The translation for one binding: ``literals`` as
+        :func:`~repro.xquery.parser.query_shape` lists them."""
+        parts = self.parts
+        out = [parts[0]]
+        for index, (kind, slot) in enumerate(self.holes, 1):
+            out.append(render_literal(kind, literals[slot][1]))
+            out.append(parts[index])
+        return Translation("".join(out), self.post)
+
+
+#: a hole in the translator's SQL before it is cut into a Template
+_HOLE = re.compile("\x00(\\d+)\x00")
 
 
 @dataclass
@@ -118,24 +157,52 @@ class Analyzer:
         self._alias_count = 0
         # mapped `order by` keys: (sql, descending)
         self.order_specs: list[tuple[str, bool]] = []
+        # every literal rendered into the SQL: (kind, Literal node)
+        self._holes: list[tuple[str, ast.Literal]] = []
 
     # -- entry --------------------------------------------------------------
 
-    def translate(self, query: str) -> Translation:
+    def template(self, query: str, literals: list) -> Template:
+        """Translate ``query`` into a :class:`Template` whose holes are
+        the shape's ``literals`` (``(pos, value)`` pairs, as
+        :func:`~repro.xquery.parser.query_shape` lists them)."""
         started = perf_counter()
+        tracer = get_tracer()
         try:
-            translation = self._translate_timed(query)
+            with tracer.span("xquery.parse"):
+                node = parse_xquery(query)
+            with tracer.span("sql.generate"):
+                marked = self._translate_node(node)
         finally:
             _TRANSLATE_SECONDS.observe(perf_counter() - started)
         _TRANSLATIONS.inc()
-        return translation
+        return self._cut(marked, query, literals)
 
-    def _translate_timed(self, query: str) -> Translation:
-        tracer = get_tracer()
-        with tracer.span("xquery.parse"):
-            node = parse_xquery(query)
-        with tracer.span("sql.generate"):
-            return self._translate_node(node)
+    def _cut(self, marked: Translation, query: str, literals: list) -> Template:
+        """Cut the marked SQL at its holes, each hole tied to the lifted
+        literal at its node's offset (the scanner and ``query_shape``
+        match a literal with the same pattern, so a literal at the same
+        offset is the same token).  When some hole has no lifted literal,
+        or some lifted literal no hole, the values of this text are
+        rendered in and the template is pinned to it."""
+        pieces = _HOLE.split(marked.sql)
+        rendered = [self._holes[int(i)] for i in pieces[1::2]]
+        slot_of = {pos: slot for slot, (pos, _) in enumerate(literals)}
+        holes = [(kind, slot_of.get(node.pos)) for kind, node in rendered]
+        slots = {slot for _, slot in holes}
+        if None not in slots and len(slots) == len(literals):
+            return Template(tuple(pieces[0::2]), tuple(holes), marked.post)
+        sql = [pieces[0]]
+        for (kind, node), part in zip(rendered, pieces[2::2]):
+            sql.append(render_literal(kind, node.value))
+            sql.append(part)
+        return Template(("".join(sql),), (), marked.post, pinned=query)
+
+    def _hole(self, kind: str, node: ast.Literal) -> str:
+        """Mark where ``node``'s value goes in the SQL; :func:`render_literal`
+        writes it there as a ``kind`` (see there)."""
+        self._holes.append((kind, node))
+        return f"\x00{len(self._holes) - 1}\x00"
 
     def _translate_node(self, node: object) -> Translation:
         wrapper = None
@@ -525,23 +592,22 @@ class Analyzer:
                 right_sql = f"tendval({right_sql})"
         # literal coercion for typed columns
         if left_var is not None and isinstance(node.right, ast.Literal):
-            right_sql = self._coerce_literal(node.right.value, left_var)
+            right_sql = self._coerce_literal(node.right, left_var)
         if right_var is not None and isinstance(node.left, ast.Literal):
-            left_sql = self._coerce_literal(node.left.value, right_var)
+            left_sql = self._coerce_literal(node.left, right_var)
         return f"{left_sql} {op} {right_sql}"
 
-    def _coerce_literal(self, value: object, var: VarInfo) -> str:
+    def _coerce_literal(self, node: ast.Literal, var: VarInfo) -> str:
         ctype = var.value_type()
-        if ctype in (ColumnType.INT, ColumnType.FLOAT) and isinstance(value, str):
-            return str(value)  # numeric literal in string form
-        return _sql_literal(value)
+        numeric = ctype in (ColumnType.INT, ColumnType.FLOAT)
+        return self._hole("numeric" if numeric else "value", node)
 
     def _operand(
         self, node: object, context: VarInfo | None
     ) -> tuple[str, VarInfo | None]:
         """Map an operand expression to SQL; returns (sql, var_if_value)."""
         if isinstance(node, ast.Literal):
-            return _sql_literal(node.value), None
+            return self._hole("value", node), None
         if isinstance(node, ast.ContextItem):
             if context is None:
                 raise _unsupported("'.' outside a predicate")
@@ -603,7 +669,7 @@ class Analyzer:
             literal = call.args[0]
             if not isinstance(literal, ast.Literal):
                 raise _unsupported("xs:date of a non-literal")
-            return f"DATE '{literal.value}'"
+            return self._hole("date", literal)
         if name == "current-date":
             return "current_date()"
         if name in ("tstart", "tend"):
@@ -694,12 +760,18 @@ class Analyzer:
                 f"{self._alias_col(var, 'tend')}"
             )
         if isinstance(node, ast.FunctionCall) and node.name.lower() == "telement":
-            dates = [self._function_value(a, context) if isinstance(a, ast.FunctionCall)
-                     else _sql_literal_date(a) for a in node.args]
+            dates = [self._date_sql(a, context) for a in node.args]
             if len(dates) != 2:
                 raise _unsupported("telement() needs two arguments")
             return f"{dates[0]}, {dates[1]}"
         raise _unsupported(f"interval argument {type(node).__name__}")
+
+    def _date_sql(self, node: object, context: VarInfo | None) -> str:
+        if isinstance(node, ast.FunctionCall):
+            return self._function_value(node, context)
+        if isinstance(node, ast.Literal):
+            return self._hole("date", node)
+        raise _unsupported("expected a date literal")
 
     # -- return clause (Algorithm 1 step 5) ------------------------------------------------------------
 
@@ -757,7 +829,7 @@ class Analyzer:
             sql, _ = self._operand(node, None)
             return [sql]
         if isinstance(node, ast.Literal):
-            return [_sql_literal(node.value)]
+            return [self._hole("value", node)]
         raise _unsupported(f"return of {type(node).__name__}")
 
     def _element_sql(self, var: VarInfo) -> str:
@@ -834,6 +906,27 @@ class Analyzer:
         return ", ".join(table.schema.column_names)
 
 
+#: the SQL lexer's number token: a string literal compared with a
+#: numeric column is written as a number only when it is one whole
+_NUMERIC = re.compile(r"\d+(?:\.\d+)?")
+
+
+def render_literal(kind: str, value: object) -> str:
+    """The SQL text of an XQuery literal — the only place one is written.
+
+    ``kind`` is where the translator put it: ``"value"`` (a number, an
+    escaped string or NULL), ``"numeric"`` (compared with a numeric
+    column: a string that is wholly a number is written as that number,
+    any other as an escaped string) or ``"date"`` (``DATE '…'``, escaped).
+    A literal's text never reaches the SQL unquoted unless it is a number.
+    """
+    if kind == "date":
+        return "DATE " + _sql_literal(str(value))
+    if kind == "numeric" and isinstance(value, str) and _NUMERIC.fullmatch(value):
+        return value
+    return _sql_literal(value)
+
+
 def _sql_literal(value: object) -> str:
     if value is None:
         return "NULL"
@@ -843,15 +936,3 @@ def _sql_literal(value: object) -> str:
         return str(value)
     escaped = str(value).replace("'", "''")
     return f"'{escaped}'"
-
-
-def _sql_literal_date(node: object) -> str:
-    if isinstance(node, ast.FunctionCall) and node.name.lower() == "xs:date":
-        literal = node.args[0]
-        if isinstance(literal, ast.Literal):
-            return f"DATE '{literal.value}'"
-    if isinstance(node, ast.Literal):
-        return f"DATE '{node.value}'"
-    raise _unsupported("expected a date literal")
-
-

@@ -562,7 +562,10 @@ class SqlParser:
                 literal = self.next()
                 if literal.kind != "STRING":
                     raise SqlSyntaxError("DATE literal expects a string")
-                return ast.DateLiteral(*self.literal(literal, "date"))
+                try:
+                    return ast.DateLiteral(*self.literal(literal, "date"))
+                except ValueError:
+                    self.fail(f"bad date {literal.value!r}", literal)
             if token.value == "case":
                 return self.parse_case()
             if token.value == "xmlelement":

@@ -183,23 +183,22 @@ def _decode_fields(data: bytes) -> tuple:
     return tuple(values)
 
 
-def decode_run(
+def int_run(
     data: bytes, start: int, count: int, stride: int, length: int
-) -> list[tuple] | None:
-    """Decode ``count`` all-integer records in one ``struct`` call.
+) -> struct.Struct | None:
+    """The ``struct`` that unpacks one record of an all-integer run.
 
     Record ``i`` is the ``length`` bytes at ``start + i * stride``; the
     ``stride - length`` bytes before each record (a length prefix, say)
-    are skipped.  Returns the rows in address order, or ``None`` when
-    any record of the run is not a NULL-free all-integer record of
-    exactly ``length`` bytes — the caller then decodes record by record.
+    are skipped, so the struct unpacks from ``start - (stride - length)
+    + i * stride``.  Every record of the run is checked first: ``None``
+    when any is not a NULL-free all-integer record of exactly
+    ``length`` bytes — the caller then decodes record by record.
     """
-    if count <= 0:
-        return []
     gap = stride - length
     low = start - gap
     high = low + count * stride
-    if length <= 0 or gap < 0 or low < 0 or high > len(data):
+    if count <= 0 or length <= 0 or gap < 0 or low < 0 or high > len(data):
         return None
     fields = data[start]
     size, header, _, _, _ = _INT_LAYOUTS[fields]
@@ -213,4 +212,22 @@ def decode_run(
     for position in range(header, length, 9):
         if data[start + position : high : stride] != tags:
             return None
-    return list(_int_struct(fields, gap).iter_unpack(memoryview(data)[low:high]))
+    return _int_struct(fields, gap)
+
+
+def decode_run(
+    data: bytes, start: int, count: int, stride: int, length: int
+) -> list[tuple] | None:
+    """Decode ``count`` all-integer records in one ``struct`` call.
+
+    The records are laid out as :func:`int_run` describes.  Returns the
+    rows in address order, or ``None`` when any record of the run is not
+    a NULL-free all-integer record of exactly ``length`` bytes.
+    """
+    if count <= 0:
+        return []
+    layout = int_run(data, start, count, stride, length)
+    if layout is None:
+        return None
+    low = start - (stride - length)
+    return list(layout.iter_unpack(memoryview(data)[low : low + count * stride]))

@@ -7,7 +7,7 @@ the query's for/let/where/return structure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 Expr = Union[
@@ -29,9 +29,12 @@ Expr = Union[
 
 @dataclass(frozen=True)
 class Literal:
-    """A string or numeric literal."""
+    """A string or numeric literal.  ``pos`` is its offset in the query
+    text (the translation cache maps it to a lifted value); it takes no
+    part in equality."""
 
     value: object
+    pos: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

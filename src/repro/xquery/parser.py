@@ -45,17 +45,88 @@ from repro.xquery.ast import (
     WhereClause,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w\-]*(?::[A-Za-z_][\w\-]*)?")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-_SYMBOLS = (
-    ":=", "//", "!=", "<=", ">=", "(", ")", "[", "]", "{", "}",
-    ",", "/", "$", ".", "=", "<", ">", "+", "-", "*", "@",
+# The token grammar, one alternative per token kind.  The scanner
+# matches one token with ``_TOKEN_RE``; :func:`query_shape` (the
+# translation cache's pass) finds literals with the same string and
+# number alternatives, so a literal it lifts spans what the scanner's
+# token at that offset spans.  Strings are possessive: a doubled quote
+# inside one is the quote itself, never its end.
+_STRING = r""""(?:[^"]|"")*+"|'(?:[^']|'')*+'"""
+_NUMBER = r"\d+(?:\.\d+)?"
+_NAME = r"[A-Za-z_][\w\-]*(?::[A-Za-z_][\w\-]*)?"
+_SYMBOL = r":=|//|!=|<=|>=|[()\[\]{},/$.=<>+\-*@]"
+
+_TOKEN_RE = re.compile(
+    f"(?P<STRING>{_STRING})|(?P<NUMBER>{_NUMBER})"
+    f"|(?P<NAME>{_NAME})|(?P<SYM>{_SYMBOL})"
 )
+_NAME_RE = re.compile(_NAME)
+_SPACE_RE = re.compile(r"\s*")
 
 _KEYWORD_OPS = {"and", "or", "div", "mod", "to"}
 
 
-@dataclass
+def _number(text: str) -> int | float:
+    return float(text) if "." in text else int(text)
+
+
+def _string(token: str) -> str:
+    quote = token[0]
+    return token[1:-1].replace(quote + quote, quote)
+
+
+# one match = a run of text without literals (kept verbatim: it is part
+# of the key) and the literal that ends it, if any.  A digit right after
+# a word character belongs to a name (``$e1``), not to a number.
+_SHAPE_RE = re.compile(
+    r"(?P<run>(?:[^\"'\d]++|(?<=\w)\d++)*+)"
+    f"(?:(?P<number>{_NUMBER})|(?P<string>{_STRING}))?"
+)
+#: a run ending in ``doc(`` makes the string after it the document's
+#: URI: structure (it picks the relation), not a value
+_STRUCTURAL_END = re.compile(r"(?<![\w\-:])(?:doc|document)\s*\(\s*\Z")
+_TAIL = 24
+
+
+def query_shape(text: str) -> tuple[tuple, list]:
+    """``(key, literals)``: the query's text with every value literal
+    replaced by its kind, and the replaced literals in order as
+    ``(pos, value)`` — ``pos`` and ``value`` as the parser's
+    :class:`~repro.xquery.ast.Literal` nodes carry them.
+
+    The key keeps the text between literals verbatim, so two queries
+    with equal keys differ only in those values.  A ``doc()`` URI stays
+    in the key.  The pass does not parse: it also lifts quoted or
+    numeric text the parser reads otherwise (in a comment, or in a
+    direct constructor's content), which the translator detects (see
+    ``Analyzer._cut``).  An unterminated string ends the pass: the whole
+    text is then the key and nothing is lifted.
+    """
+    parts: list[str] = []
+    literals: list[tuple[int, object]] = []
+    match = _SHAPE_RE.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        run = m.group("run")
+        parts.append(run)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "run":
+            break
+        token = m.group(kind)
+        if _STRUCTURAL_END.search(run[-_TAIL:]):
+            parts.append(token)
+            continue
+        parts.append(kind)
+        value = _number(token) if kind == "number" else _string(token)
+        literals.append((m.start(kind), value))
+    if pos != len(text):
+        return (text,), []
+    return tuple(parts), literals
+
+
+@dataclass(slots=True)
 class _Token:
     kind: str  # NAME, NUMBER, STRING, SYM, EOF
     value: str
@@ -78,61 +149,43 @@ class _ParserBase:
         return XQuerySyntaxError(f"{message} near {snippet!r} (offset {at})")
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            char = self.text[self.pos]
-            if char.isspace():
-                self.pos += 1
-            elif self.text.startswith("(:", self.pos):
-                depth = 1
-                scan = self.pos + 2
-                while scan < len(self.text) and depth:
-                    if self.text.startswith("(:", scan):
-                        depth += 1
-                        scan += 2
-                    elif self.text.startswith(":)", scan):
-                        depth -= 1
-                        scan += 2
-                    else:
-                        scan += 1
-                if depth:
-                    raise self._error("unterminated comment")
-                self.pos = scan
-            else:
+        text = self.text
+        while True:
+            self.pos = _SPACE_RE.match(text, self.pos).end()
+            if not text.startswith("(:", self.pos):
                 return
+            depth = 1
+            scan = self.pos + 2
+            while scan < len(text) and depth:
+                if text.startswith("(:", scan):
+                    depth += 1
+                    scan += 2
+                elif text.startswith(":)", scan):
+                    depth -= 1
+                    scan += 2
+                else:
+                    scan += 1
+            if depth:
+                raise self._error("unterminated comment")
+            self.pos = scan
 
     def _scan_token(self) -> _Token:
         self._skip_ws()
-        if self.pos >= len(self.text):
-            return _Token("EOF", "", self.pos)
         start = self.pos
-        char = self.text[start]
-        if char in ("'", '"'):
-            end = start + 1
-            parts = []
-            while end < len(self.text):
-                if self.text[end] == char:
-                    if self.text[end + 1 : end + 2] == char:  # doubled quote
-                        parts.append(char)
-                        end += 2
-                        continue
-                    self.pos = end + 1
-                    return _Token("STRING", "".join(parts), start)
-                parts.append(self.text[end])
-                end += 1
-            raise self._error("unterminated string literal", start)
-        match = _NUMBER_RE.match(self.text, start)
-        if match:
-            self.pos = match.end()
-            return _Token("NUMBER", match.group(0), start)
-        match = _NAME_RE.match(self.text, start)
-        if match:
-            self.pos = match.end()
-            return _Token("NAME", match.group(0), start)
-        for symbol in _SYMBOLS:
-            if self.text.startswith(symbol, start):
-                self.pos = start + len(symbol)
-                return _Token("SYM", symbol, start)
-        raise self._error(f"unexpected character {char!r}", start)
+        m = _TOKEN_RE.match(self.text, start)
+        if m is None:
+            if start >= len(self.text):
+                return _Token("EOF", "", start)
+            char = self.text[start]
+            if char in ("'", '"'):
+                raise self._error("unterminated string literal", start)
+            raise self._error(f"unexpected character {char!r}", start)
+        self.pos = m.end()
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "STRING":
+            value = _string(value)
+        return _Token(kind, value, start)
 
     def _peek(self) -> _Token:
         if self._cache is None:
@@ -443,11 +496,10 @@ class XQueryParser(_ParserBase):
         token = self._peek()
         if token.kind == "STRING":
             self._next()
-            return Literal(token.value), ()
+            return Literal(token.value, token.pos), ()
         if token.kind == "NUMBER":
             self._next()
-            value = float(token.value) if "." in token.value else int(token.value)
-            return Literal(value), ()
+            return Literal(_number(token.value), token.pos), ()
         if token.kind == "SYM" and token.value == "$":
             self._next()
             name = self._expect("NAME").value

@@ -300,3 +300,60 @@ class TestKeyedBlockReads:
             assert small_blocks.sql(query).rows == keyed
         finally:
             small_blocks.db.optimizer_enabled = True
+
+    def test_directory_is_read_once_and_dropped_on_a_side_table_write(
+        self, small_blocks
+    ):
+        archive = small_blocks.archive
+        info = archive.compressed_tables["employee_salary"]
+        directory = archive.directory("employee_salary")
+        archive.read_rows("employee_salary", [1], (5, 5))
+        assert archive.directory("employee_salary") is directory
+        blob_table = small_blocks.db.table(info.blob_table)
+        blob_table.update_where(
+            lambda r: r["blockno"] == 0, {"startid": 10**6}
+        )
+        fresh = archive.directory("employee_salary")
+        assert fresh is not directory
+        assert fresh.first_keys[0][1] == 10**6
+
+    def test_concurrent_keyed_reads_with_directory_reloads(self, small_blocks):
+        import sys
+        import threading
+
+        archive = small_blocks.archive
+        zipped = sorted(archive.zipped_segments("employee_salary"))
+        want = {
+            (segno, key): archive.read_rows("employee_salary", [segno], (key, key))
+            for segno in zipped
+            for key in range(12)
+        }
+        failures = []
+
+        def reader(worker):
+            try:
+                for n in range(60):
+                    if n % 7 == worker:
+                        archive._directories.clear()  # a reload mid-stream
+                    segno = zipped[(worker + n) % len(zipped)]
+                    key = (worker * 5 + n) % 12
+                    got = archive.read_rows("employee_salary", [segno], (key, key))
+                    if got != want[segno, key]:
+                        failures.append((segno, key))
+            except Exception as exc:  # pragma: no cover - surfaced below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(w,)) for w in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures

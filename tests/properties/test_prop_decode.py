@@ -12,7 +12,7 @@ import zlib
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from repro.archis.compression import compress_records, decompress_block
+from repro.archis.compression import block_rows, compress_records, decompress_block
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
@@ -166,6 +166,32 @@ def test_heap_reads_match_a_model(ops):
 def test_decompress_block_matches_per_record_loop(rows, block_size):
     for block in compress_records(rows, block_size=block_size):
         assert decompress_block(block) == reference_block(block.data)
+
+
+@seed(31)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.one_of(
+            st.lists(int_row(n), max_size=200), st.lists(shaped_row(n), max_size=200)
+        )
+    ),
+    st.integers(min_value=200, max_value=4000),
+    st.integers(-250, 250),
+    st.integers(-250, 250),
+)
+def test_block_rows_index_and_slice_like_the_list(rows, block_size, low, high):
+    """``block_rows`` may decode lazily: every index and slice reads as
+    the per-record loop's list does."""
+    for block in compress_records(rows, block_size=block_size):
+        lazy, want = block_rows(block.data), reference_block(block.data)
+        assert len(lazy) == len(want)
+        assert [lazy[i] for i in range(-len(want), len(want))] == want + want
+        assert lazy[low:high] == want[low:high]
+        assert list(lazy) == want
+        for index in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                lazy[index]
 
 
 @seed(31)
