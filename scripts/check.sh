@@ -68,6 +68,18 @@ if [ -n "$HISTORY_READERS" ]; then
 fi
 echo "no references to removed legacy API surface"
 
+echo "== python 3.10 regex lint =="
+# requires-python is >=3.10, whose re module rejects possessive
+# quantifiers (`*+`, `++`, `?+`, `}+`) and atomic groups (`(?>`): an
+# import that compiles one fails there.
+PY311_RE="$(grep -rnE '(\*|\+|\?|\})\+|\(\?>' --include='*.py' src || true)"
+if [ -n "$PY311_RE" ]; then
+    echo "FAIL: regex syntax newer than Python 3.10:" >&2
+    echo "$PY311_RE" >&2
+    exit 1
+fi
+echo "no 3.11-only regex syntax"
+
 echo "== metric inventory lint =="
 # Every metric emitted under src/ must be documented in
 # repro.obs.METRIC_INVENTORY (its # HELP text in the exposition).

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import ceil, floor
 from typing import Collection
 
 from repro.errors import ArchisError
@@ -237,8 +238,12 @@ class CompressedArchive:
         def unzip(startblock: int | None = None, endblock: int | None = None):
             """Yield rows stored in the blocks [startblock, endblock]."""
             blob_ids = self.directory(table_name).blob_ids
-            first = 0 if startblock is None else max(startblock, 0)
-            last = len(blob_ids) - 1 if endblock is None else endblock
+            first = 0 if startblock is None else max(ceil(startblock), 0)
+            last = len(blob_ids) - 1
+            if endblock is not None:
+                last = min(floor(endblock), last)
+            if last < first:
+                return
             for blob_id in blob_ids[first : last + 1]:
                 yield from block_rows(blobs.get(blob_id))
 

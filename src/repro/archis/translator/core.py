@@ -592,15 +592,19 @@ class Analyzer:
                 right_sql = f"tendval({right_sql})"
         # literal coercion for typed columns
         if left_var is not None and isinstance(node.right, ast.Literal):
-            right_sql = self._coerce_literal(node.right, left_var)
+            right_sql = self._coerce_literal(node.right, left_var, op)
         if right_var is not None and isinstance(node.left, ast.Literal):
-            left_sql = self._coerce_literal(node.left, right_var)
+            left_sql = self._coerce_literal(node.left, right_var, op)
         return f"{left_sql} {op} {right_sql}"
 
-    def _coerce_literal(self, node: ast.Literal, var: VarInfo) -> str:
-        ctype = var.value_type()
-        numeric = ctype in (ColumnType.INT, ColumnType.FLOAT)
-        return self._hole("numeric" if numeric else "value", node)
+    def _coerce_literal(self, node: ast.Literal, var: VarInfo, op: str) -> str:
+        if var.value_type() not in (ColumnType.INT, ColumnType.FLOAT):
+            return self._hole("value", node)
+        if isinstance(node.value, str) and op not in ("=", "<>"):
+            # the native evaluator orders a string and a value's text
+            # as strings, which a numeric column cannot
+            raise _unsupported("a string ordered against a numeric column")
+        return self._hole("numeric", node)
 
     def _operand(
         self, node: object, context: VarInfo | None
@@ -906,25 +910,38 @@ class Analyzer:
         return ", ".join(table.schema.column_names)
 
 
-#: the SQL lexer's number token: a string literal compared with a
-#: numeric column is written as a number only when it is one whole
-_NUMERIC = re.compile(r"\d+(?:\.\d+)?")
+#: a number as the SQL lexer reads it, with an optional sign
+_NUMBER_TEXT = re.compile(r"-?\d+(?:\.\d+)?")
 
 
 def render_literal(kind: str, value: object) -> str:
     """The SQL text of an XQuery literal — the only place one is written.
 
     ``kind`` is where the translator put it: ``"value"`` (a number, an
-    escaped string or NULL), ``"numeric"`` (compared with a numeric
-    column: a string that is wholly a number is written as that number,
-    any other as an escaped string) or ``"date"`` (``DATE '…'``, escaped).
-    A literal's text never reaches the SQL unquoted unless it is a number.
+    escaped string or NULL), ``"numeric"`` (tested for equality with a
+    numeric column, see :func:`_numeric_text`) or ``"date"``
+    (``DATE '…'``, escaped).  A literal's text never reaches the SQL
+    unquoted unless it is a number.
     """
     if kind == "date":
         return "DATE " + _sql_literal(str(value))
-    if kind == "numeric" and isinstance(value, str) and _NUMERIC.fullmatch(value):
-        return value
+    if kind == "numeric" and isinstance(value, str):
+        return _numeric_text(value)
     return _sql_literal(value)
+
+
+def _numeric_text(text: str) -> str:
+    """A string tested for equality with a numeric column, written as a
+    number.  The native evaluator compares the string with the value's
+    text; the SQL compares numbers.  The two agree exactly when the
+    string is its number's own text (``"17"``, ``"-1"``, ``"4.5"``, not
+    ``"007"``, ``" 5"`` or ``"3.0"``), so any other string is not
+    translated and the query falls back to the native evaluator."""
+    if _NUMBER_TEXT.fullmatch(text):
+        number = float(text) if "." in text else int(text)
+        if _sql_literal(number) == text:
+            return text
+    raise _unsupported(f"string {text!r} compared with a number")
 
 
 def _sql_literal(value: object) -> str:

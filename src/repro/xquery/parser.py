@@ -49,9 +49,9 @@ from repro.xquery.ast import (
 # matches one token with ``_TOKEN_RE``; :func:`query_shape` (the
 # translation cache's pass) finds literals with the same string and
 # number alternatives, so a literal it lifts spans what the scanner's
-# token at that offset spans.  Strings are possessive: a doubled quote
-# inside one is the quote itself, never its end.
-_STRING = r""""(?:[^"]|"")*+"|'(?:[^']|'')*+'"""
+# token at that offset spans.  A doubled quote inside a string is the
+# quote itself: the greedy match takes the pair before the closing quote.
+_STRING = r""""(?:[^"]|"")*"|'(?:[^']|'')*'"""
 _NUMBER = r"\d+(?:\.\d+)?"
 _NAME = r"[A-Za-z_][\w\-]*(?::[A-Za-z_][\w\-]*)?"
 _SYMBOL = r":=|//|!=|<=|>=|[()\[\]{},/$.=<>+\-*@]"
@@ -77,9 +77,10 @@ def _string(token: str) -> str:
 
 # one match = a run of text without literals (kept verbatim: it is part
 # of the key) and the literal that ends it, if any.  A digit right after
-# a word character belongs to a name (``$e1``), not to a number.
+# a word character belongs to a name (``$e1``), not to a number.  The
+# literal group is optional, so a match never backtracks into the run.
 _SHAPE_RE = re.compile(
-    r"(?P<run>(?:[^\"'\d]++|(?<=\w)\d++)*+)"
+    r"(?P<run>(?:[^\"'\d]+|(?<=\w)\d+)*)"
     f"(?:(?P<number>{_NUMBER})|(?P<string>{_STRING}))?"
 )
 #: a run ending in ``doc(`` makes the string after it the document's

@@ -181,3 +181,29 @@ def test_keyed_reads_equal_the_full_decode_filter(archives, layout, table):
         assert inflated == len(admitted), read
 
     check()
+
+
+@pytest.mark.parametrize("layout", ["memory", "reopened"])
+def test_unzip_yields_the_blocks_in_range(archives, layout):
+    """``unzip_<t>(startblock, endblock)`` yields the rows of the blocks
+    numbered ``startblock..endblock`` (an open end when NULL), in block
+    order: a bound below 0 or past the last block selects no block there."""
+    archis = archives[layout]
+    table = "employee_salary"
+    unzip = archis.db.table_function(f"unzip_{table}")
+    blocks = blob_rows(archis, table)
+    bounds = st.none() | st.integers(-len(blocks) - 2, len(blocks) + 2)
+
+    @seed(41)
+    @settings(max_examples=60, deadline=None)
+    @given(start=bounds, end=bounds)
+    def check(start, end):
+        expected = []
+        for blockno, _, _, _, blob_id, _ in blocks:
+            if (start is None or blockno >= start) and (
+                end is None or blockno <= end
+            ):
+                expected.extend(reference_block(archis.db.blobs.get(blob_id)))
+        assert list(unzip(start, end)) == expected, (start, end)
+
+    check()
