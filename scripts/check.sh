@@ -66,6 +66,16 @@ if [ -n "$HISTORY_READERS" ]; then
     echo "$HISTORY_READERS" >&2
     exit 1
 fi
+# The executor's rows are positional tuples (expressions read row[i],
+# joins concatenate tuples); the (alias, column)-keyed dict environments
+# were deleted.  Keep them deleted.
+ROW_DICTS="$(grep -rnE 'dict\(zip\(|\benv\.get\(' \
+    --include='*.py' src/repro/plan src/repro/sql/expr.py || true)"
+if [ -n "$ROW_DICTS" ]; then
+    echo "FAIL: executor rows are tuples read by position, not dict environments:" >&2
+    echo "$ROW_DICTS" >&2
+    exit 1
+fi
 echo "no references to removed legacy API surface"
 
 echo "== python 3.10 regex lint =="

@@ -39,6 +39,7 @@ copies, because its job is to inspect them.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.util.timeutil import FOREVER
@@ -83,15 +84,15 @@ def register_history_functions(archis: "ArchIS", table_name: str) -> None:
         id_pos = table.schema.position("id")
         tstart_pos = table.schema.position("tstart")
         tend_pos = table.schema.position("tend")
+        version_of = itemgetter(id_pos, tstart_pos)
         best: dict[tuple, tuple] = {}
         for row in rows(None, key):
-            version = (row[id_pos], row[tstart_pos])
-            kept = best.get(version)
-            if kept is None or row[tend_pos] < kept[tend_pos]:
+            version = version_of(row)
+            kept = best.setdefault(version, row)
+            if row[tend_pos] < kept[tend_pos]:
                 best[version] = row
-        yield from sorted(
-            best.values(), key=lambda r: (r[id_pos], r[tstart_pos])
-        )
+        # versions are unique, so ordering the keys orders the rows
+        yield from map(best.__getitem__, sorted(best))
 
     def seg_fn(lo: int, hi: int, *key) -> Iterator[tuple]:
         return rows(list(range(lo, hi + 1)), key)

@@ -489,7 +489,7 @@ class Analyzer:
             if not entity.used:
                 entity.used = True
                 if anchor is not None and anchor is not entity:
-                    self.joins.append(f"{anchor.alias}.id = {entity.alias}.id")
+                    self._join_key_versions(entity, anchor)
                 else:
                     entity._anchor = entity  # type: ignore[attr-defined]
             self.all_vars.append(var)
@@ -514,21 +514,37 @@ class Analyzer:
         return var
 
     def _join_to_parent(self, var: VarInfo) -> None:
-        """Algorithm 1 step 2: id-join an attribute alias to its entity."""
+        """Algorithm 1 step 2: id-join an attribute alias to its entity.
+
+        The entity's first alias is its anchor.  When the anchor is the
+        key table, the first attribute alias joined to it is paired with
+        it by lifetime (:meth:`_join_key_versions`); later ones join on
+        ``id``, which then repeats no attribute version.
+        """
         entity = var.parent
         anchor = getattr(entity, "_anchor", None)
         if anchor is None:
-            if entity.used:
-                anchor = entity
-            else:
-                anchor = var
-        else:
-            pass
-        if anchor is not var:
-            self.joins.append(
-                f"{anchor.alias}.id = {var.alias}.id"
-            )
+            anchor = entity if entity.used else var
         entity._anchor = anchor  # type: ignore[attr-defined]
+        if anchor is var:
+            return
+        if anchor is entity and not getattr(entity, "_paired", False):
+            self._join_key_versions(entity, var)
+        else:
+            self.joins.append(f"{anchor.alias}.id = {var.alias}.id")
+
+    def _join_key_versions(self, entity: VarInfo, var: VarInfo) -> None:
+        """Join the key table to an attribute alias, pairing each
+        attribute version with the one key version whose lifetime holds
+        its start: a key deleted and inserted again has one key-table row
+        per lifetime, and a join on ``id`` alone would repeat every
+        attribute version once per lifetime."""
+        key, attr = entity.alias, var.alias
+        self.joins.append(
+            f"{key}.id = {attr}.id AND {key}.tstart <= {attr}.tstart "
+            f"AND {attr}.tstart <= {key}.tend"
+        )
+        entity._paired = True  # type: ignore[attr-defined]
 
     def _entity_anchor(self, entity: VarInfo) -> VarInfo:
         """The alias representing an entity in SQL (its key table when

@@ -5,9 +5,10 @@ nodes are plain SQL AST nodes (:mod:`repro.sql.ast`); nothing is compiled
 until the physical layer, so rules can rewrite freely.
 
 Row flow: the leaves and ``Join``/``Filter``/``Sort`` stages operate on
-environment dicts keyed by ``(alias, column)``; ``Project`` and
-``Aggregate`` turn environments into output tuples; ``Distinct`` and
-``Limit`` operate on those tuples.
+flat row tuples whose positions follow each operator's ``(alias,
+column)`` layout (see :mod:`repro.plan.physical`); ``Project`` and
+``Aggregate`` turn those rows into output tuples; ``Distinct`` and
+``Limit`` operate on the output tuples.
 """
 
 from __future__ import annotations

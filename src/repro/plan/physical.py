@@ -4,17 +4,26 @@
 per node.  Expressions are compiled to closures once, at construction;
 ``rows(params)`` then pulls lazily through the pipeline.
 
-Leaf operators (and ``FilterOp`` above them) additionally expose
-``rid_rows(params)`` yielding ``(rid, env)`` pairs so UPDATE/DELETE can
-reuse the same access paths the optimizer picked for SELECT.
+Row flow matches :mod:`repro.plan.nodes`.  Below ``Project``/``Aggregate``
+a row is a flat tuple, and every operator there exposes its *layout*: the
+``(alias, column)`` pair each position holds.  A leaf's layout is its
+columns, so scans pass storage tuples through unchanged; a join's layout
+is the left layout followed by the right, and it joins by concatenating
+tuples.  Expressions compile against the layout of the operator that
+evaluates them, so a column reference reads ``row[i]``.  Above
+``Project``/``Aggregate`` rows are output tuples.
 
-Row flow matches :mod:`repro.plan.nodes`: environments (dicts keyed by
-``(alias, column)``) below ``Project``/``Aggregate``, output tuples above.
+Leaf operators (and ``FilterOp`` above them) additionally expose
+``rid_rows(params)`` yielding ``(rid, row)`` pairs so UPDATE/DELETE can
+reuse the same access paths the optimizer picked for SELECT.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass, replace
+from functools import total_ordering
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from repro.errors import SqlPlanError
@@ -25,13 +34,12 @@ from repro.sql import ast
 from repro.sql.expr import AGGREGATE_NAMES, Scope, compile_expr
 from repro.sql.sqlxml import xml_agg
 
-Env = dict
-
 #: Rows pulled from base tables / table functions before filtering.  The
 #: count accumulates in a local and is flushed once per scan (in a
 #: ``finally``), so the per-row cost is a plain integer increment.
 _ROWS_SCANNED = get_registry().counter("sql.rows_scanned")
 
+@total_ordering
 class _Top:
     """Sorts after every real value: pads composite-index range bounds.
 
@@ -44,15 +52,6 @@ class _Top:
 
     def __lt__(self, other) -> bool:
         return False
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __ge__(self, other) -> bool:
-        return True
 
     def __eq__(self, other) -> bool:
         return other is self
@@ -72,110 +71,120 @@ class ExecContext:
         self.scope = scope
         self.functions = functions
 
-    def compile(self, node):
-        return compile_expr(node, self.scope, self.functions)
-
-    def compile_const(self, node):
-        """Compile a scope-free value expression (literals and params)."""
-        return compile_expr(node, Scope({}), self.functions)
+    def compile(self, node, layout: tuple = ()):
+        """Compile an expression over rows of ``layout`` (none: a value)."""
+        return compile_expr(node, self.scope.at(layout), self.functions)
 
 
 def compile_plan(plan, ctx: ExecContext):
     """Compile a logical plan node into its physical operator."""
+    from repro.plan import temporal
+
     if isinstance(plan, nodes.Scan):
         return SeqScanOp(plan, ctx)
     if isinstance(plan, nodes.IndexScan):
         return IndexScanOp(plan, ctx)
     if isinstance(plan, nodes.FunctionScan):
         return FunctionScanOp(plan, ctx)
-    if isinstance(plan, nodes.Join):
+    if isinstance(plan, (nodes.Join, nodes.TemporalJoin)):
         left = compile_plan(plan.left, ctx)
         right = compile_plan(plan.right, ctx)
+        if isinstance(plan, nodes.TemporalJoin):
+            return temporal.TemporalJoinOp(left, right, plan)
         if plan.strategy == "hash":
             return HashJoinOp(left, right, plan.pairs)
         return NestedLoopOp(left, right)
+    if not isinstance(plan, _ONE_CHILD):
+        raise SqlPlanError(f"cannot compile plan node {type(plan).__name__}")
+    child = compile_plan(plan.child, ctx)
     if isinstance(plan, nodes.Filter):
-        return FilterOp(compile_plan(plan.child, ctx), plan.predicates, ctx)
+        return FilterOp(child, plan.predicates, ctx)
     if isinstance(plan, nodes.Sort):
-        return SortOp(compile_plan(plan.child, ctx), plan.keys, ctx)
+        return SortOp(child, plan.keys, ctx)
     if isinstance(plan, nodes.Project):
-        return ProjectOp(compile_plan(plan.child, ctx), plan.items, ctx)
+        return ProjectOp(child, plan.items, ctx)
     if isinstance(plan, nodes.Aggregate):
-        return AggregateOp(compile_plan(plan.child, ctx), plan, ctx)
+        return AggregateOp(child, plan, ctx)
     if isinstance(plan, nodes.Distinct):
-        return DistinctOp(compile_plan(plan.child, ctx))
+        return DistinctOp(child)
     if isinstance(plan, nodes.Limit):
-        return LimitOp(compile_plan(plan.child, ctx), plan.count)
-    if isinstance(plan, nodes.TemporalJoin):
-        from repro.plan.temporal import TemporalJoinOp
-
-        return TemporalJoinOp(
-            compile_plan(plan.left, ctx), compile_plan(plan.right, ctx), plan
-        )
+        return LimitOp(child, plan.count)
     if isinstance(plan, nodes.Coalesce):
-        from repro.plan.temporal import CoalesceOp
+        return temporal.CoalesceOp(child, plan)
+    return temporal.SequencedAggregateOp(child, plan, ctx)
 
-        return CoalesceOp(compile_plan(plan.child, ctx), plan)
-    if isinstance(plan, nodes.SequencedAggregate):
-        from repro.plan.temporal import SequencedAggregateOp
 
-        return SequencedAggregateOp(compile_plan(plan.child, ctx), plan, ctx)
-    raise SqlPlanError(f"cannot compile plan node {type(plan).__name__}")
+_ONE_CHILD = (
+    nodes.Filter, nodes.Sort, nodes.Project, nodes.Aggregate, nodes.Distinct,
+    nodes.Limit, nodes.Coalesce, nodes.SequencedAggregate,
+)
+
+
+def key_getter(layout: tuple, keys) -> "itemgetter":
+    """``row -> key`` for join keys: the positions of ``keys`` in
+    ``layout``, read as one value for one key and a tuple for several."""
+    return itemgetter(*[layout.index(key) for key in keys])
+
+
+def has_null(key) -> bool:
+    """Whether a join key (a value, or a tuple of them) holds a NULL."""
+    return key is None or (type(key) is tuple and None in key)
+
+
+def values_getter(exprs: list):
+    """``(row, params) -> tuple`` of the compiled ``exprs``."""
+    return lambda row, params: tuple([e(row, params) for e in exprs])
 
 
 # -- leaf scans ---------------------------------------------------------------
 
 
-def _env_keys(alias: str, columns) -> tuple:
-    """The ``(alias, column)`` environment keys of a leaf, in row order."""
-    return tuple((alias, name) for name in columns)
-
-
 def _conjunction(filters: list):
-    """One ``(env, params) -> truthy`` test for a list of compiled conjuncts."""
+    """One ``(row, params) -> truthy`` test for compiled conjuncts, or
+    ``None`` when there are none."""
     if not filters:
-        return lambda env, params: True
+        return None
     if len(filters) == 1:
         return filters[0]
     if len(filters) == 2:  # the common temporal window: tstart <= t AND t <= tend
         first, second = filters
-        return lambda env, params: first(env, params) and second(env, params)
-
-    def test(env, params):
-        for f in filters:
-            if not f(env, params):
-                return False
-        return True
-
-    return test
+        return lambda row, params: first(row, params) and second(row, params)
+    return lambda row, params: all(f(row, params) for f in filters)
 
 
-class SeqScanOp:
-    name = "SeqScan"
+class _Leaf:
+    """A scan: its layout is its alias's columns, its rows the stored
+    tuples that pass its pushed-down predicates."""
 
-    def __init__(self, plan: nodes.Scan, ctx: ExecContext) -> None:
+    def __init__(self, plan, ctx: ExecContext) -> None:
         self.plan = plan
         self.ctx = ctx
-        self.test = _conjunction([ctx.compile(p) for p in plan.predicates])
-        self.columns = ctx.scope.columns_by_alias[plan.alias]
+        columns = ctx.scope.columns_by_alias[plan.alias]
+        self.layout = tuple((plan.alias, name) for name in columns)
+        self.test = _conjunction(
+            [ctx.compile(p, self.layout) for p in plan.predicates]
+        )
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
-        for _, env in self.rid_rows(params):
-            yield env
+    def rows(self, params: Mapping) -> Iterator[tuple]:
+        return map(itemgetter(1), self.rid_rows(params))
 
     def rid_rows(self, params: Mapping):
-        table = self.ctx.db.table(self.plan.table)
-        keys = _env_keys(self.plan.alias, self.columns)
         test = self.test
         scanned = 0
         try:
-            for rid, row in table.scan():
+            for item in self._stored(params):
                 scanned += 1
-                env = dict(zip(keys, row))
-                if test(env, params):
-                    yield rid, env
+                if test is None or test(item[1], params):
+                    yield item
         finally:
             _ROWS_SCANNED.inc(scanned)
+
+
+class SeqScanOp(_Leaf):
+    name = "SeqScan"
+
+    def _stored(self, params: Mapping):
+        return self.ctx.db.table(self.plan.table).scan()
 
 
 #: the Python types an index probe value must have to equal a stored
@@ -184,43 +193,23 @@ _NUMBERS = (int, float)
 _KEY_KINDS = {ColumnType.VARCHAR: str, ColumnType.BLOB: (bytes, bytearray)}
 
 
-class IndexScanOp:
+class IndexScanOp(_Leaf):
     name = "IndexScan"
 
     def __init__(self, plan: nodes.IndexScan, ctx: ExecContext) -> None:
-        self.plan = plan
-        self.ctx = ctx
-        self.eq_values = [ctx.compile_const(v) for _, v in plan.eq]
+        super().__init__(plan, ctx)
+        self.eq_values = [ctx.compile(v) for _, v in plan.eq]
         schema = ctx.db.table(plan.table).schema
         self.eq_kinds = [
             _KEY_KINDS.get(schema.columns[schema.position(c)].type, _NUMBERS)
             for c, _ in plan.eq
         ]
-        self.low = ctx.compile_const(plan.low) if plan.low is not None else None
-        self.high = (
-            ctx.compile_const(plan.high) if plan.high is not None else None
+        self.low, self.high = (
+            None if bound is None else ctx.compile(bound)
+            for bound in (plan.low, plan.high)
         )
-        self.test = _conjunction([ctx.compile(p) for p in plan.predicates])
-        self.columns = ctx.scope.columns_by_alias[plan.alias]
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
-        for _, env in self.rid_rows(params):
-            yield env
-
-    def rid_rows(self, params: Mapping):
-        keys = _env_keys(self.plan.alias, self.columns)
-        test = self.test
-        scanned = 0
-        try:
-            for rid, row in self._index_rows(params):
-                scanned += 1
-                env = dict(zip(keys, row))
-                if test(env, params):
-                    yield rid, env
-        finally:
-            _ROWS_SCANNED.inc(scanned)
-
-    def _index_rows(self, params: Mapping):
+    def _stored(self, params: Mapping):
         plan = self.plan
         table = self.ctx.db.table(plan.table)
         prefix = tuple(v(None, params) for v in self.eq_values)
@@ -228,74 +217,55 @@ class IndexScanOp:
             # NULL, or a value of another kind than the column's (a str
             # probe of an INT index), equals no key — and would not
             # compare with the stored ones
-            return
-        if plan.range_column is not None:
-            low_val = self.low(None, params) if self.low is not None else None
-            high_val = (
-                self.high(None, params) if self.high is not None else None
-            )
-            if high_val is None and prefix:
-                # prefix-bounded from above only: emulate with prefix scan
-                yield from self._prefix_scan(table, prefix)
-                return
-            # pad bounds so keys extending the bound tuple compare correctly
-            if low_val is None:
-                low_key = prefix or None
-            elif plan.low_inclusive:
-                low_key = prefix + (low_val,)
-            else:
-                low_key = prefix + (low_val, _TOP)
-            if high_val is None:
-                high_key = None
-            elif plan.high_inclusive:
-                high_key = prefix + (high_val, _TOP)
-            else:
-                high_key = prefix + (high_val,)
-            yield from table.index_scan(
-                plan.index_name,
-                low_key,
-                high_key,
-                low_inclusive=True,
-                high_inclusive=False,
-            )
-            return
-        if prefix:
-            yield from self._prefix_scan(table, prefix)
-            return
-        yield from table.index_scan(plan.index_name)
-
-    def _prefix_scan(self, table, prefix: tuple):
-        info = table.indexes[self.plan.index_name]
-        for key, rid in info.tree.prefix(prefix):
-            yield rid, table.read(rid)
+            return ()
+        low_val = self.low(None, params) if self.low is not None else None
+        high_val = self.high(None, params) if self.high is not None else None
+        if plan.range_column is None or (high_val is None and prefix):
+            if not prefix:
+                return table.index_scan(plan.index_name)
+            # every key extending the prefix: (p,) <= key <= (p, _TOP)
+            return table.index_scan(plan.index_name, prefix, prefix + (_TOP,))
+        # pad bounds so keys extending the bound tuple compare correctly
+        if low_val is None:
+            low_key = prefix or None
+        elif plan.low_inclusive:
+            low_key = prefix + (low_val,)
+        else:
+            low_key = prefix + (low_val, _TOP)
+        if high_val is None:
+            high_key = None
+        elif plan.high_inclusive:
+            high_key = prefix + (high_val, _TOP)
+        else:
+            high_key = prefix + (high_val,)
+        return table.index_scan(
+            plan.index_name, low_key, high_key, low_inclusive=True, high_inclusive=False
+        )
 
 
-class FunctionScanOp:
+class FunctionScanOp(_Leaf):
     name = "FunctionScan"
 
     def __init__(self, plan: nodes.FunctionScan, ctx: ExecContext) -> None:
-        self.plan = plan
-        self.ctx = ctx
-        self.args = [ctx.compile_const(a) for a in plan.args]
-        self.test = _conjunction([ctx.compile(p) for p in plan.predicates])
-        self.columns = ctx.scope.columns_by_alias[plan.alias]
+        super().__init__(plan, ctx)
+        self.args = [ctx.compile(a) for a in plan.args]
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
+    def rows(self, params: Mapping) -> Iterator[tuple]:
         fn = self.ctx.db.table_function(self.plan.function)
         if fn is None:
-            raise SqlPlanError(
-                f"unknown table function {self.plan.function}()"
-            )
+            raise SqlPlanError(f"unknown table function {self.plan.function}()")
         args = [a(None, params) for a in self.args]
-        keys = _env_keys(self.plan.alias, self.columns)
+        width, pad = len(self.layout), (None,) * len(self.layout)
         test = self.test
         scanned = 0
         try:
             for row in fn(*args):
                 scanned += 1
-                env = dict(zip(keys, row))
-                if test(env, params):
-                    yield env
+                if len(row) != width or type(row) is not tuple:
+                    # fit the declared AS alias(columns)
+                    row = (tuple(row) + pad)[:width]
+                if test is None or test(row, params):
+                    yield row
         finally:
             _ROWS_SCANNED.inc(scanned)
 
@@ -310,22 +280,21 @@ class HashJoinOp:
         self.left = left
         self.right = right
         self.pairs = pairs
-        self.left_keys = [pair[0] for pair in pairs]
-        self.right_keys = [pair[1] for pair in pairs]
+        self.layout = left.layout + right.layout
+        self.left_key = key_getter(left.layout, [pair[0] for pair in pairs])
+        self.right_key = key_getter(right.layout, [pair[1] for pair in pairs])
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
-        build: dict[tuple, list[Env]] = {}
-        for env in self.right.rows(params):
-            key = tuple(env.get(k) for k in self.right_keys)
-            if None in key:
-                continue
-            build.setdefault(key, []).append(env)
-        for env in self.left.rows(params):
-            key = tuple(env.get(k) for k in self.left_keys)
-            for match in build.get(key, ()):  # inner join
-                merged = dict(env)
-                merged.update(match)
-                yield merged
+    def rows(self, params: Mapping) -> Iterator[tuple]:
+        build: dict = {}
+        right_key = self.right_key
+        for row in self.right.rows(params):
+            key = right_key(row)
+            if not has_null(key):
+                build.setdefault(key, []).append(row)
+        left_key = self.left_key
+        for row in self.left.rows(params):
+            for match in build.get(left_key(row), ()):  # inner join
+                yield row + match
 
 
 class NestedLoopOp:
@@ -334,14 +303,13 @@ class NestedLoopOp:
     def __init__(self, left, right) -> None:
         self.left = left
         self.right = right
+        self.layout = left.layout + right.layout
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
+    def rows(self, params: Mapping) -> Iterator[tuple]:
         inner = list(self.right.rows(params))
-        for env in self.left.rows(params):
+        for row in self.left.rows(params):
             for match in inner:
-                merged = dict(env)
-                merged.update(match)
-                yield merged
+                yield row + match
 
 
 class FilterOp:
@@ -350,19 +318,22 @@ class FilterOp:
     def __init__(self, child, predicates: tuple, ctx: ExecContext) -> None:
         self.child = child
         self.predicates = predicates
-        self.test = _conjunction([ctx.compile(p) for p in predicates])
+        self.layout = child.layout
+        self.test = _conjunction(
+            [ctx.compile(p, self.layout) for p in predicates]
+        ) or (lambda row, params: True)
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
+    def rows(self, params: Mapping) -> Iterator[tuple]:
         test = self.test
-        for env in self.child.rows(params):
-            if test(env, params):
-                yield env
+        for row in self.child.rows(params):
+            if test(row, params):
+                yield row
 
     def rid_rows(self, params: Mapping):
         test = self.test
-        for rid, env in self.child.rid_rows(params):
-            if test(env, params):
-                yield rid, env
+        for item in self.child.rid_rows(params):
+            if test(item[1], params):
+                yield item
 
 
 # -- sorting, projection, aggregation ----------------------------------------
@@ -373,15 +344,17 @@ class SortOp:
 
     def __init__(self, child, keys: tuple, ctx: ExecContext) -> None:
         self.child = child
+        self.layout = child.layout
         self.keys = [
-            (ctx.compile(expr), descending) for expr, descending in keys
+            (ctx.compile(expr, self.layout), descending)
+            for expr, descending in keys
         ]
 
-    def rows(self, params: Mapping) -> Iterator[Env]:
+    def rows(self, params: Mapping) -> Iterator[tuple]:
         materialized = list(self.child.rows(params))
         for key, descending in reversed(self.keys):
             materialized.sort(
-                key=lambda env: _null_safe_key(key(env, params)),
+                key=lambda row: null_safe_key(key(row, params)),
                 reverse=descending,
             )
         return iter(materialized)
@@ -393,54 +366,81 @@ class ProjectOp:
     def __init__(self, child, items: tuple, ctx: ExecContext) -> None:
         self.child = child
         self.items = items
-        self.exprs = [ctx.compile(item.expr) for item in items]
+        layout = child.layout
+        self.output = values_getter(
+            [ctx.compile(item.expr, layout) for item in items]
+        )
+        self.getter = None
+        if all(isinstance(item.expr, ast.ColumnRef) for item in items):
+            # a plain column list: the row itself, or one C-level getter
+            slots = [ctx.scope.at(layout).slot(item.expr) for item in items]
+            if slots == list(range(len(layout))):
+                self.output = None
+            elif len(slots) > 1:
+                self.getter = itemgetter(*slots)
 
     def rows(self, params: Mapping) -> Iterator[tuple]:
-        exprs = self.exprs
-        for env in self.child.rows(params):
-            yield tuple(expr(env, params) for expr in exprs)
+        rows = self.child.rows(params)
+        if self.output is None:
+            return rows
+        if self.getter is not None:
+            return map(self.getter, rows)
+        output = self.output
+        return (output(row, params) for row in rows)
 
 
 class AggregateOp:
+    """Hash grouping that folds each row into per-group accumulators as
+    it arrives: only ``XMLAgg`` and ``DISTINCT`` aggregates keep member
+    lists, and each group keeps its first row as its representative."""
+
     name = "Aggregate"
 
     def __init__(self, child, plan: nodes.Aggregate, ctx: ExecContext) -> None:
         self.child = child
         self.plan = plan
-        self.group_keys = [ctx.compile(g) for g in plan.group_by]
+        layout = child.layout
+        self.width = len(layout)
+        self.group_key = values_getter(
+            [ctx.compile(g, layout) for g in plan.group_by]
+        ) if plan.group_by else None
+        scope = ctx.scope.at(layout)
         self.agg_specs: list[_AggSpec] = []
         self.item_exprs = []
         for item in plan.items:
             rewritten = _rewrite_aggregates(
-                item.expr, self.agg_specs, ctx.scope, ctx.functions
+                item.expr, self.agg_specs, scope, ctx.functions
             )
-            self.item_exprs.append(ctx.compile(rewritten))
+            self.item_exprs.append(ctx.compile(rewritten, layout))
         self.order_keys = []
         for expr, descending in plan.order_by:
             rewritten = _rewrite_aggregates(
-                expr, self.agg_specs, ctx.scope, ctx.functions
+                expr, self.agg_specs, scope, ctx.functions
             )
-            self.order_keys.append((ctx.compile(rewritten), descending))
+            self.order_keys.append((ctx.compile(rewritten, layout), descending))
 
     def rows(self, params: Mapping) -> Iterator[tuple]:
-        groups: dict[tuple, list[Env]] = {}
-        representative: dict[tuple, Env] = {}
-        for env in self.child.rows(params):
-            key = tuple(k(env, params) for k in self.group_keys)
-            groups.setdefault(key, []).append(env)
-            representative.setdefault(key, env)
-        if not groups and not self.group_keys:
-            groups[()] = []
-            representative[()] = {}
+        specs = self.agg_specs
+        steps = [(index, spec.step) for index, spec in enumerate(specs, 1)]
+        group_key = self.group_key
+        groups: dict[tuple, list] = {}
+        for row in self.child.rows(params):
+            key = group_key(row, params) if group_key is not None else ()
+            acc = groups.get(key)
+            if acc is None:
+                acc = groups[key] = [row] + [spec.start() for spec in specs]
+            for index, step in steps:
+                acc[index] = step(acc[index], row, params)
+        if not groups and group_key is None:
+            groups[()] = [(None,) * self.width] + [s.start() for s in specs]
         out = []
-        for key, members in groups.items():
-            env = representative[key]
+        for first, *states in groups.values():
             agg_params = dict(params)
-            for spec in self.agg_specs:
-                agg_params[spec.placeholder] = spec.finish(members, params)
-            row = tuple(item(env, agg_params) for item in self.item_exprs)
+            for spec, state in zip(specs, states):
+                agg_params[spec.placeholder] = spec.finish(state)
+            row = tuple(item(first, agg_params) for item in self.item_exprs)
             order_key = tuple(
-                _null_safe_key(k(env, agg_params)) for k, _ in self.order_keys
+                null_safe_key(k(first, agg_params)) for k, _ in self.order_keys
             )
             out.append((order_key, row))
         if self.order_keys:
@@ -463,10 +463,7 @@ class DistinctOp:
     def rows(self, params: Mapping) -> Iterator[tuple]:
         seen = set()
         for row in self.child.rows(params):
-            key = tuple(
-                str(v) if not isinstance(v, (int, float, str, type(None))) else v
-                for v in row
-            )
+            key = tuple(map(hashable, row))
             if key not in seen:
                 seen.add(key)
                 yield row
@@ -487,69 +484,91 @@ class LimitOp:
 
 
 class _AggSpec:
-    """One aggregate occurrence, rewritten to a synthetic parameter."""
+    """One aggregate occurrence, rewritten to a synthetic parameter.
+
+    ``step(state, row, params)`` folds one row into a group's state,
+    which ``start()`` makes and ``finish`` reduces to the aggregate's
+    value.  ``count``/``sum``/``avg``/``min``/``max`` fold into scalars;
+    only ``XMLAgg`` and ``DISTINCT`` keep their values until the end.
+    """
 
     def __init__(self, placeholder: str, node, scope: Scope, functions) -> None:
         self.placeholder = placeholder
         self.node = node
+        self.distinct = getattr(node, "distinct", False)
         if isinstance(node, ast.XmlAggExpr):
             self.kind = "xmlagg"
-            self.operand = compile_expr(node.operand, scope, functions)
-            self.order_keys = [
+            value = compile_expr(node.operand, scope, functions)
+            order = [
                 (compile_expr(spec.expr, scope, functions), spec.descending)
                 for spec in node.order_by
             ]
-        else:
-            self.kind = node.name
-            self.distinct = node.distinct
-            if len(node.args) == 1 and isinstance(node.args[0], ast.Star):
-                self.operand = None
-            elif len(node.args) == 1:
-                self.operand = compile_expr(node.args[0], scope, functions)
-            else:
-                raise SqlPlanError(
-                    f"aggregate {node.name}() takes one argument"
-                )
 
-    def finish(self, rows: list[Env], params: Mapping):
+            def collect(state, row, params):  # (sort key, value) pairs
+                key = tuple(
+                    (-k(row, params) if desc else k(row, params))
+                    for k, desc in order
+                )
+                state.append((key, value(row, params)))
+                return state
+
+            self.step = collect
+            return
+        self.kind = node.name
+        if len(node.args) != 1:
+            raise SqlPlanError(f"aggregate {node.name}() takes one argument")
+        if isinstance(node.args[0], ast.Star):
+            if self.kind != "count":
+                raise SqlPlanError(f"{node.name}(*) is not an aggregate")
+            self.distinct = False
+            self.step = lambda state, row, params: state + 1
+            return
+        operand = compile_expr(node.args[0], scope, functions)
+        fold = _collect if self.distinct else _FOLDS[self.kind]
+
+        def step(state, row, params):
+            value = operand(row, params)
+            return state if value is None else fold(state, value)
+
+        self.step = step
+
+    def start(self):
+        return [] if self.kind == "xmlagg" or self.distinct else _initial(self.kind)
+
+    def finish(self, state):
         if self.kind == "xmlagg":
-            if self.order_keys:
-                def sort_key(env):
-                    return tuple(
-                        (-k(env, params) if desc else k(env, params))
-                        for k, desc in self.order_keys
-                    )
-                rows = sorted(rows, key=sort_key)
-            return xml_agg([self.operand(env, params) for env in rows])
-        if self.kind == "count":
-            if self.operand is None:
-                return len(rows)
-            values = [
-                v
-                for v in (self.operand(env, params) for env in rows)
-                if v is not None
-            ]
-            if self.distinct:
-                return len(set(values))
-            return len(values)
-        values = [
-            v
-            for v in (self.operand(env, params) for env in rows)
-            if v is not None
-        ]
+            return xml_agg([v for _, v in sorted(state, key=itemgetter(0))])
         if self.distinct:
-            values = list(dict.fromkeys(values))
-        if not values:
-            return None
-        if self.kind == "sum":
-            return sum(values)
+            values, state = dict.fromkeys(state), _initial(self.kind)
+            for value in values:
+                state = _FOLDS[self.kind](state, value)
         if self.kind == "avg":
-            return sum(values) / len(values)
-        if self.kind == "min":
-            return min(values)
-        if self.kind == "max":
-            return max(values)
-        raise SqlPlanError(f"unknown aggregate {self.kind}")
+            return state[0] / state[1] if state[1] else None
+        return state
+
+
+def _initial(kind: str):
+    return 0 if kind == "count" else [0, 0] if kind == "avg" else None
+
+
+def _collect(state: list, value) -> list:
+    state.append(value)
+    return state
+
+
+def _fold_avg(state: list, value) -> list:
+    state[0] += value
+    state[1] += 1
+    return state
+
+
+_FOLDS = {
+    "count": lambda state, value: state + 1,
+    "sum": lambda state, value: 0 + value if state is None else state + value,
+    "avg": _fold_avg,
+    "min": lambda state, value: value if state is None or value < state else state,
+    "max": lambda state, value: value if state is None or value > state else state,
+}
 
 
 def _rewrite_aggregates(node, specs: list, scope: Scope, functions):
@@ -560,57 +579,28 @@ def _rewrite_aggregates(node, specs: list, scope: Scope, functions):
         placeholder = f"__agg{len(specs)}"
         specs.append(_AggSpec(placeholder, node, scope, functions))
         return ast.Param(placeholder)
-    if isinstance(node, ast.BinaryOp):
-        return ast.BinaryOp(
-            node.op,
-            _rewrite_aggregates(node.left, specs, scope, functions),
-            _rewrite_aggregates(node.right, specs, scope, functions),
-        )
-    if isinstance(node, ast.UnaryOp):
-        return ast.UnaryOp(
-            node.op, _rewrite_aggregates(node.operand, specs, scope, functions)
-        )
-    if isinstance(node, ast.FunctionCall):
-        return ast.FunctionCall(
-            node.name,
-            tuple(
-                _rewrite_aggregates(a, specs, scope, functions)
-                for a in node.args
-            ),
-            node.distinct,
-        )
-    if isinstance(node, ast.XmlElementExpr):
-        return ast.XmlElementExpr(
-            node.tag,
-            tuple(
-                ast.XmlAttribute(
-                    _rewrite_aggregates(a.value, specs, scope, functions),
-                    a.name,
-                )
-                for a in node.attributes
-            ),
-            tuple(
-                _rewrite_aggregates(c, specs, scope, functions)
-                for c in node.content
-            ),
-        )
-    if isinstance(node, ast.CaseExpr):
-        return ast.CaseExpr(
-            tuple(
-                (
-                    _rewrite_aggregates(c, specs, scope, functions),
-                    _rewrite_aggregates(r, specs, scope, functions),
-                )
-                for c, r in node.whens
-            ),
-            _rewrite_aggregates(node.else_result, specs, scope, functions)
-            if node.else_result is not None
-            else None,
-        )
-    return node
+    if isinstance(node, tuple):
+        return tuple(_rewrite_aggregates(n, specs, scope, functions) for n in node)
+    if not is_dataclass(node) or isinstance(node, _OPAQUE):
+        return node
+    return replace(node, **{
+        f.name: _rewrite_aggregates(getattr(node, f.name), specs, scope, functions)
+        for f in fields(node)
+    })
 
 
-def _null_safe_key(value):
+#: expression nodes whose parts are not rewritten: subqueries aggregate
+#: on their own
+_OPAQUE = (ast.Subquery, ast.InSubquery, ast.ExistsSubquery)
+
+
+def hashable(value):
+    if isinstance(value, (int, float, str, type(None))):
+        return value
+    return str(value)
+
+
+def null_safe_key(value):
     if value is None:
         return (0, 0)
     if isinstance(value, (int, float)) and not isinstance(value, bool):

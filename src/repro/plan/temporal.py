@@ -8,34 +8,27 @@ These are the physical implementations of
 entirely in the plan layer, over the closed day-granularity
 ``[tstart, tend]`` intervals of H-table rows.  No XQuery translation is
 involved; the interval algebra lives in :mod:`repro.util.intervals`.
+
+Rows follow :mod:`repro.plan.physical`: ``TemporalJoinOp`` takes and
+emits flat tuples laid out as its left input followed by its right, and
+``SequencedAggregateOp`` reads its input by position; ``CoalesceOp``
+sits above the projection, on output tuples.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from repro.obs.metrics import get_registry
 from repro.plan import nodes
+from repro.plan.physical import has_null, hashable, key_getter, null_safe_key
 from repro.util.intervals import Interval, coalesce, sweep_aggregate
 
 _JOIN_ROWS = get_registry().counter("temporal.join.rows")
 _JOIN_DROPPED = get_registry().counter("temporal.join.dropped")
 _COALESCE_MERGED = get_registry().counter("temporal.coalesce.rows_merged")
 _AGG_PERIODS = get_registry().counter("temporal.aggregate.periods")
-
-
-def _null_safe_key(value):
-    if value is None:
-        return (0, 0)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (1, value)
-    return (2, str(value))
-
-
-def _hashable(value):
-    if isinstance(value, (int, float, str, type(None))):
-        return value
-    return str(value)
 
 
 class TemporalJoinOp:
@@ -55,42 +48,46 @@ class TemporalJoinOp:
         self.right = right
         self.plan = plan
         self.pairs = plan.pairs
-        self.left_keys = [pair[0] for pair in plan.pairs]
-        self.right_keys = [pair[1] for pair in plan.pairs]
-        self.left_aliases = sorted(nodes.node_aliases(plan.left))
-        self.right_aliases = sorted(nodes.node_aliases(plan.right))
+        self.layout = left.layout + right.layout
+        self.left_key = key_getter(left.layout, [p[0] for p in plan.pairs])
+        self.right_key = key_getter(right.layout, [p[1] for p in plan.pairs])
+        left_alias = min(nodes.node_aliases(plan.left))
+        right_alias = min(nodes.node_aliases(plan.right))
+        self.left_interval = key_getter(
+            left.layout, [(left_alias, "tstart"), (left_alias, "tend")]
+        )
+        self.right_interval = key_getter(
+            right.layout, [(right_alias, "tstart"), (right_alias, "tend")]
+        )
+        # the output row: the joined row, with the tstart/tend slot of
+        # every alias, both sides, read from the intersection appended
+        width = len(self.layout)
+        self.output = itemgetter(*[
+            width if column == "tstart" else width + 1 if column == "tend" else i
+            for i, (_, column) in enumerate(self.layout)
+        ])
 
-    def rows(self, params: Mapping) -> Iterator[dict]:
-        build: dict[tuple, list[dict]] = {}
-        rstart_slot = (self.right_aliases[0], "tstart")
-        rend_slot = (self.right_aliases[0], "tend")
-        lstart_slot = (self.left_aliases[0], "tstart")
-        lend_slot = (self.left_aliases[0], "tend")
-        interval_slots = [
-            (alias, column)
-            for alias in self.left_aliases + self.right_aliases
-            for column in ("tstart", "tend")
-        ]
-        for env in self.right.rows(params):
-            key = tuple(env.get(k) for k in self.right_keys)
-            if None in key:
-                continue
-            build.setdefault(key, []).append(env)
+    def rows(self, params: Mapping) -> Iterator[tuple]:
+        build: dict = {}
+        right_key, right_interval = self.right_key, self.right_interval
+        for row in self.right.rows(params):
+            key = right_key(row)
+            if not has_null(key):
+                build.setdefault(key, []).append((right_interval(row), row))
+        left_key, left_interval, output = (
+            self.left_key, self.left_interval, self.output
+        )
         emitted = dropped = 0
         try:
-            for env in self.left.rows(params):
-                key = tuple(env.get(k) for k in self.left_keys)
-                matches = build.get(key)
+            for row in self.left.rows(params):
+                matches = build.get(left_key(row))
                 if not matches:
                     continue
-                lstart = env.get(lstart_slot)
-                lend = env.get(lend_slot)
+                lstart, lend = left_interval(row)
                 if lstart is None or lend is None:
                     dropped += len(matches)
                     continue
-                for match in matches:
-                    rstart = match.get(rstart_slot)
-                    rend = match.get(rend_slot)
+                for (rstart, rend), match in matches:
                     if rstart is None or rend is None:
                         dropped += 1
                         continue
@@ -99,15 +96,8 @@ class TemporalJoinOp:
                     if low > high:
                         dropped += 1
                         continue
-                    merged = dict(env)
-                    merged.update(match)
-                    for start_slot, end_slot in zip(
-                        interval_slots[::2], interval_slots[1::2]
-                    ):
-                        merged[start_slot] = low
-                        merged[end_slot] = high
                     emitted += 1
-                    yield merged
+                    yield output(row + match + (low, high))
         finally:
             _JOIN_ROWS.inc(emitted)
             _JOIN_DROPPED.inc(dropped)
@@ -138,7 +128,7 @@ class CoalesceOp:
                 for index, value in enumerate(row)
                 if index not in (start_index, end_index)
             )
-            key = tuple(_hashable(value) for value in rest)
+            key = tuple(hashable(value) for value in rest)
             _, intervals = groups.setdefault(key, (row, []))
             start = row[start_index]
             end = row[end_index]
@@ -156,11 +146,11 @@ class CoalesceOp:
                 out.append(tuple(row))
         out.sort(
             key=lambda row: tuple(
-                _null_safe_key(value)
+                null_safe_key(value)
                 for index, value in enumerate(row)
                 if index not in (start_index, end_index)
             )
-            + (_null_safe_key(row[start_index]),)
+            + (null_safe_key(row[start_index]),)
         )
         yield from out
 
@@ -183,12 +173,12 @@ class SequencedAggregateOp:
     def __init__(self, child, plan: nodes.SequencedAggregate, ctx) -> None:
         self.child = child
         self.plan = plan
-        self.group_keys = [ctx.compile(g) for g in plan.group_by]
-        self.operand = (
-            ctx.compile(plan.operand) if plan.operand is not None else None
-        )
-        self.start = ctx.compile(plan.start)
-        self.end = ctx.compile(plan.end)
+        layout = child.layout
+        self.group_keys = [ctx.compile(g, layout) for g in plan.group_by]
+        operand = plan.operand
+        self.operand = None if operand is None else ctx.compile(operand, layout)
+        scope = ctx.scope.at(layout)  # start and end are column references
+        self.period = itemgetter(scope.slot(plan.start), scope.slot(plan.end))
         # the last two items are the synthesized period bounds; the item
         # at value_index is the aggregate call itself (filled per period)
         self.item_exprs = []
@@ -196,25 +186,23 @@ class SequencedAggregateOp:
             if index == plan.value_index:
                 self.item_exprs.append(None)
             else:
-                self.item_exprs.append(ctx.compile(item.expr))
+                self.item_exprs.append(ctx.compile(item.expr, layout))
 
     def rows(self, params: Mapping) -> Iterator[tuple]:
         groups: dict[tuple, tuple] = {}
-        for env in self.child.rows(params):
-            key = tuple(
-                _null_safe_key(k(env, params)) for k in self.group_keys
-            )
-            _, pairs = groups.setdefault(key, (env, []))
-            start = self.start(env, params)
-            end = self.end(env, params)
+        group_keys, operand, period = self.group_keys, self.operand, self.period
+        for row in self.child.rows(params):
+            key = tuple([null_safe_key(k(row, params)) for k in group_keys])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (row, [])
+            start, end = period(row)
             if start is None or end is None:
                 continue
-            value = (
-                1.0 if self.operand is None else self.operand(env, params)
-            )
+            value = 1.0 if operand is None else operand(row, params)
             if value is None:
                 continue
-            pairs.append((float(value), Interval(int(start), int(end))))
+            group[1].append((float(value), Interval(int(start), int(end))))
         kind = self.plan.kind
         for key in sorted(groups):
             representative, pairs = groups[key]

@@ -1,21 +1,26 @@
 """SQL expression compilation.
 
-Expressions compile to Python closures over an environment dict keyed by
-``(alias, column)``.  Compilation resolves unqualified column references
-against the visible sources, so typos fail at plan time rather than on the
-millionth row.
+Expressions compile to Python closures ``(row, params) -> value`` over a
+flat row tuple.  Compilation resolves every column reference against the
+visible sources (so typos fail at plan time rather than on the millionth
+row) and then to its position in the *layout* of the operator the
+expression is compiled for — the ``(alias, column)`` pair each row
+position holds — so a column read is ``row[i]``.  Operators are chosen
+once, at compile time, not tested per row.
 """
 
 from __future__ import annotations
 
+import operator
+import re
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from repro.errors import SqlPlanError
 from repro.sql import ast
 from repro.sql.sqlxml import build_xml_element
 
-Env = dict
-CompiledExpr = Callable[[Env, Mapping[str, object]], object]
+CompiledExpr = Callable[[tuple, Mapping[str, object]], object]
 
 AGGREGATE_NAMES = {"count", "sum", "avg", "min", "max"}
 
@@ -24,14 +29,27 @@ class Scope:
     """Column visibility for one query: alias -> ordered column names.
 
     Carries the database handle so (uncorrelated) subqueries can be
-    planned during expression compilation.
+    planned during expression compilation, and the row layout that
+    column references compile to positions in (see :meth:`at`).
     """
 
     def __init__(
-        self, columns_by_alias: Mapping[str, list[str]], db=None
+        self, columns_by_alias: Mapping[str, list[str]], db=None, layout=()
     ) -> None:
         self.columns_by_alias = dict(columns_by_alias)
         self.db = db
+        self.layout = tuple(layout)
+
+    def at(self, layout) -> "Scope":
+        """This scope, compiling column references against ``layout``."""
+        return Scope(self.columns_by_alias, self.db, layout)
+
+    def slot(self, ref: ast.ColumnRef) -> int:
+        """The position of a column reference in this scope's layout."""
+        key = self.resolve(ref)
+        if key not in self.layout:
+            raise SqlPlanError(f"column {key[0]}.{key[1]} is not in scope here")
+        return self.layout.index(key)
 
     def resolve(self, ref: ast.ColumnRef) -> tuple[str, str]:
         if ref.table is not None:
@@ -56,41 +74,18 @@ class Scope:
             )
         return (owners[0], ref.column)
 
-    def all_pairs(self) -> list[tuple[str, str]]:
-        out = []
-        for alias, columns in self.columns_by_alias.items():
-            out.extend((alias, column) for column in columns)
-        return out
-
 
 def contains_aggregate(node: object) -> bool:
     """True when the expression contains an aggregate or XMLAgg call."""
-    if isinstance(node, ast.FunctionCall):
-        if node.name in AGGREGATE_NAMES:
-            return True
-        return any(contains_aggregate(a) for a in node.args)
-    if isinstance(node, ast.XmlAggExpr):
-        return True
-    if isinstance(node, ast.BinaryOp):
-        return contains_aggregate(node.left) or contains_aggregate(node.right)
-    if isinstance(node, ast.UnaryOp):
-        return contains_aggregate(node.operand)
-    if isinstance(node, ast.XmlElementExpr):
-        return any(contains_aggregate(a.value) for a in node.attributes) or any(
-            contains_aggregate(c) for c in node.content
-        )
-    if isinstance(node, ast.CaseExpr):
-        branches = [c for pair in node.whens for c in pair]
-        if node.else_result is not None:
-            branches.append(node.else_result)
-        return any(contains_aggregate(b) for b in branches)
-    if isinstance(node, (ast.InList, ast.Between, ast.IsNull, ast.LikeOp)):
-        return contains_aggregate(node.operand)
-    return False
+    return any(
+        isinstance(sub, ast.XmlAggExpr)
+        or (isinstance(sub, ast.FunctionCall) and sub.name in AGGREGATE_NAMES)
+        for sub in ast.walk_exprs(node)
+    )
 
 
 def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr:
-    """Compile an expression AST into a closure ``(env, params) -> value``.
+    """Compile an expression AST into a closure ``(row, params) -> value``.
 
     ``functions`` maps lower-case names to Python callables for scalar
     functions (including the registered temporal UDFs).  A slotted
@@ -101,37 +96,37 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         slot = node.slot
         if slot is not None:
             # a lifted literal: bound per execution (statement cache)
-            return lambda env, params: params[slot]
+            return lambda row, params: params[slot]
         value = node.days if isinstance(node, ast.DateLiteral) else node.value
-        return lambda env, params: value
+        return lambda row, params: value
     if isinstance(node, ast.Param):
         name = node.name
-        def run_param(env, params):
+        def run_param(row, params):
             if name not in params:
                 raise SqlPlanError(f"missing query parameter :{name}")
             return params[name]
         return run_param
     if isinstance(node, ast.ColumnRef):
-        key = scope.resolve(node)
-        return lambda env, params: env.get(key)
+        index = scope.slot(node)
+        return lambda row, params: row[index]
     if isinstance(node, ast.BinaryOp):
         return _compile_binary(node, scope, functions)
     if isinstance(node, ast.UnaryOp):
         inner = compile_expr(node.operand, scope, functions)
         if node.op == "not":
-            return lambda env, params: _not(inner(env, params))
+            return lambda row, params: not inner(row, params)
         if node.op == "-":
-            return lambda env, params: _neg(inner(env, params))
+            return lambda row, params: _neg(inner(row, params))
         raise SqlPlanError(f"unknown unary operator {node.op}")
     if isinstance(node, ast.InList):
         operand = compile_expr(node.operand, scope, functions)
         items = [compile_expr(i, scope, functions) for i in node.items]
         negated = node.negated
-        def run_in(env, params):
-            value = operand(env, params)
+        def run_in(row, params):
+            value = operand(row, params)
             if value is None:
                 return False
-            hit = any(value == item(env, params) for item in items)
+            hit = any(value == item(row, params) for item in items)
             return hit != negated
         return run_in
     if isinstance(node, ast.Between):
@@ -139,26 +134,37 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         low = compile_expr(node.low, scope, functions)
         high = compile_expr(node.high, scope, functions)
         negated = node.negated
-        def run_between(env, params):
-            value = operand(env, params)
+        keys = (_lifted(node.low), _lifted(node.high))
+        if isinstance(node.operand, ast.ColumnRef) and None not in keys:
+            # a key range: the column and both bounds read inline
+            i, (lo, hi) = scope.slot(node.operand), keys
+            def between_slot(row, params):
+                value = row[i]
+                if value is None:
+                    return False
+                return (params[lo] <= value <= params[hi]) != negated
+            return between_slot
+        def run_between(row, params):
+            value = operand(row, params)
             if value is None:
                 return False
-            hit = low(env, params) <= value <= high(env, params)
+            hit = low(row, params) <= value <= high(row, params)
             return hit != negated
         return run_between
     if isinstance(node, ast.IsNull):
         operand = compile_expr(node.operand, scope, functions)
         negated = node.negated
-        return lambda env, params: (operand(env, params) is None) != negated
+        return lambda row, params: (operand(row, params) is None) != negated
     if isinstance(node, ast.LikeOp):
         operand = compile_expr(node.operand, scope, functions)
         pattern = compile_expr(node.pattern, scope, functions)
         negated = node.negated
-        def run_like(env, params):
-            value = operand(env, params)
+        def run_like(row, params):
+            value = operand(row, params)
             if value is None:
                 return False
-            hit = _like(str(value), str(pattern(env, params)))
+            regex = _like_regex(str(pattern(row, params)))
+            hit = regex.fullmatch(str(value)) is not None
             return hit != negated
         return run_like
     if isinstance(node, ast.CaseExpr):
@@ -171,11 +177,11 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
             if node.else_result is not None
             else None
         )
-        def run_case(env, params):
+        def run_case(row, params):
             for condition, result in whens:
-                if condition(env, params):
-                    return result(env, params)
-            return else_fn(env, params) if else_fn else None
+                if condition(row, params):
+                    return result(row, params)
+            return else_fn(row, params) if else_fn else None
         return run_case
     if isinstance(node, ast.FunctionCall):
         if node.name in AGGREGATE_NAMES:
@@ -186,7 +192,7 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         if fn is None:
             raise SqlPlanError(f"unknown SQL function {node.name}()")
         args = [compile_expr(a, scope, functions) for a in node.args]
-        return lambda env, params: fn(*(a(env, params) for a in args))
+        return lambda row, params: fn(*[a(row, params) for a in args])
     if isinstance(node, ast.XmlElementExpr):
         attrs = [
             (a.name, compile_expr(a.value, scope, functions))
@@ -194,16 +200,16 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         ]
         content = [compile_expr(c, scope, functions) for c in node.content]
         tag = node.tag
-        def run_xmlelement(env, params):
+        def run_xmlelement(row, params):
             return build_xml_element(
                 tag,
-                [(name, value(env, params)) for name, value in attrs],
-                [c(env, params) for c in content],
+                [(name, value(row, params)) for name, value in attrs],
+                [c(row, params) for c in content],
             )
         return run_xmlelement
     if isinstance(node, ast.Subquery):
         rows_fn = _compile_subquery(node, scope)
-        def run_scalar_subquery(env, params):
+        def run_scalar_subquery(row, params):
             rows = rows_fn(params)
             if not rows:
                 return None
@@ -217,17 +223,17 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         operand = compile_expr(node.operand, scope, functions)
         rows_fn = _compile_subquery(node.subquery, scope)
         negated = node.negated
-        def run_in_subquery(env, params):
-            value = operand(env, params)
+        def run_in_subquery(row, params):
+            value = operand(row, params)
             if value is None:
                 return False
-            hit = any(row[0] == value for row in rows_fn(params))
+            hit = any(found[0] == value for found in rows_fn(params))
             return hit != negated
         return run_in_subquery
     if isinstance(node, ast.ExistsSubquery):
         rows_fn = _compile_subquery(node.subquery, scope)
         negated = node.negated
-        return lambda env, params: bool(rows_fn(params)) != negated
+        return lambda row, params: bool(rows_fn(params)) != negated
     if isinstance(node, ast.XmlAggExpr):
         raise SqlPlanError("XMLAgg outside an aggregate query")
     if isinstance(node, ast.Star):
@@ -262,63 +268,78 @@ def _compile_subquery(node: ast.Subquery, scope: Scope):
     return rows_fn
 
 
+_COMPARE = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _divide(left, right):
+    if right == 0:
+        raise SqlPlanError("division by zero")
+    return left / right
+
+
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+}
+
+
 def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr:
     op = node.op
     left = compile_expr(node.left, scope, functions)
     right = compile_expr(node.right, scope, functions)
     if op == "and":
-        return lambda env, params: bool(left(env, params)) and bool(
-            right(env, params)
-        )
+        return lambda row, params: bool(left(row, params) and right(row, params))
     if op == "or":
-        return lambda env, params: bool(left(env, params)) or bool(
-            right(env, params)
-        )
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        def run_cmp(env, params):
-            lv = left(env, params)
-            rv = right(env, params)
-            if lv is None or rv is None:
-                return False
-            if op == "=":
-                return lv == rv
-            if op == "<>":
-                return lv != rv
-            if op == "<":
-                return lv < rv
-            if op == "<=":
-                return lv <= rv
-            if op == ">":
-                return lv > rv
-            return lv >= rv
-        return run_cmp
+        return lambda row, params: bool(left(row, params) or right(row, params))
     if op == "||":
-        def run_concat(env, params):
-            lv = left(env, params)
-            rv = right(env, params)
-            return _as_text(lv) + _as_text(rv)
-        return run_concat
-    if op in ("+", "-", "*", "/"):
-        def run_arith(env, params):
-            lv = left(env, params)
-            rv = right(env, params)
+        return lambda row, params: _as_text(left(row, params)) + _as_text(
+            right(row, params)
+        )
+    compare = _COMPARE.get(op)
+    if compare is not None:
+        # a column against a lifted literal or another column — windows,
+        # keys and join conditions — reads both sides inline
+        key = _lifted(node.right)
+        if isinstance(node.left, ast.ColumnRef) and key is not None:
+            i = scope.slot(node.left)
+            def compare_literal(row, params):
+                lv = row[i]
+                rv = params[key]
+                return lv is not None and rv is not None and compare(lv, rv)
+            return compare_literal
+        if isinstance(node.left, ast.ColumnRef) and isinstance(
+            node.right, ast.ColumnRef
+        ):
+            i, j = scope.slot(node.left), scope.slot(node.right)
+            def compare_columns(row, params):
+                lv = row[i]
+                rv = row[j]
+                return lv is not None and rv is not None and compare(lv, rv)
+            return compare_columns
+        def run_compare(row, params):
+            lv = left(row, params)
+            rv = right(row, params)
+            return lv is not None and rv is not None and compare(lv, rv)
+        return run_compare
+    arithmetic = _ARITHMETIC.get(op)
+    if arithmetic is not None:
+        def run_arithmetic(row, params):
+            lv = left(row, params)
+            rv = right(row, params)
             if lv is None or rv is None:
                 return None
-            if op == "+":
-                return lv + rv
-            if op == "-":
-                return lv - rv
-            if op == "*":
-                return lv * rv
-            if rv == 0:
-                raise SqlPlanError("division by zero")
-            return lv / rv
-        return run_arith
+            return arithmetic(lv, rv)
+        return run_arithmetic
     raise SqlPlanError(f"unknown operator {op}")
 
 
-def _not(value: object) -> bool:
-    return not bool(value)
+def _lifted(node: object):
+    """The parameter key of a literal the statement cache lifted, else None."""
+    if isinstance(node, (ast.Literal, ast.DateLiteral)):
+        return node.slot
+    return None
 
 
 def _neg(value: object):
@@ -333,8 +354,6 @@ def _as_text(value: object) -> str:
     return str(value)
 
 
-def _like(value: str, pattern: str) -> bool:
-    import re
-
-    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, value) is not None
+@lru_cache(maxsize=256)
+def _like_regex(pattern: str):
+    return re.compile(re.escape(pattern).replace("%", ".*").replace("_", "."))

@@ -33,6 +33,9 @@ def _days(value: object) -> int:
 
 
 def sql_toverlaps(s1, e1, s2, e2) -> bool:
+    if type(s1) is type(e1) is type(s2) is type(e2) is int and s1 <= e1 and s2 <= e2:
+        # day counts forming valid intervals: Interval.overlaps, unboxed
+        return s1 <= e2 and s2 <= e1
     return _interval(s1, e1).overlaps(_interval(s2, e2))
 
 

@@ -110,9 +110,10 @@ class DmlMatchPlan:
 
     Reuses the same build/optimize/compile pipeline as SELECT (so a keyed
     UPDATE hits an index instead of scanning the heap) but pulls
-    ``(rid, env)`` pairs, which only leaf scans and Filters can produce —
+    ``(rid, row)`` pairs, which only leaf scans and Filters can produce —
     guaranteed here because the statement has exactly one source and no
-    output stage is compiled.
+    output stage is compiled.  ``layout`` is the table's columns: a
+    matched row is the stored tuple.
     """
 
     def __init__(self, db: Database, table_name: str, where) -> None:
@@ -133,7 +134,8 @@ class DmlMatchPlan:
         self._physical = compile_plan(
             plan, ExecContext(db, self.scope, self.functions)
         )
+        self.layout = self._physical.layout
 
     def matches(self, params: Mapping):
-        """Yield ``(rid, env)`` for every row the WHERE clause selects."""
+        """Yield ``(rid, row)`` for every row the WHERE clause selects."""
         yield from self._physical.rid_rows(params)

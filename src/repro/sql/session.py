@@ -153,17 +153,16 @@ def _execute_insert_select(
 
 def _execute_update(db: Database, statement: ast.Update, plan, params) -> int:
     table = db.table(statement.table)
+    scope = plan.scope.at(plan.layout)
     assignments = [
-        (column, compile_expr(expr, plan.scope, plan.functions))
+        (table.schema.position(column), compile_expr(expr, scope, plan.functions))
         for column, expr in statement.assignments
     ]
-    schema = table.schema
-    alias = statement.table
     victims = list(plan.matches(params))
-    for rid, env in victims:
-        new_row = [env[(alias, name)] for name in schema.column_names]
-        for column, value_fn in assignments:
-            new_row[schema.position(column)] = value_fn(env, params)
+    for rid, row in victims:
+        new_row = list(row)
+        for position, value_fn in assignments:
+            new_row[position] = value_fn(row, params)
         table.update_rid(rid, tuple(new_row))
     return len(victims)
 
