@@ -76,6 +76,17 @@ if [ -n "$ROW_DICTS" ]; then
     echo "$ROW_DICTS" >&2
     exit 1
 fi
+# A snapshot read of a tracked current table is the paper's snapshot
+# query, planned over its H-tables (plan/build.py); the materialised
+# copy (txn/reconstruct.py) and the thread-local table overlay that
+# swapped it in were deleted.  Keep them deleted.
+SNAPSHOT_COPY="$(grep -rnE 'snapshot_table|providing_tables|table_provider|repro\.txn\.reconstruct' \
+    --include='*.py' src tests examples scripts benchmarks || true)"
+if [ -n "$SNAPSHOT_COPY" ]; then
+    echo "FAIL: snapshot reads are planned over the H-tables, not copied:" >&2
+    echo "$SNAPSHOT_COPY" >&2
+    exit 1
+fi
 echo "no references to removed legacy API surface"
 
 echo "== python 3.10 regex lint =="

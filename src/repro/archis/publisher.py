@@ -27,7 +27,8 @@ def _timestamped(name: str, value: object, interval: Interval) -> Element:
     element = Element(name)
     element.set("tstart", format_date(interval.start))
     element.set("tend", format_date(interval.end))
-    element.append(Text(_render(value)))
+    if value is not None:  # a NULL version is an element with no text
+        element.append(Text(_render(value)))
     return element
 
 

@@ -60,8 +60,8 @@ class Profile:
     ``tracking`` selects triggers vs update log; ``clustered_indexes``
     models ATLaS/BerkeleyDB's clustered index (extra storage, Fig. 11).
     Both profiles read archived history one way: ``history()``,
-    ``publish()``, snapshot reconstruction and every query go through
-    the table functions' row source ``rows()``
+    ``publish()``, snapshot reads of current tables and every query go
+    through the table functions' row source ``rows()``
     (:mod:`repro.archis.tablefuncs`).  The paper's one-scan UDA for the
     ATLaS temporal join (Section 8.3) is not modelled: Q6 runs as the
     translated join or as ``TEMPORAL JOIN``.
@@ -137,9 +137,11 @@ class ArchIS:
         #: kept here (bounded); set the threshold to None to disable.
         self.slow_query_log = SlowQueryLog()
         # let the segment-restriction optimizer rule see clustering
-        # state, and the statement cache see when it changes
+        # state, the statement cache see when it changes, and the planner
+        # read tracked tables under a pinned day from their H-tables
         self.db.segment_provider = self._segment_hints
         self.db.segment_generation = self._segment_generation
+        self.db.tracked_relations = self.relations
         from repro.util.timeutil import FOREVER
 
         # tend with 'now' substitution (paper Section 4.3): the internal
@@ -200,6 +202,8 @@ class ArchIS:
         self.relations[name] = relation
         self.writers[name] = writer
         self.trackers[name] = tracker
+        # plans of this table made before it was tracked read it as is
+        self.db.invalidate_plans()
         self._doc_names[document_name or f"{name}s.xml"] = name
         # archive rows that already exist in the current table
         for row in list(table.rows()):

@@ -30,9 +30,10 @@ segno``).
 
 ``rows()`` is the only reader of archived H-table rows:
 ``ArchIS.history()``, ``ArchIS.publish()`` (and the XQuery native
-fallback) read ``history_<t>()``, and snapshot reconstruction
-(:mod:`repro.txn.reconstruct`) and every ``FOR SYSTEM_TIME`` or
-translated query read whichever of the three the planner picks.  Only
+fallback) read ``history_<t>()``, and every ``FOR SYSTEM_TIME``,
+translated or snapshot query — a tracked current table read under a
+pinned day is one, see :mod:`repro.plan.build` — reads whichever of
+the three the planner picks.  Only
 the invariant checker (:mod:`repro.archis.validation`) reads the raw
 copies, because its job is to inspect them.
 """

@@ -24,6 +24,10 @@ from repro.util.timeutil import FOREVER
 from repro.archis.clustering import SegmentManager
 from repro.archis.htables import TrackedRelation
 
+#: the ``value`` of a key-table version: the key table has no value
+#: column (``None`` is a value — a NULL attribute)
+KEY_TABLE = object()
+
 _CHANGES_APPLIED = get_registry().counter("tracker.changes_applied")
 _INSERTS = get_registry().counter("tracker.inserts")
 _UPDATES = get_registry().counter("tracker.updates")
@@ -110,7 +114,7 @@ class HTableWriter:
         _INSERTS.inc()
         self.segments.maybe_freeze(when)
         key = row[self._key_pos]
-        self._upsert_version(self.relation.key_table, key, None, when)
+        self._upsert_version(self.relation.key_table, key, KEY_TABLE, when)
         for attr, pos in self._attr_pos.items():
             self._upsert_version(
                 self.relation.attribute_table(attr), key, row[pos], when
@@ -157,7 +161,7 @@ class HTableWriter:
         starts on ``when`` (opened or closed earlier the same day), it is
         *rewritten in place* — only the day's final state is part of the
         history — instead of creating a duplicate ``(id, tstart)`` version.
-        ``value=None`` means the key table (no value column).
+        ``value=KEY_TABLE`` means the key table (no value column).
         """
         table = self.db.table(table_name)
         tstart_pos = table.schema.position("tstart")
@@ -170,10 +174,8 @@ class HTableWriter:
             rid, row = item
             if row[tstart_pos] == when:
                 fresh = list(row)
-                if value is not None:
-                    fresh[table.schema.position(
-                        table.schema.column_names[1]
-                    )] = value
+                if value is not KEY_TABLE:
+                    fresh[1] = value
                 was_live = row[tend_pos] == FOREVER
                 fresh[tend_pos] = FOREVER
                 new_rid = table.update_rid(rid, tuple(fresh))
@@ -186,7 +188,7 @@ class HTableWriter:
                 if not was_live:
                     self.segments.stats.live += 1
                 return
-        if value is None:
+        if value is KEY_TABLE:
             new_row = (key, when, FOREVER, self.segments.live_segno)
         else:
             new_row = (key, value, when, FOREVER, self.segments.live_segno)
@@ -207,15 +209,10 @@ class HTableWriter:
         skipped_same_day = False
         end = max(when - 1, 0)
         cached = self._cached_versions(table, key)
-        if cached is not None:
-            candidates = [
-                item for item in cached if item[1][tend_pos] == FOREVER
-            ]
-        else:
-            candidates = [
-                [rid, row]
-                for rid, row in self._live_rows(table, key, live_segno)
-            ]
+        versions = (
+            cached if cached is not None else self._scan_versions(table, key)
+        )
+        candidates = [item for item in versions if item[1][tend_pos] == FOREVER]
         for item in candidates:
             rid, row = item
             tstart = row[tstart_pos]
@@ -301,29 +298,6 @@ class HTableWriter:
             candidates = table.scan()
         for rid, row in candidates:
             if row[id_pos] == key and row[seg_pos] == live_segno:
-                yield rid, row
-
-    @staticmethod
-    def _live_rows(table: Table, key: int, live_segno: int):
-        id_pos = table.schema.position("id")
-        tend_pos = table.schema.position("tend")
-        seg_pos = table.schema.position("segno")
-        index = table.find_index(("segno", "id")) or table.find_index(("id",))
-        if index is not None:
-            if index.columns[0] == "segno":
-                candidates = table.index_scan(
-                    index.name, (live_segno, key), (live_segno, key)
-                )
-            else:
-                candidates = table.index_scan(index.name, (key,), (key,))
-        else:
-            candidates = table.scan()
-        for rid, row in candidates:
-            if (
-                row[id_pos] == key
-                and row[tend_pos] == FOREVER
-                and row[seg_pos] == live_segno
-            ):
                 yield rid, row
 
 

@@ -108,6 +108,9 @@ class Template:
 #: a hole in the translator's SQL before it is cut into a Template
 _HOLE = re.compile("\x00(\\d+)\x00")
 
+#: a column reference through a translator alias (``t3.salary``)
+_ALIAS_REF = re.compile(r"\b(t\d+)\.")
+
 
 @dataclass
 class VarInfo:
@@ -152,8 +155,13 @@ class Analyzer:
         self.archis = archis
         self.vars: dict[str, VarInfo] = {}
         self.all_vars: list[VarInfo] = []
-        self.conditions: list[str] = []
+        #: WHERE conditions: SQL text, or a callable that writes it when
+        #: the SQL is built (a step test naming its entity's anchor)
+        self.conditions: list = []
         self.joins: list[str] = []
+        #: while an entity's step predicate is translated: the entity and
+        #: the attribute aliases of it read (its subquery's sources)
+        self._tested: tuple[VarInfo, list] | None = None
         self._alias_count = 0
         # mapped `order by` keys: (sql, descending)
         self.order_specs: list[tuple[str, bool]] = []
@@ -251,11 +259,11 @@ class Analyzer:
         if isinstance(arg, ast.PathExpr):
             var = self._bind_path("__agg", arg)
             var.used = True
-            sql_arg = (
-                "*" if name == "count" else self._value_sql(var)
-            )
-            select = f"{name}({sql_arg})"
-            return self._finish_scalar(select)
+            sql_arg = "*" if name == "count" else self._value_sql(var)
+            if name == "count" and var.kind == "entity":
+                # one element per key, however many lifetimes it had
+                sql_arg = f"DISTINCT {self._value_sql(var)}"
+            return self._finish_scalar(f"{name}({sql_arg})")
         if isinstance(arg, ast.Flwor):
             self._analyze_clauses(arg.clauses)
             value_sql, _ = self._operand(arg.return_expr, None)
@@ -508,8 +516,11 @@ class Analyzer:
             parent=entity,
         )
         var.used = True
-        self.all_vars.append(var)
-        self._join_to_parent(var)
+        if self._tested is not None and self._tested[0] is entity:
+            self._tested[1].append(var)
+        else:
+            self.all_vars.append(var)
+            self._join_to_parent(var)
         self._apply_predicates(var, step.predicates)
         return var
 
@@ -560,7 +571,53 @@ class Analyzer:
 
     def _apply_predicates(self, var: VarInfo, predicates: tuple) -> None:
         for predicate in predicates:
-            self._add_condition(predicate, context=var)
+            if var.kind == "entity":
+                self._add_entity_test(predicate, var)
+            else:
+                self._add_condition(predicate, context=var)
+
+    def _add_entity_test(self, node: object, entity: VarInfo) -> None:
+        """A step predicate of an entity, ``employee[salary > 5]``: it
+        asks whether *some* version qualifies, so the attributes it reads
+        form an ``IN`` subquery rather than join the outer FROM, where
+        each qualifying version would repeat the entity's rows.  A test
+        of the key or the entity's interval stays a plain condition."""
+        if isinstance(node, ast.BinaryOp) and node.op == "and":
+            self._add_entity_test(node.left, entity)
+            self._add_entity_test(node.right, entity)
+            return
+        outer_tested, outer_conditions = self._tested, self.conditions
+        tested: list[VarInfo] = []
+        self._tested, self.conditions = (entity, tested), []
+        try:
+            sql = self._condition_sql(node, entity)
+            conditions = self.conditions
+        finally:
+            self._tested, self.conditions = outer_tested, outer_conditions
+        if sql is not None:
+            conditions.append(sql)
+        if not tested:
+            self.conditions.extend(conditions)
+            return
+        own = {var.alias for var in tested}
+        if not all(
+            isinstance(c, str) and set(_ALIAS_REF.findall(c)) <= own
+            for c in conditions
+        ):
+            # the subquery is uncorrelated: it cannot read the key or
+            # another variable of the enclosing query
+            raise _unsupported("a step predicate reading other sources")
+        first = tested[0]
+        where = [f"{first.alias}.id = {var.alias}.id" for var in tested[1:]]
+        where += conditions
+        subquery = (
+            f"SELECT {first.alias}.id FROM "
+            + ", ".join(self._source_sql(var) for var in tested)
+            + (" WHERE " + " AND ".join(where) if where else "")
+        )
+        self.conditions.append(
+            lambda: f"{self._entity_anchor(entity).alias}.id IN ({subquery})"
+        )
 
     def _add_condition(self, node: object, context: VarInfo | None = None) -> None:
         if isinstance(node, ast.BinaryOp) and node.op == "and":
@@ -878,10 +935,13 @@ class Analyzer:
 
     def _build_sql(self, select: str, order_by: str | None = None) -> str:
         sources: list[str] = []
-        conditions = list(self.joins) + list(self.conditions)
+        # a deferred condition may anchor its entity: write them first
+        conditions = list(self.joins) + [
+            c if isinstance(c, str) else c() for c in self.conditions
+        ]
         seen_aliases: set[str] = set()
         for var in self.all_vars:
-            self._collect_source(var, sources, conditions, seen_aliases)
+            self._collect_source(var, sources, seen_aliases)
         if not sources:
             raise _unsupported("no H-table sources identified")
         sql = f"SELECT {select} FROM {', '.join(sources)}"
@@ -892,11 +952,7 @@ class Analyzer:
         return sql
 
     def _collect_source(
-        self,
-        var: VarInfo,
-        sources: list[str],
-        conditions: list[str],
-        seen: set[str],
+        self, var: VarInfo, sources: list[str], seen: set[str]
     ) -> None:
         if not var.used or var.alias in seen:
             return
@@ -906,6 +962,10 @@ class Analyzer:
             if var.alias in seen:
                 return
         seen.add(var.alias)
+        sources.append(self._source_sql(var))
+
+    def _source_sql(self, var: VarInfo) -> str:
+        """The FROM entry reading ``var``'s H-table."""
         table = var.table
         segments = self.archis.segments
         compressed = table in self.archis.archive.compressed_tables
@@ -914,16 +974,9 @@ class Analyzer:
             # correct-for-every-query full read; the optimizer's
             # segment-restriction rule narrows it when the pushed-down
             # predicates bound this alias to a snapshot/slicing window
-            columns = self._table_columns(var)
-            sources.append(
-                f"TABLE(history_{table}()) AS {var.alias}({columns})"
-            )
-        else:
-            sources.append(f"{table} AS {var.alias}")
-
-    def _table_columns(self, var: VarInfo) -> str:
-        table = self.archis.db.table(var.table)
-        return ", ".join(table.schema.column_names)
+            columns = ", ".join(self.archis.db.table(table).schema.column_names)
+            return f"TABLE(history_{table}()) AS {var.alias}({columns})"
+        return f"{table} AS {var.alias}"
 
 
 #: a number as the SQL lexer reads it, with an optional sign

@@ -120,10 +120,6 @@ class NativeXmlStore:
         """Bytes of blob pages holding the stored documents."""
         return self.blobs.size_bytes()
 
-    def document_text_bytes(self) -> int:
-        """Total size of the stored documents' serialized text."""
-        return sum(d.text_size for d in self._documents.values())
-
     def reset_caches(self) -> None:
         """Drop parsed trees and buffered pages (cold-query protocol)."""
         self._parse_cache.clear()

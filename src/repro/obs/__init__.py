@@ -159,7 +159,6 @@ METRIC_INVENTORY: dict[str, str] = {
     "txn.aborts": "transactions aborted",
     "txn.active": "write transactions currently active",
     "txn.snapshots": "read snapshots handed out",
-    "txn.snapshot.reconstructions": "snapshot table reconstructions",
     "txn.deadlocks": "deadlocks detected (victim aborted the wait)",
     "txn.lock_timeouts": "lock waits that hit the wall-clock timeout",
     "txn.locks.acquired": "table/resource locks acquired",

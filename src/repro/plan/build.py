@@ -6,6 +6,9 @@ clause sits in one ``Filter`` above the join tree.  The optimizer rules
 (:mod:`repro.plan.rules`) then push predicates down, restrict segments,
 pick indexes and upgrade equi-joins — so a plan executed with the
 optimizer disabled must return exactly the same rows, just slower.
+
+Under a pinned day (a snapshot read) a tracked current table is read
+through the paper's snapshot query over its H-tables (Section 6.3).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from repro.errors import SqlPlanError
 from repro.obs import get_registry
 from repro.plan import nodes
+from repro.plan.optimizer import active_guards
+from repro.rdb import txcontext
 from repro.sql import ast
 from repro.sql.expr import Scope, contains_aggregate
 
@@ -69,8 +74,10 @@ def build_logical(select: ast.Select, scope: Scope):
     # deduplicated history_<t>() function (raw H-table heaps can hold
     # per-segment duplicate copies of a version)
     temporal = select_is_temporal(select)
+    snapshot = _snapshot_reads(select, scope)
     for ref in select.sources:
-        leaf, residual = _source_plan(ref, scope, temporal)
+        lowered = snapshot.get(getattr(ref, "alias", None))
+        leaf, residual = lowered or _source_plan(ref, scope, temporal)
         extra_conjuncts.extend(residual)
         plan = leaf if plan is None else nodes.Join(plan, leaf)
     if plan is None:
@@ -109,6 +116,79 @@ def build_logical(select: ast.Select, scope: Scope):
     if select.limit is not None:
         plan = nodes.Limit(plan, select.limit)
     return plan
+
+
+def _snapshot_reads(select: ast.Select, scope: Scope) -> dict:
+    """Lower each tracked current table among the FROM sources to the
+    paper's snapshot query (Section 6.3) at the pinned day: a current
+    table is updated in place, so its state on day T is its key table's
+    history AS OF T equi-joined on ``id`` to the history AS OF T of each
+    attribute table the statement uses, under sub-aliases
+    ``<alias>#<column>``.  The scope reads the table's columns from
+    theirs (the key from the key table's ``id``), so the rules plan them
+    like any ``FOR SYSTEM_TIME`` read.  Returns ``alias -> (plan, join
+    conjuncts)``."""
+    day = txcontext.as_of_day()
+    tracked = getattr(scope.db, "tracked_relations", None)
+    if day is None or not tracked:
+        return {}
+    relations = {
+        ref.alias: tracked[ref.name]
+        for ref in select.sources
+        if isinstance(ref, ast.TableRef)
+        and ref.temporal is None
+        and ref.name in tracked
+    }
+    if not relations:
+        return {}
+    used = _used_columns(select, scope, relations)
+    at = ast.DateLiteral(day, active_guards().day_slot)
+    clause = ast.TemporalClause("as_of", at)
+    lowered = {}
+    for alias, relation in relations.items():
+        key = ast.ColumnRef(f"{alias}#{relation.key}", "id")
+        plan, conjuncts = None, []
+        for column in [relation.key] + [
+            c for c in scope.columns_by_alias[alias]
+            if c in used[alias] and c != relation.key
+        ]:
+            sub = f"{alias}#{column}"
+            table, held = relation.key_table, "id"
+            if column != relation.key:
+                table, held = relation.attribute_table(column), column
+                conjuncts.append(ast.BinaryOp("=", key, ast.ColumnRef(sub, "id")))
+            scope.columns_by_alias[sub] = scope.db.table(table).schema.column_names
+            scope.lowered[(alias, column)] = (sub, held)
+            leaf = _temporal_table_leaf(ast.TableRef(table, sub, clause), scope)
+            plan = leaf if plan is None else nodes.Join(plan, leaf)
+        lowered[alias] = (plan, conjuncts)
+    return lowered
+
+
+def _used_columns(select: ast.Select, scope: Scope, aliases) -> dict:
+    """``alias -> columns`` the statement reads, for each of ``aliases``
+    (all of them under ``SELECT *`` or ``SELECT alias.*``)."""
+    used: dict[str, set] = {alias: set() for alias in aliases}
+    exprs = [item.expr for item in select.items] + [select.where]
+    exprs += [*select.group_by, *(item.expr for item in select.order_by)]
+    sources = list(select.sources)
+    while sources:
+        source = sources.pop()
+        if isinstance(source, ast.TemporalJoinRef):
+            exprs.append(source.on)
+            sources += [source.left, source.right]
+    for expr in exprs:
+        if isinstance(expr, ast.Star):
+            for alias in used:
+                if expr.table in (None, alias):
+                    used[alias].update(scope.columns_by_alias[alias])
+            continue
+        for node in ast.walk_exprs(expr):
+            if isinstance(node, ast.ColumnRef):
+                alias, column = scope.resolve(node)
+                if alias in used:
+                    used[alias].add(column)
+    return used
 
 
 def _source_plan(ref, scope, temporal=False):

@@ -109,9 +109,12 @@ class Guards:
     ignored.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, day_slot: int | None = None) -> None:
         self.checks: list[Callable] = []
         self._seen: set = set()
+        #: the slot the pinned day is bound to, after the statement's
+        #: literals (``None``: a pinned day is planned as a constant)
+        self.day_slot = day_slot
 
     def _add(self, key, check: Callable) -> None:
         if key not in self._seen:
@@ -176,10 +179,10 @@ _ACTIVE_GUARDS: ContextVar[Guards | None] = ContextVar(
 
 
 @contextmanager
-def collecting_guards() -> Iterator[Guards]:
+def collecting_guards(day_slot: int | None = None) -> Iterator[Guards]:
     """Collect the guards of every plan built on this thread inside the
     block (a statement's subquery plans included)."""
-    guards = Guards()
+    guards = Guards(day_slot)
     token = _ACTIVE_GUARDS.set(guards)
     try:
         yield guards

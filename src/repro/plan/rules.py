@@ -336,7 +336,9 @@ def restrict_segments(plan, ctx):
                 )
             function = f"{'seg' if lo == hi else 'slice'}_{table}"
             args = (ast.Literal(lo), ast.Literal(hi))
-        key = _key_from_predicates(node.alias, node.predicates, ctx.guards)
+        key = _key_from_predicates(
+            node.alias, node.predicates, ctx.scope, ctx.guards
+        )
         if key is not None:
             args += (key, key)
         elif window is None:
@@ -359,11 +361,15 @@ def _call_sql(function, args) -> str:
     return f"{function}({', '.join(expr_to_sql(a) for a in args)})"
 
 
-def _key_from_predicates(alias, predicates, guards):
-    """The value node of an ``id = <int literal | :param>`` conjunct."""
+def _key_from_predicates(alias, predicates, scope, guards):
+    """The value node of an ``id = <int literal | :param>`` conjunct
+    (or of a lowered key column, which reads ``id``: ``Scope.lowered``)."""
     for predicate in predicates:
         bound = _equals_constant(predicate)
-        if bound is None or not _is_column(bound[0], alias, "id"):
+        if bound is None or not (
+            _is_column(bound[0], alias, "id")
+            or scope is not None and scope.resolve(bound[0]) == (alias, "id")
+        ):
             continue
         value = bound[1]
         guards.typed(value)

@@ -10,7 +10,7 @@ tables in a same database", Section 5).
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.errors import CatalogError
 from repro.rdb import txcontext
@@ -83,6 +83,10 @@ class Database:
         #: whenever that clustering state changes (segment boundaries,
         #: the compressed-table set), so cached plans stop matching
         self.segment_generation: Callable | None = None
+        #: tracked tables by name (installed by ArchIS): their ``key``,
+        #: ``key_table`` and ``attribute_table(column)`` let a read under
+        #: a pinned day be planned over the H-tables (repro.plan.build)
+        self.tracked_relations: Mapping = {}
         #: bumped by every catalog, index and function registration
         #: change; part of every statement-cache key
         self._generation = 0
@@ -111,11 +115,6 @@ class Database:
         if override is not None:
             return override
         return self._clock
-
-    @property
-    def as_of(self) -> int | None:
-        """The snapshot day pinned for reads on this thread, if any."""
-        return txcontext.as_of_day()
 
     def set_date(self, value: int | str) -> None:
         if isinstance(value, str):
@@ -181,11 +180,6 @@ class Database:
         return (self._generation, hook() if hook is not None else None)
 
     def table(self, name: str) -> Table:
-        provider = txcontext.table_provider()
-        if provider is not None:
-            substitute = provider(name)
-            if substitute is not None:
-                return substitute
         try:
             return self._tables[name]
         except KeyError:

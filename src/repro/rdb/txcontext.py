@@ -6,14 +6,15 @@ transaction is active on the calling thread:
 
 * **AS-OF visibility** — a snapshot read pins a day; table scans hide
   rows whose ``tstart`` lies after it and re-open intervals closed by
-  later transactions.
+  later transactions, and the planner reads a tracked current table
+  from its H-tables at that day (:mod:`repro.plan.build`).
 * **Clock override** — a write transaction's mutations are stamped with
   the transaction's own commit day, not the shared database clock, so
   concurrent writers never interleave timestamps.
 * **Undo capture** — mutations append inverse operations to the active
   transaction's undo sink, replayed on abort.
-* **Trigger suppression** — undo replay and snapshot plumbing must not
-  re-archive rows, so triggers can be muted for the current thread.
+* **Trigger suppression** — undo replay must not re-archive rows, so
+  triggers can be muted for the current thread.
 
 Rather than import the transaction layer (a layering inversion), the rdb
 layer consults these thread-locals; :mod:`repro.txn` sets them around
@@ -36,10 +37,6 @@ _LOCAL = threading.local()
 def as_of_day() -> int | None:
     """The snapshot day pinned for reads on this thread, if any."""
     return getattr(_LOCAL, "as_of", None)
-
-
-def set_as_of(day: int | None) -> None:
-    _LOCAL.as_of = day
 
 
 @contextmanager
@@ -107,28 +104,3 @@ def no_undo() -> Iterator[None]:
     finally:
         _LOCAL.undo = previous
 
-
-# -- table overlay ------------------------------------------------------------
-
-def table_provider():
-    """This thread's table-overlay resolver, if any.
-
-    A callable ``(name) -> Table | None`` consulted by
-    :meth:`~repro.rdb.database.Database.table` before the catalog.
-    Snapshot transactions install one that substitutes tracked current
-    tables with their H-table reconstruction at the snapshot day —
-    current tables are mutated in place, so a point-in-time read must be
-    served from the versioned history instead.
-    """
-    return getattr(_LOCAL, "table_provider", None)
-
-
-@contextmanager
-def providing_tables(provider) -> Iterator[None]:
-    """Scope a table-overlay resolver over a block on this thread."""
-    previous = table_provider()
-    _LOCAL.table_provider = provider
-    try:
-        yield
-    finally:
-        _LOCAL.table_provider = previous

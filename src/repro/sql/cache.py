@@ -10,8 +10,10 @@ values:
   registrations, and (through ``Database.segment_generation``) ArchIS's
   segment generation and compressed-table set;
 - ``db.optimizer_enabled``;
-- whether a snapshot overlay (``txcontext.providing_tables``) is active,
-  since an overlay serves index-less copies of the tables it covers.
+- whether a day is pinned (a snapshot read), since a pinned day plans
+  tracked current tables over their H-tables.  The day itself is not
+  part of the key: it is bound after the statement's literals, in the
+  last slot, like one more lifted literal.
 
 A miss parses with each literal lifted into a numbered slot, then
 builds, optimizes and compiles as always: the rules see the real values
@@ -126,11 +128,13 @@ class StatementCache:
             return Bound(Prepared(statement, None, None, Guards()), ())
         text_shape, literals = shape(text)
         db = self.db
+        day = txcontext.as_of_day()
+        pinned = () if day is None else (day,)
         key = (
             text_shape,
             db.plan_generation(),
             db.optimizer_enabled,
-            txcontext.table_provider() is not None,
+            day is not None,
         )
         with self._lock:
             variants = self._entries.get(key)
@@ -141,6 +145,7 @@ class StatementCache:
             if values is None:
                 parse_sql(text)  # raises the error the parser reports
             else:
+                values += pinned
                 for prepared in variants:
                     if prepared.guards.admits(values):
                         _HITS.inc()
@@ -148,23 +153,25 @@ class StatementCache:
             _REPLANS.inc()
         else:
             _MISSES.inc()
-        prepared, values = self._plan(text, literals)
+        prepared, values = self._plan(text, literals, pinned)
         if prepared.converters is not None:
             self._store(key, prepared)
         return Bound(prepared, values)
 
-    def _plan(self, text: str, literals: list) -> tuple[Prepared, tuple]:
+    def _plan(
+        self, text: str, literals: list, pinned: tuple
+    ) -> tuple[Prepared, tuple]:
         lifted = {pos: slot for slot, (pos, _) in enumerate(literals)}
         parser = SqlParser(text, lifted)
         statement = parser.parse_statement()
-        with collecting_guards() as guards:
+        with collecting_guards(day_slot=len(literals)) as guards:
             plan = _plan_statement(self.db, statement)
         converters = tuple(parser.converters)
         if None in converters:
             converters = None
         return (
             Prepared(statement, plan, converters, guards),
-            tuple(parser.values),
+            tuple(parser.values) + pinned,
         )
 
     def _store(self, key: tuple, prepared: Prepared) -> None:

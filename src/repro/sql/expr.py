@@ -31,18 +31,25 @@ class Scope:
     Carries the database handle so (uncorrelated) subqueries can be
     planned during expression compilation, and the row layout that
     column references compile to positions in (see :meth:`at`).
+
+    A source read from other sources (a tracked current table under a
+    pinned day, see :mod:`repro.plan.build`) keeps its own columns for
+    name resolution; ``lowered`` sends each to the ``(alias, column)``
+    that holds it, and only qualified references reach those aliases.
     """
 
     def __init__(
-        self, columns_by_alias: Mapping[str, list[str]], db=None, layout=()
+        self, columns_by_alias: Mapping[str, list[str]], db=None, layout=(),
+        lowered=None,
     ) -> None:
         self.columns_by_alias = dict(columns_by_alias)
         self.db = db
         self.layout = tuple(layout)
+        self.lowered = {} if lowered is None else lowered
 
     def at(self, layout) -> "Scope":
         """This scope, compiling column references against ``layout``."""
-        return Scope(self.columns_by_alias, self.db, layout)
+        return Scope(self.columns_by_alias, self.db, layout, self.lowered)
 
     def slot(self, ref: ast.ColumnRef) -> int:
         """The position of a column reference in this scope's layout."""
@@ -60,19 +67,22 @@ class Scope:
                 raise SqlPlanError(
                     f"table {ref.table!r} has no column {ref.column!r}"
                 )
-            return (ref.table, ref.column)
-        owners = [
-            alias
-            for alias, columns in self.columns_by_alias.items()
-            if ref.column in columns
-        ]
-        if not owners:
-            raise SqlPlanError(f"unknown column {ref.column!r}")
-        if len(owners) > 1:
-            raise SqlPlanError(
-                f"ambiguous column {ref.column!r} (in {sorted(owners)})"
-            )
-        return (owners[0], ref.column)
+            key = (ref.table, ref.column)
+        else:
+            hidden = {alias for alias, _ in self.lowered.values()}
+            owners = [
+                alias
+                for alias, columns in self.columns_by_alias.items()
+                if ref.column in columns and alias not in hidden
+            ]
+            if not owners:
+                raise SqlPlanError(f"unknown column {ref.column!r}")
+            if len(owners) > 1:
+                raise SqlPlanError(
+                    f"ambiguous column {ref.column!r} (in {sorted(owners)})"
+                )
+            key = (owners[0], ref.column)
+        return self.lowered.get(key, key)
 
 
 def contains_aggregate(node: object) -> bool:
@@ -221,14 +231,13 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
         return run_scalar_subquery
     if isinstance(node, ast.InSubquery):
         operand = compile_expr(node.operand, scope, functions)
-        rows_fn = _compile_subquery(node.subquery, scope)
+        members_fn = _compile_subquery(node.subquery, scope, _members)
         negated = node.negated
         def run_in_subquery(row, params):
             value = operand(row, params)
             if value is None:
                 return False
-            hit = any(found[0] == value for found in rows_fn(params))
-            return hit != negated
+            return (value in members_fn(params)) != negated
         return run_in_subquery
     if isinstance(node, ast.ExistsSubquery):
         rows_fn = _compile_subquery(node.subquery, scope)
@@ -241,8 +250,9 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
     raise SqlPlanError(f"cannot compile {type(node).__name__}")
 
 
-def _compile_subquery(node: ast.Subquery, scope: Scope):
-    """Plan an uncorrelated subquery; returns ``rows_fn(params)``.
+def _compile_subquery(node: ast.Subquery, scope: Scope, shape=None):
+    """Plan an uncorrelated subquery; returns ``rows_fn(params)`` (its
+    rows, or ``shape(rows)``).
 
     The subquery sees only its own sources (no outer-row correlation) and
     its result is cached per ``params`` object, so an IN-subquery executes
@@ -261,11 +271,23 @@ def _compile_subquery(node: ast.Subquery, scope: Scope):
         if hit is not None and hit[0] is params:
             return hit[1]
         rows = plan.execute(params).rows
+        if shape is not None:
+            rows = shape(rows)
         cache.clear()
         cache[key] = (params, rows)
         return rows
 
     return rows_fn
+
+
+def _members(rows):
+    """The first column of ``rows`` for an IN test: a set when its
+    values hash (``in`` then compares as ``==`` does), else a list."""
+    values = [row[0] for row in rows]
+    try:
+        return frozenset(values)
+    except TypeError:
+        return values
 
 
 _COMPARE = {

@@ -51,8 +51,8 @@ def execute_prepared(
 
     The transaction layer prepares first — it needs the statement to
     compute the lock set — then executes through here, so a statement is
-    never prepared twice.  Prepare on the thread and under the snapshot
-    overlay the statement executes in: the plan depends on both.
+    never prepared twice.  Prepare on the thread and under the pinned
+    day (or none) the statement executes in: the plan depends on both.
     """
     params = bound.params(params)
     kind = type(bound.statement).__name__

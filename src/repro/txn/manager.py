@@ -110,36 +110,22 @@ class Snapshot:
     shared across threads — the pin is scoped per call.
 
     H-table reads render intervals at the pinned day.  *Current* tables
-    are mutated in place, so reads of tracked relations are served from
-    an ephemeral :func:`~repro.txn.reconstruct.snapshot_table`
-    reconstruction instead, cached per relation (history at or before
-    the pinned day is immutable, so the cache never goes stale).
-    Untracked, un-archived tables have no history to reconstruct from
-    and read as they are now.
+    are mutated in place, so the planner reads a tracked one as the
+    paper's snapshot query over its H-tables at the pinned day (see
+    :mod:`repro.plan.build`).  Correctness beside writers in flight
+    rests on the gapped commit days: an uncommitted writer's H-table
+    rows open at ``tstart > T`` (invisible) and its interval closures
+    write ``tend = W - 1 >= T + 1`` (still live at ``T``), so a read at
+    ``T`` needs no locks.  Untracked, un-archived tables have no
+    history and read as they are now.
     """
 
     def __init__(self, manager: "TxnManager", day: int) -> None:
         self._manager = manager
         self.day = day
-        self._views: dict[str, object] = {}
-        self._views_lock = threading.Lock()
-
-    def _provide(self, name: str):
-        """Thread-local table overlay: tracked name → reconstruction."""
-        archis = self._manager.archis
-        if archis is None or name not in getattr(archis, "relations", {}):
-            return None
-        with self._views_lock:
-            view = self._views.get(name)
-            if view is None:
-                from repro.txn.reconstruct import snapshot_table
-
-                view = snapshot_table(archis, name, self.day)
-                self._views[name] = view
-            return view
 
     def sql(self, text: str, params=None):
-        """Run a SELECT against the snapshot (prepared under its overlay)."""
+        """Run a SELECT against the snapshot (planned at its day)."""
         if statement_keyword(text) != "select":
             parse_sql(text)  # a malformed statement reports as one
             raise TxnError("snapshots are read-only; use a transaction")
@@ -149,9 +135,7 @@ class Snapshot:
         """Call ``fn`` with the snapshot pinned (for non-SQL read APIs,
         e.g. ``ArchIS.xquery`` or the history table functions)."""
         self._manager.apply_committed()
-        with self._manager.history.read(), txcontext.reading_as_of(
-            self.day
-        ), txcontext.providing_tables(self._provide):
+        with self._manager.history.read(), txcontext.reading_as_of(self.day):
             previous = txcontext.clock_day()
             txcontext.set_clock(self.day)
             try:
@@ -300,7 +284,7 @@ class TxnManager:
         """Run one statement inside ``txn`` on the calling thread.
 
         ``bound`` is ``text`` already prepared by the caller
-        (``db.statements.prepare``), outside any snapshot overlay.
+        (``db.statements.prepare``), with no day pinned.
         """
         self._check_active(txn)
         self._check_poisoned()

@@ -10,7 +10,7 @@ into it, which is what guarantees the two query paths agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.util.timeutil import FOREVER, format_date, parse_date
 
@@ -247,12 +247,3 @@ def sweep_aggregate(
         end = min(interval.end, FOREVER)
         clamped.append((value, Interval(interval.start, end)))
     return clamped
-
-
-def iter_change_points(intervals: Iterable[Interval]) -> Iterator[int]:
-    """Yield the sorted distinct instants where any interval starts or ends."""
-    points = set()
-    for interval in intervals:
-        points.add(interval.start)
-        points.add(interval.end)
-    yield from sorted(points)

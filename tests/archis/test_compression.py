@@ -235,16 +235,16 @@ class TestSegmentsFrozenAfterCompression:
             ), f"FROM..TO in segment {segno}"
 
     def test_snapshot_reconstruction_reads_every_segment(self, refrozen):
-        from repro.txn.reconstruct import snapshot_table
+        from repro.txn import TxnManager
 
         history = refrozen.history("employee", "salary")
-        columns = refrozen.db.table("employee").schema.column_names
-        salary = columns.index("salary")
+        manager = TxnManager(refrozen.db, refrozen)
         for segno, start, end in refrozen.segments.archived_segments():
             day = (start + end) // 2
-            view = snapshot_table(refrozen, "employee", day)
-            got = sorted((row[0], row[salary]) for row in view.rows())
-            assert got == sorted(
+            got = manager.snapshot(day).sql(
+                "SELECT id, salary FROM employee"
+            ).rows
+            assert sorted(got) == sorted(
                 (i, s) for i, s, ts, te in history if ts <= day <= te
             ), f"snapshot in segment {segno}"
 

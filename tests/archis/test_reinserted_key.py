@@ -6,6 +6,11 @@ attribute version once per lifetime.  Each attribute version belongs to
 exactly one lifetime — the one that holds its start — and the
 translated answers equal the native evaluator's on the published
 H-document.
+
+The native evaluator also answers with one ``employee`` element per
+key: a count of employees counts a key once across its lifetimes, and
+an attribute test in a step predicate (``employee[salary > 52000]``)
+selects each employee once, however many of its versions qualify.
 """
 
 import pytest
@@ -58,6 +63,15 @@ QUERIES = {
     "for $t in $e/title return <p>{$s}{$t}</p>",
     "two_attributes_where": f"for $e in {DOC} for $s in $e/salary "
     "for $t in $e/title where $e/id = 1 return <p>{$s}{$t}</p>",
+    # an attribute test in a step predicate is existential
+    "attribute_test": f"count({DOC}[salary > 52000]/title)",
+    "attribute_test_titles": f"for $t in {DOC}[salary > 52000]/title return $t",
+    "nested_attribute_test": f"count({DOC}[salary[. > 52000]]/name)",
+    "two_attribute_tests": f'count({DOC}[salary > 52000 and title = "QA"]/title)',
+    "key_and_attribute_test": f'count({DOC}[id="1"][salary > 52000]/title)',
+    # one employee element per key
+    "entity_count": f'count({DOC}[id="1"])',
+    "entity_count_tested": f"count({DOC}[salary > 30000])",
 }
 
 
@@ -78,3 +92,17 @@ def test_key_versions_pair_by_lifetime(archis):
     sql = archis.translate(QUERIES["q3"])
     assert "t1.tstart <= t2.tstart" in sql
     assert "t2.tstart <= t1.tend" in sql
+
+
+def test_an_attribute_test_selects_each_employee_once(archis):
+    """Key 1 has two salaries above 52000 and three title versions."""
+    query = QUERIES["attribute_test"]
+    assert archis.xquery(query, allow_fallback=False).rows == [3]
+    assert " IN (SELECT " in archis.translate(query)
+
+
+def test_an_employee_counts_once_across_lifetimes(archis):
+    assert archis.xquery(QUERIES["entity_count"], allow_fallback=False).rows == [1]
+    assert archis.xquery(
+        QUERIES["entity_count_tested"], allow_fallback=False
+    ).rows == [2]

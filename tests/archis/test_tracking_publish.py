@@ -85,6 +85,26 @@ class TestTracking:
         assert len(rows) == 2
         assert rows[1][2] == FOREVER
 
+    @pytest.mark.parametrize("profile", ["db2", "atlas"])
+    def test_null_attribute_is_a_version(self, profile):
+        archis = make_archis(profile=profile)
+        emp = archis.db.table("employee")
+        emp.insert((1, "Ann", 100, None, "d01"))
+        archis.db.set_date("1996-01-01")
+        emp.update_where(lambda r: r["id"] == 1, {"salary": None, "title": "QA"})
+        archis.apply_pending()
+        start, change = parse_date("1995-01-01"), parse_date("1996-01-01")
+        assert archis.history("employee", "title") == [
+            (1, None, start, change - 1), (1, "QA", change, FOREVER),
+        ]
+        assert archis.history("employee", "salary") == [
+            (1, 100, start, change - 1), (1, None, change, FOREVER),
+        ]
+        employee = archis.publish("employee").first("employee")
+        titles = employee.elements("title")
+        assert [t.text() for t in titles] == ["", "QA"]
+        assert titles[0].children == []  # no text node, never "None"
+
     def test_track_existing_rows(self):
         archis = make_archis()
         archis.db.table("employee").insert((7, "Pre", 1, "T", "d"))

@@ -74,7 +74,8 @@ class TestTranslationSql:
         assert "XMLElement" in sql
         assert "employee_title" in sql
         assert "employee_name" in sql
-        assert ".id = " in sql  # the id join
+        # the name test selects each employee once: a subquery on id
+        assert ".id IN (SELECT " in sql
 
     def test_snapshot_gets_segment_restriction(self):
         archis = make_archis(umin=0.4, min_segment_rows=8)

@@ -157,21 +157,33 @@ class TestEdges:
         again = db.statements.prepare("SELECT id FROM t ORDER BY id LIMIT 5")
         assert again.plan is five.plan
 
-    def test_snapshot_overlay_does_not_share_a_plan(self, archis):
-        """(d) Under a snapshot the current table is an index-less
-        reconstruction; a plan probing its index must not reach it."""
+    def test_pinned_and_unpinned_plans_differ(self, archis):
+        """(d) Under a pinned day the current table is read from its
+        H-tables, so the unpinned plan must not serve it.  The day is
+        bound like a literal: two snapshot days in one segment share a
+        plan, a day in another segment replans."""
         db = archis.db
-        db.sql("CREATE INDEX employee_id ON employee (id)")
         manager = TxnManager(db, archis)
         text = "SELECT id, salary FROM employee WHERE id = 3"
         outside = db.statements.prepare(text)
-        assert "IndexScan" in outside.report().optimized
-        snapshot = manager.snapshot()
-        assert snapshot.sql(text).rows == [(3, 3005)]
+        assert "employee#" not in outside.report().optimized
+        assert manager.snapshot(START + 25).sql(text).rows == [(3, 3001)]
         inside = db.last_plan
         assert inside.plan is not outside.plan
-        assert "IndexScan" not in inside.report().optimized
+        optimized = inside.report().optimized
+        for table in ("employee_id", "employee_salary"):
+            assert f"IndexScan {table} AS employee#" in optimized
+        assert "segno = 2, id = 3" in optimized
+        before = counts(db)
+        assert manager.snapshot(START + 35).sql(text).rows == [(3, 3002)]
+        assert moved(db, before) == (1, 0, 0)
+        assert db.last_plan.plan is inside.plan
+        assert "DATE '1990-02-05'" in db.last_plan.report().optimized
+        before = counts(db)
+        assert manager.snapshot(START + 5).sql(text).rows == [(3, 3000)]
+        assert moved(db, before) == (0, 0, 1)
         assert db.sql(text).rows == [(3, 3005)]
+        assert db.last_plan.plan is outside.plan
 
     def test_null_and_string_keys_match_nothing(self, archis):
         """(e) A cached int-key plan bound to NULL or a string key

@@ -9,13 +9,20 @@ For random update histories, on unsegmented, segmented, log-tracked
   ends, for the key table and the attribute table;
 - ``FOR SYSTEM_TIME FROM lo TO hi`` returns exactly the versions whose
   intervals overlap the closed-open window — the same rows a hand-written
-  ``tstart/tend`` predicate selects on the full history.
+  ``tstart/tend`` predicate selects on the full history;
+- a read of the *current* table under a snapshot returns the model's
+  relation on the snapshot day, on every day a version starts or ends:
+  ``SELECT *``, a key filter, a non-key filter, an aggregate and a join
+  with an H-table.
+
+Prices may be NULL: a NULL attribute is a version like any other.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.archis import ArchIS, ArchISConfig
 from repro.rdb import ColumnType, Database
+from repro.txn import TxnManager
 
 from tests.model.oracle import KEY, Oracle
 
@@ -53,7 +60,7 @@ operations = st.lists(
     st.tuples(
         st.sampled_from(["insert", "update", "delete"]),
         st.integers(min_value=1, max_value=6),  # key
-        st.integers(min_value=1, max_value=500),  # price
+        st.none() | st.integers(min_value=1, max_value=500),  # price
         st.integers(min_value=0, max_value=40),  # days to advance
     ),
     max_size=30,
@@ -149,3 +156,39 @@ def test_from_to_matches_manual_window_on_every_layout(ops, start, width):
         else:
             # every storage layout answers the same window identically
             assert got == expected, label
+
+
+@settings(max_examples=10, deadline=None)
+@given(operations)
+def test_current_table_under_a_snapshot_matches_the_model(ops):
+    for label, archis, oracle in layouts(ops):
+        manager = TxnManager(archis.db, archis)
+        for day in oracle.days():
+            snapshot = manager.snapshot(day)
+            prices = oracle.snapshot("price", day)
+            relation = sorted(
+                (key, prices[key]) for key in oracle.snapshot(KEY, day)
+            )
+            where = (label, day)
+            got = snapshot.sql("SELECT * FROM item").rows
+            assert sorted(got) == relation, where
+            for key in range(1, 7):
+                got = snapshot.sql(
+                    f"SELECT price FROM item WHERE id = {key}"
+                ).rows
+                assert got == [
+                    (price,) for k, price in relation if k == key
+                ], (where, key)
+            got = snapshot.sql("SELECT id FROM item WHERE price > 250").rows
+            assert sorted(got) == [
+                (k,) for k, price in relation
+                if price is not None and price > 250
+            ], where
+            known = [price for _, price in relation if price is not None]
+            got = snapshot.sql("SELECT count(*), max(price) FROM item").rows
+            assert got == [(len(relation), max(known, default=None))], where
+            got = snapshot.sql(
+                "SELECT i.id, i.price, h.price FROM item i, item_price h "
+                f"FOR SYSTEM_TIME AS OF {day} WHERE i.id = h.id"
+            ).rows
+            assert sorted(got) == [(k, p, p) for k, p in relation], where
