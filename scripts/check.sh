@@ -166,6 +166,10 @@ PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
 # The archive invariants on a BlockZIP-compressed archive, including the
 # block directory keyed reads rely on (first keys match, never decrease).
 PYTHONPATH=src timeout 120 python -m repro.tools check --compress
+# The same audit, index consistency included, after the background
+# worker rewrote the frozen segment in steps of 64 rows.
+PYTHONPATH=src timeout 120 python -m repro.tools check --compress \
+    --maintenance background --maintenance-step-rows 64
 
 echo "== Fig. 10 scalability table =="
 # The paper's 1x vs 7x query-time growth: whole-archive queries grow at

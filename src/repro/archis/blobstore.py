@@ -137,12 +137,9 @@ class CompressedArchive:
         id_pos = schema.position("id")
         live_segno = self.segments.live_segno
 
-        frozen_rows: list[tuple] = []
-        victims = []
-        for rid, row in table.scan():
-            if row[seg_pos] != live_segno:
-                frozen_rows.append(row)
-                victims.append(rid)
+        frozen_rows = [
+            row for _, row in table.scan() if row[seg_pos] != live_segno
+        ]
         # sid order: (segno, id), the storage order of archived segments
         frozen_rows.sort(key=lambda r: (r[seg_pos], r[id_pos]))
 
@@ -162,9 +159,8 @@ class CompressedArchive:
         self._fill_segranges(
             segrange_table, frozen_rows, blocks, seg_pos
         )
-        for rid in victims:
-            table.delete_rid(rid)
-        table.compact()
+        # the frozen rows now live in BLOBs: keep only the live segment
+        table.compact(keep=lambda row: row[seg_pos] == live_segno)
         info = CompressedTableInfo(
             table_name, blob_table, segrange_table,
             len(frozen_rows), len(blocks),

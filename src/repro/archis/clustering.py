@@ -377,10 +377,12 @@ class SegmentManager:
         """Relocate one bounded slice of a frozen segment, id-sorted.
 
         Moves rows of ``segno`` with id **after** ``cursor`` to the heap
-        tail in id order (delete + re-insert), at most ``budget`` rows
-        per step — but never splitting an id's version group, so a step
-        boundary is always a clean id boundary and a resumed (or
-        crash-recovered) rewrite can restart from any completed step.
+        tail in id order with one set-at-a-time delete + insert (the rids
+        a per-row move would give: tombstones free no space), at most
+        ``budget`` rows per step — but never splitting an id's version
+        group, so a step boundary is always a clean id boundary and a
+        resumed (or crash-recovered) rewrite can restart from any
+        completed step.
         The move is content-neutral: only rids change.
 
         Returns ``(new_cursor, rows_moved, done)``; ``done`` means the
@@ -407,9 +409,9 @@ class SegmentManager:
             pairs.append((rid, row))
         if not pairs:
             return cursor, 0, True
-        for rid, row in pairs:
-            table.delete_rid(rid)
-            table.insert(row)
+        table.delete_many([rid for rid, _ in pairs])
+        # rows came straight out of this table's heap: already coerced
+        table.insert_many([row for _, row in pairs], validated=True)
         _ROWS_REWRITTEN.inc(len(pairs))
         return pairs[-1][1][id_pos], len(pairs), done
 

@@ -14,12 +14,16 @@ synthetic histories, packaged for operators to run against real archives:
 - **blob integrity**: every compressed block decompresses, its sid
   range matches its contents, and the block directory's first keys
   ``(segno, startid)`` match the first rows and never decrease.
+- **index consistency**: every index of every H-table and tracked
+  current table, the primary key's included, holds exactly one
+  ``(key, rid)`` entry per live heap row and nothing else.
 
 ``check_archive`` returns a list of :class:`Violation`; empty means clean.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import CompressionError
@@ -57,6 +61,7 @@ def check_archive(archis) -> list[Violation]:
         if v.table == archis.archive.compressed_tables[t].blob_table
     }
     out.extend(check_segment_contiguity(archis))
+    out.extend(check_index_consistency(archis))
     for relation in archis.relations.values():
         for table_name in relation.all_tables():
             if table_name in unreadable:
@@ -68,6 +73,29 @@ def check_archive(archis) -> list[Violation]:
         ) and relation.key_table not in unreadable:
             out.extend(check_history_sanity(archis, relation))
             out.extend(check_live_rows_match_current(archis, relation))
+    return out
+
+
+def check_index_consistency(archis) -> list[Violation]:
+    out = []
+    for relation in archis.relations.values():
+        for table_name in (relation.name, *relation.all_tables()):
+            table = archis.db.table(table_name)
+            rows = list(table.scan())
+            for index, (tree, key_of) in table.index_keys().items():
+                held = Counter(tree.items())
+                wanted = Counter((key_of(row), rid) for rid, row in rows)
+                out.extend(
+                    Violation(
+                        "index-consistency", table_name,
+                        f"{index}: {what} {key} -> {rid}",
+                    )
+                    for what, extra in (
+                        ("stale entry", held - wanted),
+                        ("no entry for live row", wanted - held),
+                    )
+                    for key, rid in extra
+                )
     return out
 
 

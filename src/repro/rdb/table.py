@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from repro.errors import CatalogError, IntegrityError
@@ -34,6 +35,8 @@ class IndexInfo:
     columns: tuple[str, ...]
     tree: BPlusTree
     unique: bool = False
+    #: row positions of ``columns``, resolved once at creation
+    positions: tuple[int, ...] = ()
 
 
 RowCallback = Callable[[str, tuple, "tuple | None"], None]
@@ -87,9 +90,12 @@ class Table:
         self.schema = schema
         self._heap = HeapFile(pool, schema.name)
         self._indexes: dict[str, IndexInfo] = {}
-        self._pk_index: BPlusTree | None = None
+        self._pk: IndexInfo | None = None
         if schema.primary_key:
-            self._pk_index = BPlusTree()
+            positions = tuple(schema.position(c) for c in schema.primary_key)
+            self._pk = IndexInfo(
+                "PRIMARY KEY", schema.primary_key, BPlusTree(), False, positions
+            )
         self._triggers: list[RowCallback] = []
         #: called after an index is created or dropped (the owning
         #: Database drops its cached plans)
@@ -142,14 +148,21 @@ class Table:
     def indexes(self) -> dict[str, IndexInfo]:
         return dict(self._indexes)
 
+    @property
+    def _pk_index(self) -> BPlusTree | None:
+        return None if self._pk is None else self._pk.tree
+
+    def _all_indexes(self) -> list[IndexInfo]:
+        """The primary key's index (when there is one), then the rest."""
+        pk = [] if self._pk is None else [self._pk]
+        return pk + list(self._indexes.values())
+
     def size_bytes(self, include_indexes: bool = True) -> int:
         """On-disk footprint of heap pages (plus index estimates)."""
         total = self._heap.size_bytes()
         if include_indexes:
-            for info in self._indexes.values():
+            for info in self._all_indexes():
                 total += info.tree.approx_bytes()
-            if self._pk_index is not None:
-                total += self._pk_index.approx_bytes()
         return total
 
     # -- triggers ------------------------------------------------------------
@@ -173,15 +186,14 @@ class Table:
     def create_index(
         self, name: str, columns: tuple[str, ...], unique: bool = False
     ) -> None:
-        for column in columns:
-            self.schema.position(column)  # validates existence
+        positions = tuple(self.schema.position(c) for c in columns)
         with self._latch:
             if name in self._indexes:
                 raise CatalogError(f"index {name} already exists")
             tree = BPlusTree()
-            info = IndexInfo(name, columns, tree, unique)
+            info = IndexInfo(name, columns, tree, unique, positions)
             for rid, row in self._heap.scan():
-                self._index_insert(info, row, rid)
+                self._index_insert(info, self._index_key(info, row), rid)
             self._indexes[name] = info
         if self.on_index_change is not None:
             self.on_index_change()
@@ -194,23 +206,27 @@ class Table:
         if self.on_index_change is not None:
             self.on_index_change()
 
-    def _index_key(self, info: IndexInfo, row: tuple) -> tuple:
-        return tuple(
-            NULL_KEY if row[self.schema.position(c)] is None
-            else row[self.schema.position(c)]
-            for c in info.columns
-        )
+    @staticmethod
+    def _index_key(info: IndexInfo, row: tuple) -> tuple:
+        return tuple([
+            NULL_KEY if row[p] is None else row[p] for p in info.positions
+        ])
 
-    def _index_insert(self, info: IndexInfo, row: tuple, rid: Rid) -> None:
-        key = self._index_key(info, row)
+    @staticmethod
+    def _index_insert(info: IndexInfo, key: tuple, rid: Rid) -> None:
         if info.unique and info.tree.search(key):
             raise IntegrityError(
                 f"unique index {info.name}: duplicate key {key}"
             )
         info.tree.insert(key, rid)
 
-    def _index_delete(self, info: IndexInfo, row: tuple, rid: Rid) -> None:
-        info.tree.delete(self._index_key(info, row), rid)
+    def index_keys(self) -> dict[str, tuple[BPlusTree, Callable]]:
+        """Each index's tree and row-to-key function, the primary key's
+        under ``"PRIMARY KEY"`` (what the consistency audit compares)."""
+        return {
+            info.name: (info.tree, partial(self._index_key, info))
+            for info in self._all_indexes()
+        }
 
     def find_index(self, columns: tuple[str, ...]) -> IndexInfo | None:
         """An index whose column list starts with ``columns`` (prefix match)."""
@@ -224,17 +240,15 @@ class Table:
     def insert(self, values: tuple) -> Rid:
         row = self.schema.validate_row(values)
         with self._latch:
-            if self._pk_index is not None:
-                key = self.schema.key_of(row)
-                if self._pk_index.search(key):
+            if self._pk is not None:
+                key = self._index_key(self._pk, row)
+                if self._pk.tree.search(key):
                     raise IntegrityError(
                         f"table {self.name}: duplicate primary key {key}"
                     )
             rid = self._heap.insert(row)
-            if self._pk_index is not None:
-                self._pk_index.insert(self.schema.key_of(row), rid)
-            for info in self._indexes.values():
-                self._index_insert(info, row, rid)
+            for info in self._all_indexes():
+                self._index_insert(info, self._index_key(info, row), rid)
             sink = txcontext.undo_sink()
             if sink is not None:
                 sink.append(("insert", self, rid))
@@ -264,11 +278,11 @@ class Table:
         else:
             rows = [self.schema.validate_row(values) for values in values_list]
         with self._latch:
-            if self._pk_index is not None:
+            if self._pk is not None:
                 seen: set = set()
                 for row in rows:
-                    key = self.schema.key_of(row)
-                    if key in seen or self._pk_index.search(key):
+                    key = self._index_key(self._pk, row)
+                    if key in seen or self._pk.tree.search(key):
                         raise IntegrityError(
                             f"table {self.name}: duplicate primary key {key}"
                         )
@@ -278,11 +292,10 @@ class Table:
             else:
                 rids = self._heap.insert_many(rows)
             sink = txcontext.undo_sink()
+            indexes = self._all_indexes()
             for row, rid in zip(rows, rids):
-                if self._pk_index is not None:
-                    self._pk_index.insert(self.schema.key_of(row), rid)
-                for info in self._indexes.values():
-                    self._index_insert(info, row, rid)
+                for info in indexes:
+                    self._index_insert(info, self._index_key(info, row), rid)
                 if sink is not None:
                     sink.append(("insert", self, rid))
         for row in rows:
@@ -294,17 +307,23 @@ class Table:
             return self._heap.read(rid)
 
     def update_rid(self, rid: Rid, values: tuple) -> Rid:
-        """Rewrite the row at ``rid``; returns the (possibly moved) RID."""
+        """Rewrite the row at ``rid``; returns the (possibly moved) RID.
+
+        An index, the primary key's included, is touched only when the
+        row moved or that index's key changed (closing a history version
+        rewrites ``tend``, which no H-table index covers).
+        """
         row = self.schema.validate_row(values)
         with self._latch:
             old = self._heap.read(rid)
             new_rid = self._heap.update(rid, row)
-            if self._pk_index is not None:
-                self._pk_index.delete(self.schema.key_of(old), rid)
-                self._pk_index.insert(self.schema.key_of(row), new_rid)
-            for info in self._indexes.values():
-                self._index_delete(info, old, rid)
-                self._index_insert(info, row, new_rid)
+            moved = new_rid != rid
+            for info in self._all_indexes():
+                old_key = self._index_key(info, old)
+                key = self._index_key(info, row)
+                if moved or key != old_key:
+                    info.tree.delete(old_key, rid)
+                    self._index_insert(info, key, new_rid)
             sink = txcontext.undo_sink()
             if sink is not None:
                 sink.append(("update", self, rid, new_rid, old))
@@ -312,24 +331,33 @@ class Table:
         return new_rid
 
     def delete_rid(self, rid: Rid) -> None:
+        self.delete_many([rid])
+
+    def delete_many(self, rids: list[Rid]) -> None:
+        """Delete distinct rows, writing each touched heap page once.
+
+        Same index entries, undo records and triggers, in the same
+        order, as a :meth:`delete_rid` per rid.
+        """
         with self._latch:
-            old = self._heap.read(rid)
-            self._heap.delete(rid)
-            if self._pk_index is not None:
-                self._pk_index.delete(self.schema.key_of(old), rid)
-            for info in self._indexes.values():
-                self._index_delete(info, old, rid)
+            olds = self._heap.read_many(rids)
+            self._heap.delete_many(rids)
             sink = txcontext.undo_sink()
-            if sink is not None:
-                sink.append(("delete", self, old, rid))
-        self._fire("delete", old, None)
+            indexes = self._all_indexes()
+            for rid, old in zip(rids, olds):
+                for info in indexes:
+                    info.tree.delete(self._index_key(info, old), rid)
+                if sink is not None:
+                    sink.append(("delete", self, old, rid))
+        for old in olds:
+            self._fire("delete", old, None)
 
     def lookup_pk(self, key: tuple) -> Rid | None:
         """RID of the row with the given primary key, when one exists."""
-        if self._pk_index is None:
+        if self._pk is None:
             raise CatalogError(f"table {self.name} has no primary key")
         with self._latch:
-            hits = self._pk_index.search(key)
+            hits = self._pk.tree.search(key)
             return hits[0] if hits else None
 
     def update_where(
@@ -360,36 +388,31 @@ class Table:
                 rid for rid, row in self._heap.scan()
                 if predicate(self.row_dict(row))
             ]
-            for rid in victims:
-                self.delete_rid(rid)
+            self.delete_many(victims)
         return len(victims)
 
     def truncate(self) -> None:
         with self._latch:
             self._heap.truncate()
-            for info in self._indexes.values():
+            for info in self._all_indexes():
                 info.tree = BPlusTree()
-            if self._pk_index is not None:
-                self._pk_index = BPlusTree()
 
-    def compact(self) -> None:
+    def compact(self, keep: Callable[[tuple], bool] | None = None) -> None:
         """Rewrite the heap densely and rebuild all indexes.
 
-        Does not fire triggers: compaction is a physical reorganization,
-        not a logical change.  Used after segment freezes and archive
+        ``keep`` drops the rows it rejects, no tombstone written.  Does
+        not fire triggers: compaction is a physical reorganization, not a
+        logical change.  Used after segment freezes and archive
         compression reclaim space (paper Section 6.1 rewrites segments).
         """
         with self._latch:
-            self._heap.compact()
-            for info in self._indexes.values():
+            pairs = self._heap.compact(keep)
+            indexes = self._all_indexes()
+            for info in indexes:
                 info.tree = BPlusTree()
-            if self._pk_index is not None:
-                self._pk_index = BPlusTree()
-            for rid, row in self._heap.scan():
-                if self._pk_index is not None:
-                    self._pk_index.insert(self.schema.key_of(row), rid)
-                for info in self._indexes.values():
-                    self._index_insert(info, row, rid)
+            for rid, row in pairs:
+                for info in indexes:
+                    self._index_insert(info, self._index_key(info, row), rid)
 
     def prune_empty_pages(self) -> int:
         """Release heap pages that hold no live records.

@@ -170,6 +170,5 @@ def _execute_update(db: Database, statement: ast.Update, plan, params) -> int:
 def _execute_delete(db: Database, plan, params) -> int:
     table = db.table(plan.table_name)
     victims = [rid for rid, _ in plan.matches(params)]
-    for rid in victims:
-        table.delete_rid(rid)
+    table.delete_many(victims)
     return len(victims)

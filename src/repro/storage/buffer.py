@@ -48,6 +48,10 @@ class BufferPool:
     Write-through keeps recovery concerns out of scope (the paper's
     contribution is not in the buffer manager) while still modelling read
     locality, which is what the clustering experiments depend on.
+
+    Frames are immutable ``bytes``: a hit returns the cached image itself,
+    and :meth:`put` stores one ``bytes`` object the pager's WAL overlay
+    shares, so a write copies a page at most once (a ``bytearray``).
     """
 
     def __init__(self, pager: Pager, capacity: int = 256) -> None:
@@ -55,7 +59,7 @@ class BufferPool:
             raise StorageError("buffer pool capacity must be >= 1")
         self._pager = pager
         self._capacity = capacity
-        self._frames: OrderedDict[int, bytearray] = OrderedDict()
+        self._frames: OrderedDict[int, bytes] = OrderedDict()
         self.stats = CacheStats()
         # Frame-table mutation (including the LRU reordering a *read*
         # performs) and the hit/miss counters are guarded by one
@@ -80,26 +84,27 @@ class BufferPool:
                 self._frames.move_to_end(page_no)
                 self.stats.hits += 1
                 _HITS.inc()
-                return bytes(frame)
+                return frame
             self.stats.misses += 1
             _MISSES.inc()
             data = self._pager.read_page(page_no)
-            self._admit(page_no, bytearray(data))
+            self._admit(page_no, data)
             return data
 
-    def put(self, page_no: int, data: bytes) -> None:
+    def put(self, page_no: int, data: bytes | bytearray) -> None:
         """Write a page image through to disk and refresh the cache."""
         if len(data) != PAGE_SIZE:
             raise StorageError("page image has wrong size")
+        data = bytes(data)
         with self._lock:
             self._pager.write_page(page_no, data)
-            self._admit(page_no, bytearray(data))
+            self._admit(page_no, data)
 
     def allocate(self) -> int:
         """Allocate a fresh page and cache its (zeroed) image."""
         with self._lock:
             page_no = self._pager.allocate()
-            self._admit(page_no, bytearray(PAGE_SIZE))
+            self._admit(page_no, bytes(PAGE_SIZE))
             return page_no
 
     def set_capacity(self, capacity: int) -> None:
@@ -129,7 +134,7 @@ class BufferPool:
             self.stats.hits = 0
             self.stats.misses = 0
 
-    def _admit(self, page_no: int, frame: bytearray) -> None:
+    def _admit(self, page_no: int, frame: bytes) -> None:
         if page_no in self._frames:
             self._frames[page_no] = frame
             self._frames.move_to_end(page_no)

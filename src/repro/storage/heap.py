@@ -9,7 +9,7 @@ own pages — this is what makes segment clustering measurable.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import PageFullError, StorageError
 from repro.storage.buffer import BufferPool
@@ -25,7 +25,11 @@ Rid = tuple[int, int]
 
 
 class HeapFile:
-    """Append-mostly record heap over a buffer pool."""
+    """Append-mostly record heap over a buffer pool.
+
+    A write is one page round trip (fetch, mutate a page copy, put); the
+    ``*_many`` calls pay it once per touched page, not per record.
+    """
 
     def __init__(self, pool: BufferPool, name: str = "heap") -> None:
         self._pool = pool
@@ -51,24 +55,7 @@ class HeapFile:
 
     def insert(self, values: tuple) -> Rid:
         """Append a record, returning its RID."""
-        payload = encode_record(values)
-        if self._pages:
-            last = self._pages[-1]
-            page = SlottedPage(self._pool.get(last))
-            try:
-                slot = page.insert(payload)
-                self._pool.put(last, page.to_bytes())
-                self._live += 1
-                return (last, slot)
-            except PageFullError:
-                pass
-        page_no = self._pool.allocate()
-        self._pages.append(page_no)
-        page = SlottedPage(self._pool.get(page_no))
-        slot = page.insert(payload)  # a fresh page always fits sane records
-        self._pool.put(page_no, page.to_bytes())
-        self._live += 1
-        return (page_no, slot)
+        return self.insert_payloads([encode_record(values)])[0]
 
     def insert_many(self, rows: list[tuple]) -> list[Rid]:
         """Append many records, writing each filled page back once.
@@ -145,21 +132,29 @@ class HeapFile:
         page.delete(slot_no)
         self._pool.put(page_no, page.to_bytes())
         self._live -= 1
-        return self.insert(values)
+        return self.insert_payloads([payload])[0]
 
     def delete(self, rid: Rid) -> None:
         """Tombstone the record at ``rid``."""
-        page_no, slot_no = rid
-        page = SlottedPage(self._pool.get(page_no))
-        page.delete(slot_no)
-        self._pool.put(page_no, page.to_bytes())
-        self._live -= 1
+        self.delete_many([rid])
+
+    def delete_many(self, rids: list[Rid]) -> None:
+        """Tombstone distinct records, writing each touched page once."""
+        pages: dict[int, SlottedPage] = {}
+        for page_no, slot_no in rids:
+            page = pages.get(page_no)
+            if page is None:
+                page = pages[page_no] = SlottedPage(self._pool.get(page_no))
+            page.delete(slot_no)
+        for page_no, page in pages.items():
+            self._pool.put(page_no, page.to_bytes())
+        self._live -= len(rids)
 
     def read_many(self, rids: list[Rid]) -> list[tuple]:
         """Fetch many records, fetching each touched page only once.
 
-        Row-at-a-time :meth:`read` pays a pool fetch (which copies the
-        page image) plus page-header parsing per record; an index range
+        Row-at-a-time :meth:`read` pays a pool fetch (an LRU lookup under
+        the pool lock) plus page-header parsing per record; an index range
         scan in key order revisits the same pages in arbitrary order and
         multiplies that cost.  Grouping by page keeps bulk reads linear
         in pages touched, not records read.  Results come back in
@@ -226,20 +221,20 @@ class HeapFile:
         self._pages = list(pages)
         self._live = sum(1 for _ in self.scan())
 
-    def compact(self) -> list[tuple]:
+    def compact(self, keep: Callable | None = None) -> list[tuple[Rid, tuple]]:
         """Rewrite live records densely into fresh pages.
 
-        Returns the records in their new storage order.  RIDs change, so
-        callers owning indexes must rebuild them (see ``Table.compact``).
-        Old pages are released from this heap's page list (the shared
-        pager file is append-only; released pages model reclaimed space).
+        ``keep`` drops the records it rejects, unwritten.  Returns the
+        surviving ``(rid, record)`` pairs in their new storage order.
+        RIDs change, so callers owning indexes must rebuild them (see
+        ``Table.compact``).  Old pages are released from this heap's page
+        list (the shared pager file is append-only; released pages model
+        reclaimed space).
         """
-        rows = [row for _, row in self.scan()]
+        rows = [r for _, r in self.scan() if keep is None or keep(r)]
         self._pages.clear()
         self._live = 0
-        for row in rows:
-            self.insert(row)
-        return rows
+        return list(zip(self.insert_many(rows), rows))
 
     def prune_empty_pages(self) -> int:
         """Drop pages with no live records from this heap's page list.

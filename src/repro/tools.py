@@ -152,7 +152,8 @@ def cmd_check(args) -> int:
     setup = _build(args)
     violations = check_archive(setup.archis)
     if not violations:
-        print("archive is consistent (0 violations)")
+        print("archive is consistent (0 violations; "
+              f"{setup.archis.segments.rewrites} segment rewrites audited)")
         return 0
     for violation in violations:
         print(violation)

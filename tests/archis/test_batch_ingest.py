@@ -16,7 +16,7 @@ import pytest
 
 from repro.archis import ArchIS, ArchISConfig, BatchArchiver
 from repro.archis.batch import DEFAULT_BATCH_SIZE
-from repro.archis.validation import check_archive
+from repro.archis.validation import check_archive, check_index_consistency
 from repro.obs import get_registry
 from repro.rdb import ColumnType, Database
 from repro.storage import InjectedCrash, get_crash_points
@@ -206,6 +206,8 @@ class TestEquivalenceMatrix:
         assert applied > 0
         assert archive_state(batched) == expected
         assert check_archive(batched) == []
+        assert check_index_consistency(batched) == []
+        assert check_index_consistency(reference) == []
         assert_matches_model(batched, employee_ops(), epoch)
         assert_matches_model(reference, employee_ops(), epoch)
 

@@ -17,7 +17,7 @@ import pytest
 
 from repro.archis import ArchIS, ArchISConfig, BatchArchiver
 from repro.archis.batch import DEFAULT_BATCH_SIZE
-from repro.archis.validation import check_archive
+from repro.archis.validation import check_archive, check_index_consistency
 from repro.errors import ArchisError
 from repro.obs import get_registry
 from repro.storage import InjectedCrash, get_crash_points
@@ -99,6 +99,8 @@ class TestBackgroundEquivalence:
                 == background.segments.freeze_count
             )
         assert check_archive(background) == []
+        assert check_index_consistency(background) == []
+        assert check_index_consistency(reference) == []
         background.close()
 
     def test_tiny_step_budget_converges_to_the_same_state(self):
@@ -113,6 +115,7 @@ class TestBackgroundEquivalence:
         assert archive_state(background, with_rids=False) == expected
         steps = registry.counter("maintenance.steps").value - steps_before
         assert steps > background.segments.freeze_count
+        assert check_index_consistency(background) == []
         background.close()
 
     def test_queries_stay_correct_while_rewrites_are_outstanding(self):

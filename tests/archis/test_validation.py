@@ -1,6 +1,10 @@
 """Tests for the archive consistency checker."""
 
-from repro.archis.validation import Violation, check_archive
+from repro.archis.validation import (
+    Violation,
+    check_archive,
+    check_index_consistency,
+)
 
 from tests.archis.conftest import load_bob_history, make_archis
 from tests.archis.test_clustering import churn
@@ -107,6 +111,35 @@ class TestDetection:
         )
         violations = check_archive(archis)
         assert any(v.check == "segment-contiguity" for v in violations)
+
+    def test_detects_stale_index_entry(self):
+        archis = make_archis(umin=0.4, min_segment_rows=8)
+        churn(archis)
+        assert check_index_consistency(archis) == []
+        table = archis.db.table("employee_salary")
+        index = next(name for name in table.index_keys() if "_ix_" in name)
+        tree, key_of = table.index_keys()[index]
+        rid, row = next(iter(table.scan()))
+        tree.insert(key_of(row), (rid[0] + 10**6, 0))
+        violations = check_index_consistency(archis)
+        assert len(violations) == 1
+        assert violations[0].table == "employee_salary"
+        assert f"{index}: stale entry" in violations[0].detail
+        assert violations == [
+            v for v in check_archive(archis) if v.check == "index-consistency"
+        ]
+
+    def test_detects_missing_index_entry(self):
+        archis = make_archis(umin=0.4, min_segment_rows=8)
+        churn(archis)
+        table = archis.db.table("employee")
+        tree, key_of = table.index_keys()["PRIMARY KEY"]
+        rid, row = next(iter(table.scan()))
+        assert tree.delete(key_of(row), rid)
+        violations = check_archive(archis)
+        assert [v.detail for v in violations] == [
+            f"PRIMARY KEY: no entry for live row {key_of(row)} -> {rid}"
+        ]
 
     def test_violation_renders(self):
         v = Violation("check", "table", "detail")

@@ -113,6 +113,18 @@ def test_check_command(capsys):
     assert "consistent" in out
 
 
+def test_check_audits_a_stepwise_background_rewrite(capsys):
+    """The CI configuration: the audit runs after background rewrite
+    steps of 64 rows actually moved a frozen segment."""
+    assert main([
+        "check", "--compress", "--maintenance", "background",
+        "--maintenance-step-rows", "64",
+    ]) == 0
+    out = capsys.readouterr().out
+    rewrites = int(out.split("; ")[1].split()[0])
+    assert "(0 violations" in out and rewrites > 0
+
+
 def test_report_command(tmp_path, capsys):
     target = str(tmp_path / "report.md")
     assert main([

@@ -73,6 +73,82 @@ class TestCrud:
         assert emp.lookup_pk((1,)) is None
 
 
+class TestSetAtATimeWrites:
+    def build(self, db, name):
+        table = db.create_table(
+            name,
+            [
+                ("id", ColumnType.INT),
+                ("name", ColumnType.VARCHAR),
+                ("salary", ColumnType.INT),
+            ],
+            primary_key=("id",),
+        )
+        table.create_index(f"{name}_salary", ("salary",))
+        rids = [table.insert((i, "n" * 200, i % 4)) for i in range(30)]
+        return table, rids
+
+    def test_delete_many_matches_delete_rid_per_row(self):
+        from repro.rdb import txcontext
+
+        outcomes = []
+        for delete in (
+            lambda table, rids: [table.delete_rid(r) for r in rids],
+            lambda table, rids: table.delete_many(rids),
+        ):
+            table, rids = self.build(Database(), "emp")
+            fired = []
+            table.add_trigger(lambda op, row, old: fired.append((op, row)))
+            undo = []
+            txcontext.set_undo_sink(undo)
+            try:
+                delete(table, rids[3:25:3])
+            finally:
+                txcontext.set_undo_sink(None)
+            info = table.indexes["emp_salary"]
+            outcomes.append((
+                list(table.scan()),
+                list(info.tree.items()),
+                [(entry[0], entry[2], entry[3]) for entry in undo],
+                fired,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][2]) == 8
+
+    def test_in_place_update_keeps_index_entry_order(self, emp):
+        """A non-key update whose rid stays put leaves every index as is:
+        the row keeps its place among equal keys."""
+        emp.create_index("emp_salary", ("salary",))
+        first = emp.insert((1, "Bob", 5))
+        emp.insert((2, "Ann", 5))
+        assert emp.update_rid(first, (1, "Bo", 5)) == first
+        info = emp.indexes["emp_salary"]
+        assert [rid for _, rid in info.tree.items()][0] == first
+        assert emp.lookup_pk((1,)) == first
+
+    def test_key_change_and_relocation_move_index_entries(self, emp):
+        emp.create_index("emp_salary", ("salary",))
+        rid = emp.insert((1, "Bob", 5))
+        emp.insert((2, "Ann", 6))
+        moved = emp.update_rid(rid, (1, "Bob" * 100, 7))
+        assert moved != rid
+        assert emp.lookup_pk((1,)) == moved
+        assert list(emp.index_scan("emp_salary", (7,), (7,))) == [
+            (moved, (1, "Bob" * 100, 7))
+        ]
+        assert list(emp.index_scan("emp_salary", (5,), (5,))) == []
+
+    def test_compact_keep_rebuilds_indexes_over_survivors(self, db):
+        table, _ = self.build(db, "emp2")
+        table.compact(keep=lambda row: row[2] == 1)
+        assert sorted(r[0] for r in table.rows()) == list(range(1, 30, 4))
+        assert table.lookup_pk((0,)) is None
+        assert table.read(table.lookup_pk((5,)))[0] == 5
+        assert [row[0] for _, row in table.index_scan(
+            "emp2_salary", (1,), (1,)
+        )] == list(range(1, 30, 4))
+
+
 class TestIndexes:
     def test_create_index_and_scan(self, emp):
         for i in range(20):

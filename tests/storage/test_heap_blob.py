@@ -65,6 +65,44 @@ class TestHeapFile:
         assert heap.read(new_rid) == (1, "a" * 200)
         assert heap.record_count == 2
 
+    def test_relocating_update_encodes_the_record_once(self, pool, monkeypatch):
+        import repro.storage.heap as heap_module
+
+        heap = HeapFile(pool)
+        rid = heap.insert((1, "a"))
+        heap.insert((2, "b"))
+        calls = []
+        encode = heap_module.encode_record
+
+        def counting(values):
+            calls.append(values)
+            return encode(values)
+
+        monkeypatch.setattr(heap_module, "encode_record", counting)
+        assert heap.update(rid, (1, "a" * 200)) != rid
+        assert calls == [(1, "a" * 200)]
+
+    def test_delete_many_writes_each_page_once(self, pool):
+        heap = HeapFile(pool)
+        rids = [heap.insert((i, "x" * 300)) for i in range(40)]
+        assert heap.page_count > 2
+        victims = rids[::2]
+        before = pool.pager.io_stats()
+        heap.delete_many(victims)
+        writes = pool.pager.io_stats().delta(before).writes
+        assert writes == len({page_no for page_no, _ in victims})
+        assert [row[0] for _, row in heap.scan()] == list(range(1, 40, 2))
+        assert heap.record_count == 20
+
+    def test_compact_keep_drops_rejected_records(self, pool):
+        heap = HeapFile(pool)
+        for i in range(30):
+            heap.insert((i,))
+        pairs = heap.compact(keep=lambda row: row[0] % 3 == 0)
+        assert [row for _, row in pairs] == [(i,) for i in range(0, 30, 3)]
+        assert [heap.read(rid) for rid, _ in pairs] == [row for _, row in pairs]
+        assert heap.record_count == 10
+
     def test_two_heaps_share_pool_but_not_pages(self, pool):
         a = HeapFile(pool, "a")
         b = HeapFile(pool, "b")

@@ -140,3 +140,39 @@ class TestBufferPool:
         page_no = pool.allocate()
         with pytest.raises(StorageError):
             pool.put(page_no, b"bad")
+
+
+class TestBufferPoolFrames:
+    """Frames are immutable ``bytes`` shared by the cache and the pager."""
+
+    def test_mutating_the_put_buffer_leaves_the_cache_alone(self, tmp_path):
+        pager = Pager(str(tmp_path / "frames.db"))
+        pool = BufferPool(pager, capacity=2)
+        page_no = pool.allocate()
+        image = bytearray(b"a" * PAGE_SIZE)
+        pool.put(page_no, image)
+        image[:4] = b"zzzz"
+        assert pool.get(page_no) == b"a" * PAGE_SIZE
+        # nor the WAL overlay a fresh pool reads through
+        assert BufferPool(pager, capacity=2).get(page_no) == b"a" * PAGE_SIZE
+        pager.close()
+
+    def test_a_hit_returns_the_cached_object(self):
+        pool = BufferPool(Pager(), capacity=2)
+        page_no = pool.allocate()
+        image = b"h" * PAGE_SIZE
+        pool.put(page_no, image)
+        first = pool.get(page_no)
+        assert isinstance(first, bytes)
+        assert first is image
+        assert pool.get(page_no) is first
+        assert pool.stats.hits == 2
+
+    def test_a_later_put_does_not_change_an_image_handed_out(self):
+        pool = BufferPool(Pager(), capacity=2)
+        page_no = pool.allocate()
+        pool.put(page_no, b"1" * PAGE_SIZE)
+        before = pool.get(page_no)
+        pool.put(page_no, bytearray(b"2" * PAGE_SIZE))
+        assert before == b"1" * PAGE_SIZE
+        assert pool.get(page_no) == b"2" * PAGE_SIZE

@@ -10,7 +10,9 @@ import threading
 
 import pytest
 
+from repro.archis.validation import check_archive
 from repro.errors import TxnError
+from repro.rdb.table import NULL_KEY
 from repro.txn import DAY_GAP
 
 from tests.txn.conftest import make_managed
@@ -19,6 +21,26 @@ QUERY = "SELECT id, name, salary FROM employee ORDER BY id"
 HISTORY_XQUERY = (
     'for $s in doc("employees.xml")/employees/employee/salary return $s'
 )
+
+
+def assert_indexes_match_heap(table):
+    """Every index of ``table``, the primary key's included, holds one
+    ``(key, rid)`` entry per live heap row and nothing else."""
+    rows = list(table.scan())
+    if table.schema.primary_key:
+        positions = [table.schema.position(c) for c in table.schema.primary_key]
+        expected = sorted(
+            (tuple(row[p] for p in positions), rid) for rid, row in rows
+        )
+        assert sorted(table._pk_index.items()) == expected
+    for info in table.indexes.values():
+        positions = [table.schema.position(c) for c in info.columns]
+        expected = sorted(
+            (tuple(NULL_KEY if row[p] is None else row[p] for p in positions),
+             rid)
+            for rid, row in rows
+        )
+        assert sorted(info.tree.items()) == expected, info.name
 
 
 class TestSnapshotIsolation:
@@ -104,6 +126,31 @@ class TestAbortUndo:
         assert after_history == before_history
         # direct read of the live table agrees (no transaction active)
         assert archis.db.sql(QUERY).rows == before_current
+
+    def test_abort_after_in_place_and_relocating_updates(self, managed):
+        """One transaction updates a non-key column in place (same rid,
+        no index key changes) and grows a VARCHAR until its row moves;
+        its abort restores both rows, and every index of the current
+        table and the H-tables still holds exactly its live rows."""
+        archis, manager = managed
+        with manager.begin() as txn:
+            txn.sql("INSERT INTO employee VALUES (1, 'Bob', 60000)")
+            txn.sql("INSERT INTO employee VALUES (2, 'Eve', 50000)")
+        before = manager.snapshot().sql(QUERY).rows
+        table = archis.db.table("employee")
+        bob, eve = table.lookup_pk((1,)), table.lookup_pk((2,))
+        txn = manager.begin()
+        txn.sql("UPDATE employee SET salary = 60001 WHERE id = 1")
+        assert table.lookup_pk((1,)) == bob
+        txn.sql(f"UPDATE employee SET name = '{'E' * 300}' WHERE id = 2")
+        assert table.lookup_pk((2,)) != eve
+        txn.abort()
+        assert manager.snapshot().sql(QUERY).rows == before
+        assert archis.db.sql(QUERY).rows == before
+        assert check_archive(archis) == []
+        for relation in archis.relations.values():
+            for name in (relation.name, *relation.all_tables()):
+                assert_indexes_match_heap(archis.db.table(name))
 
     def test_context_manager_aborts_on_exception(self, managed):
         archis, manager = managed
