@@ -57,13 +57,23 @@ if [ -n "$WRITE_PATHS" ]; then
 fi
 # The hand-written history readers (ArchIS.snapshot_rows, the one-scan
 # UDA and its profile flag, the publisher's second dedup) were deleted:
-# every archived-row read goes through the history_/seg_/slice_ table
-# functions.  (`\bhistory_rows\(` spares the spine's `history_rows` attribute.)
+# every archived-row read goes through the history_<t> table function.
+# (`\bhistory_rows\(` spares the spine's `history_rows` attribute.)
 HISTORY_READERS="$(grep -rnE '\.snapshot_rows\(|max_increase_one_scan|one_scan_join|\bhistory_rows\(|_all_rows_of|rows_provider' \
     --include='*.py' src tests examples scripts benchmarks || true)"
 if [ -n "$HISTORY_READERS" ]; then
-    echo "FAIL: archived history has one reader, the history_<t> table functions:" >&2
+    echo "FAIL: archived history has one reader, the history_<t> table function:" >&2
     echo "$HISTORY_READERS" >&2
+    exit 1
+fi
+# The segment-range readers seg_<t> and slice_<t> (and their second
+# (id, tstart) dedup) were folded into history_<t>(seg_lo, seg_hi,
+# id_lo, id_hi): each H-table registers that one function.
+SEGMENT_READERS="$(grep -rnE 'register_table_function\(\s*f?["'"'"'](seg|slice)_|\b(seg|slice)_fn\b' \
+    --include='*.py' src tests examples scripts benchmarks || true)"
+if [ -n "$SEGMENT_READERS" ]; then
+    echo "FAIL: an H-table registers one history read, history_<t>:" >&2
+    echo "$SEGMENT_READERS" >&2
     exit 1
 fi
 # The executor's rows are positional tuples (expressions read row[i],

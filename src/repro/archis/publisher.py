@@ -65,8 +65,7 @@ def publish_relation(
             per_key.setdefault(key, []).append((value, Interval(tstart, tend)))
         attr_history[attribute] = per_key
 
-    for key in sorted(key_history):
-        intervals = sorted(key_history[key])
+    for key, intervals in key_history.items():  # (id, tstart) order
         entity_interval = Interval(
             intervals[0].start, max(iv.end for iv in intervals)
         )

@@ -354,8 +354,8 @@ class ArchIS:
         The returned text is the *optimized* query: the plan the
         statement cache holds for the translator's SQL, rendered back to
         SQL with this query's literals, so segment-restricted access
-        paths (``segno = k``, ``seg_``/``slice_`` functions) appear in
-        the SQL itself.
+        paths (``segno = k``, ``history_<t>`` with segment or key
+        arguments) appear in the SQL itself.
         """
         from repro.plan import to_sql
         from repro.plan.render import bound_literals

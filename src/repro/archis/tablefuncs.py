@@ -1,47 +1,43 @@
-"""Registered table functions that abstract H-table storage.
+"""The one registered read of archived H-table rows.
 
-Three access paths the translator and the optimizer use as FROM sources:
+``history_<table>([seg_lo, seg_hi[, id_lo, id_hi]])`` yields the
+versions held in segments ``seg_lo..seg_hi`` (a NULL bound is open) with
+ids in ``id_lo..id_hi`` (any id without the pair; a NULL or non-numeric
+bound matches none), ordered by ``(id, tstart)``.  The optimizer passes
+the segments a snapshot or slicing window needs and the key a query
+pins (:func:`repro.plan.rules.restrict_segments`).
 
-- ``history_<table>([id_lo, id_hi])`` — the deduplicated full history
-  (``(id, tstart)``-deduped keeping the closed version), ordered by
-  ``(id, tstart)``.  Needed in segmented mode because frozen segments
-  carry redundant copies of tuples live at freeze time (paper Section
-  6.2).
-- ``seg_<table>(lo, hi[, id_lo, id_hi])`` — the rows of segments
-  ``lo..hi`` (paper Section 8.2's uncompression table functions).
-- ``slice_<table>(lo, hi[, id_lo, id_hi])`` — ``seg_`` with each
-  version kept only in its last copy inside the range (its highest
-  ``segno``).
+Frozen segments carry copies of the tuples live at each freeze (paper
+Section 6.1, the redundancy of Eq. 3), so each version, ``(id,
+tstart)``, must be kept once.  The read keeps a row of segment *s* only
+if *s* is the first segment it reads or ``tstart >= segstart(s)``: a
+freeze sets ``segstart(s + 1) = segend(s) + 1`` and every row archived
+after it starts later (``SegmentManager.maybe_freeze`` waits for a later
+change day, ``freeze_floor`` for in-flight transactions), so an earlier
+start marks exactly a forwarded copy of a row of *s - 1* (the invariant
+:func:`repro.archis.validation.check_segment_copies` audits).  The kept
+copy, the first in range, has the version's true ``tend``: closing a
+version closes its heap copies (``HTableWriter._repair_forwarded``),
+and a BLOB copy open at compression takes its end from its heap copy
+(:func:`_with_heap_ends`).  A row's ``segno`` is its first copy's.
 
-The optional trailing ``id_lo, id_hi`` arguments restrict every path to
-ids in that inclusive range; the optimizer appends them when a query pins
-``id = k`` (see :func:`repro.plan.rules.restrict_segments`).  A NULL or
-non-numeric key matches no id.
+A frozen segment listed in ``<table>_segrange`` is read from its
+BlockZIP blocks (with a key, only the blocks the first-key directory
+admits; see :mod:`repro.archis.blobstore`), every other segment from the
+heap: through the ``(segno, id)`` index per segment when the read has a
+key or a segment range, by one heap scan for the whole history.
 
-All three read through one row source, ``rows(segnos, key)``, segment
-by segment: a frozen segment listed in ``<table>_segrange`` is read from
-its BlockZIP blocks (with a key, only the blocks the first-key directory
-admits; see :mod:`repro.archis.blobstore`), and every other segment —
-the live one, and any frozen after ``compress_archive()`` — from the
-heap.  With a key the heap is probed through the ``(segno, id)`` index
-once per segment; without one the whole history is a heap scan.  Rows
-come out in the table's column order (``id, [value], tstart, tend,
-segno``).
-
-``rows()`` is the only reader of archived H-table rows:
-``ArchIS.history()``, ``ArchIS.publish()`` (and the XQuery native
-fallback) read ``history_<t>()``, and every ``FOR SYSTEM_TIME``,
-translated or snapshot query — a tracked current table read under a
-pinned day is one, see :mod:`repro.plan.build` — reads whichever of
-the three the planner picks.  Only
-the invariant checker (:mod:`repro.archis.validation`) reads the raw
-copies, because its job is to inspect them.
+Every reader of archived rows (``ArchIS.history()``, ``publish()``, the
+XQuery native fallback, translated, ``FOR SYSTEM_TIME`` and snapshot
+queries) goes through it, or through the ``segno = k`` scan the planner
+puts in place of a one-segment read; only the invariant checker
+(:mod:`repro.archis.validation`) reads the raw copies.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.util.timeutil import FOREVER
 
@@ -50,83 +46,67 @@ if TYPE_CHECKING:
 
 
 def register_history_functions(archis: "ArchIS", table_name: str) -> None:
-    """Register ``history_<t>``, ``seg_<t>`` and ``slice_<t>`` for one
-    H-table."""
+    """Register ``history_<t>`` for one H-table."""
     db = archis.db
 
-    def rows(segnos: list[int] | None, key: tuple) -> Iterator[tuple]:
-        """Rows of ``segnos`` (every segment when ``None``) whose id lies
-        in the inclusive ``key`` range (any id when ``key`` is empty)."""
-        table = db.table(table_name)
+    def history_fn(
+        seg_lo: int | None = None, seg_hi: int | None = None, *key
+    ) -> Iterator[tuple]:
+        """Each version of segments ``seg_lo..seg_hi`` and ids ``key``
+        once, with the ``segno`` of its first copy in range."""
         if key and not _key_fits(key):
             return
         key = key or None
+        table = db.table(table_name)
+        schema = table.schema
+        seg_pos = schema.position("segno")
+        tstart_pos = schema.position("tstart")
+        segments = archis.segments
+        # segno -> the earliest tstart of a row that is not a forwarded
+        # copy; the first segment read keeps every row, so a read of one
+        # segment needs no segment-table read
+        floors = {seg_lo: float("-inf")}
+        if seg_lo is None or seg_lo != seg_hi:
+            floors = {
+                segno: segstart
+                for segno, segstart, _ in (
+                    *segments.archived_segments(),
+                    (segments.live_segno, segments.live_start, None),
+                )
+                if (seg_lo is None or seg_lo <= segno)
+                and (seg_hi is None or segno <= seg_hi)
+            }
+        if not floors:
+            return
+        floors[min(floors)] = float("-inf")
+
+        def first_copies(rows) -> list[tuple]:
+            return [row for row in rows if row[tstart_pos] >= floors[row[seg_pos]]]
+
         archive = archis.archive
         zipped = archive.zipped_segments(table_name)
-        if segnos is None and key is None:
-            yield from table.rows()
-            if zipped:
-                yield from archive.read_rows(table_name)
-            return
-        if segnos is None:
-            segments = archis.segments
-            segnos = [s for s, _, _ in segments.archived_segments()]
-            segnos.append(segments.live_segno)
-        in_blobs = [s for s in segnos if s in zipped]
-        if in_blobs:
-            yield from _with_heap_ends(
-                archive.read_rows(table_name, in_blobs, key),
-                table, max(zipped) + 1, key,
+        whole = seg_lo is None and seg_hi is None and key is None
+        if whole:
+            heap = list(table.rows())
+            kept = first_copies(heap)
+            blob_rows = archive.read_rows(table_name) if zipped else ()
+        else:
+            kept = first_copies(
+                _heap_rows(table, [s for s in floors if s not in zipped], key)
             )
-        yield from _heap_rows(table, [s for s in segnos if s not in zipped], key)
-
-    def history_fn(*key) -> Iterator[tuple]:
-        table = db.table(table_name)
-        id_pos = table.schema.position("id")
-        tstart_pos = table.schema.position("tstart")
-        tend_pos = table.schema.position("tend")
-        version_of = itemgetter(id_pos, tstart_pos)
-        best: dict[tuple, tuple] = {}
-        for row in rows(None, key):
-            version = version_of(row)
-            kept = best.setdefault(version, row)
-            if row[tend_pos] < kept[tend_pos]:
-                best[version] = row
-        # versions are unique, so ordering the keys orders the rows
-        yield from map(best.__getitem__, sorted(best))
-
-    def seg_fn(lo: int, hi: int, *key) -> Iterator[tuple]:
-        return rows(list(range(lo, hi + 1)), key)
-
-    def slice_fn(lo: int, hi: int, *key) -> Iterator[tuple]:
-        """Deduplicated rows of segments ``lo..hi`` for slicing queries.
-
-        Frozen segments carry forward copies of tuples live at freeze time
-        (Section 6.1 step 3), so a window spanning several segments would
-        count those versions once per segment.  Each version —
-        ``(id, tstart)``, as in ``history_fn`` — is kept only in its
-        *last* copy within the range, the one with the highest ``segno``,
-        which also carries the version's true end timestamp.  No per-row
-        ``tend`` test can tell the copies apart: a version opened and
-        closed on a segment's boundary day and one still live at that
-        freeze (and closed the day after) both have ``tend == segend``.
-        """
-        table = db.table(table_name)
-        id_pos = table.schema.position("id")
-        tstart_pos = table.schema.position("tstart")
-        seg_pos = table.schema.position("segno")
-        last: dict[tuple, tuple] = {}
-        for row in seg_fn(lo, hi, *key):
-            version = (row[id_pos], row[tstart_pos])
-            kept = last.pop(version, None)
-            if kept is not None and kept[seg_pos] > row[seg_pos]:
-                row = kept
-            last[version] = row
-        yield from last.values()
+            in_blobs = [s for s in floors if s in zipped]
+            blob_rows = (
+                archive.read_rows(table_name, in_blobs, key) if in_blobs else ()
+            )
+        if blob_rows:
+            kept.extend(_with_heap_ends(
+                first_copies(blob_rows), schema,
+                heap if whole else _heap_rows(table, [max(zipped) + 1], key),
+            ))
+        kept.sort(key=itemgetter(schema.position("id"), tstart_pos))
+        yield from kept
 
     db.register_table_function(f"history_{table_name}", history_fn)
-    db.register_table_function(f"seg_{table_name}", seg_fn)
-    db.register_table_function(f"slice_{table_name}", slice_fn)
 
 
 def _key_fits(key: tuple) -> bool:
@@ -141,18 +121,16 @@ def _key_fits(key: tuple) -> bool:
 
 
 def _with_heap_ends(
-    blob_rows: list[tuple], table, segno: int, key: tuple | None
+    blob_rows: list[tuple], schema, heap_rows: Iterable[tuple]
 ) -> Iterator[tuple]:
     """BLOB rows with the real end of versions closed after compression.
 
     A BLOB copy is immutable: a version still open when its segment was
     compressed keeps ``tend = FOREVER`` there, and its end is written
-    only to its heap copy in ``segno``, the segment that was live at
-    compression (see ``HTableWriter._repair_forwarded``).  The history's
-    dedup already keeps that closed copy; segment reads take its end
-    from there.
+    only to its heap copies, one of them in the segment that was live at
+    compression (see ``HTableWriter._repair_forwarded``).  ``heap_rows``,
+    read only when a BLOB row is open, holds those copies.
     """
-    schema = table.schema
     id_pos = schema.position("id")
     tstart_pos = schema.position("tstart")
     tend_pos = schema.position("tend")
@@ -160,8 +138,7 @@ def _with_heap_ends(
         yield from blob_rows
         return
     ends = {
-        (row[id_pos], row[tstart_pos]): row[tend_pos]
-        for row in _heap_rows(table, [segno], key)
+        (row[id_pos], row[tstart_pos]): row[tend_pos] for row in heap_rows
     }
     for row in blob_rows:
         if row[tend_pos] == FOREVER:

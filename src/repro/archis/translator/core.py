@@ -23,7 +23,7 @@ Storage access is deliberately naive here: a segmented or compressed
 archive is always read through the deduplicating ``history_<table>``
 table function, which is correct for every query.  The segment
 restriction of Sections 6.3/6.4 — replacing that full read with
-``segno``-restricted scans or ``seg_``/``slice_`` block functions when
+``segno``-restricted scans or a segment-ranged ``history_<table>`` when
 snapshot/slicing predicates bound the alias to a window — is no longer
 the translator's job: it happens in the logical-plan optimizer
 (:mod:`repro.plan.rules`), which sees the predicates after pushdown and

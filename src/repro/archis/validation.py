@@ -8,6 +8,9 @@ synthetic histories, packaged for operators to run against real archives:
   satisfies ``tstart <= segend`` and ``tend >= segstart``;
 - **segment contiguity**: frozen segment periods tile the timeline with no
   gaps or overlaps and increasing numbers;
+- **forwarding**: segment *s - 1* holds a copy of each row of segment *s*
+  that starts before ``segstart(s)`` — the rule by which ``history_<t>``
+  reads keep each version once (:mod:`repro.archis.tablefuncs`);
 - **history sanity**: per key, deduplicated attribute versions form
   disjoint, ordered intervals, and every current-table row has exactly one
   live history version;
@@ -66,7 +69,7 @@ def check_archive(archis) -> list[Violation]:
         for table_name in relation.all_tables():
             if table_name in unreadable:
                 continue
-            out.extend(check_covering_conditions(archis, table_name))
+            out.extend(check_segment_copies(archis, table_name))
         if not any(
             relation.attribute_table(a) in unreadable
             for a in relation.attributes
@@ -129,25 +132,44 @@ def check_segment_contiguity(archis) -> list[Violation]:
     return out
 
 
-def check_covering_conditions(archis, table_name: str) -> list[Violation]:
+def check_segment_copies(archis, table_name: str) -> list[Violation]:
+    """The covering conditions on every frozen-segment row, and the
+    forwarding invariant on every row, heap and BLOB copies alike."""
     out = []
+    segments = archis.segments
     periods = {
         segno: (segstart, segend)
-        for segno, segstart, segend in archis.segments.archived_segments()
+        for segno, segstart, segend in segments.archived_segments()
     }
+    starts = {segno: segstart for segno, (segstart, _) in periods.items()}
+    starts[segments.live_segno] = segments.live_start
     table = archis.db.table(table_name)
     seg_pos = table.schema.position("segno")
+    id_pos = table.schema.position("id")
     tstart_pos = table.schema.position("tstart")
     tend_pos = table.schema.position("tend")
     rows = list(table.rows())
     if table_name in archis.archive.compressed_tables:
         rows.extend(archis.archive.read_rows(table_name))
+    copies = {(row[seg_pos], row[id_pos], row[tstart_pos]) for row in rows}
     for row in rows:
-        segno = row[seg_pos]
+        segno, tstart = row[seg_pos], row[tstart_pos]
+        if (
+            segno - 1 in starts
+            and tstart < starts.get(segno, tstart)
+            and (segno - 1, row[id_pos], tstart) not in copies
+        ):
+            out.append(
+                Violation(
+                    "forwarding", table_name,
+                    f"row {row[:2]} of segment {segno} starts before it, "
+                    f"but segment {segno - 1} holds no copy",
+                )
+            )
         if segno not in periods:
             continue  # live segment
         segstart, segend = periods[segno]
-        if row[tstart_pos] > segend:
+        if tstart > segend:
             out.append(
                 Violation(
                     "covering-eq1", table_name,

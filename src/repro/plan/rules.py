@@ -279,21 +279,19 @@ def restrict_segments(plan, ctx):
 
     The translator and temporal SQL read segmented/compressed H-tables
     through the deduplicating ``history_<t>()`` function — always
-    correct, never fast.  This rule rewrites that full read from the
+    correct, never fast.  This rule narrows that full read from the
     leaf's pushed-down predicates:
 
-    - a snapshot or slicing window picks the segments:
-      one uncompressed segment  -> heap/index scan with ``segno = k``;
-      one compressed segment    -> ``seg_<t>(k, k)`` (BLOB decompression);
-      several segments          -> ``slice_<t>(lo, hi)`` (deduplicates
-      freeze-forwarded copies across the span);
+    - a snapshot or slicing window picks the segments ``lo..hi``: one
+      uncompressed segment becomes a scan with ``segno = k``, which the
+      table's own ``(segno, ...)`` indexes serve; any other range the
+      arguments of ``history_<t>(lo, hi)``;
     - a key pin ``id = c`` (an int literal or a ``:param``) appends
-      ``(c, c)`` as the function's ``id_lo, id_hi`` arguments —
-      ``history_<t>(c, c)``, ``seg_<t>(lo, hi, c, c)`` or
-      ``slice_<t>(lo, hi, c, c)`` — so the read probes the ``(segno,
-      id)`` index per heap segment and inflates only the BlockZIP blocks
-      that can hold the key.  (The ``segno = k`` scan needs no argument:
-      index selection picks ``(segno, id)`` from the same conjunct.)
+      ``c, c`` as ``id_lo, id_hi`` — ``history_<t>(NULL, NULL, c, c)``
+      or ``history_<t>(lo, hi, c, c)`` — so the read probes the
+      ``(segno, id)`` index per heap segment and inflates only the
+      BlockZIP blocks that can hold the key.  (A ``segno = k`` scan
+      gets ``(segno, id)`` from index selection instead.)
 
     The ``id`` conjunct stays on the leaf as a residual filter.  Only an
     argument-less ``history_<t>()`` is rewritten, so the rule is
@@ -313,7 +311,7 @@ def restrict_segments(plan, ctx):
         hints = ctx.segment_hints(table)
         if hints is None:
             return node
-        function, args = node.function, ()
+        args = (ast.Literal(None), ast.Literal(None))
         window = _window_from_predicates(
             node.alias, node.predicates, ctx.guards
         )
@@ -334,7 +332,6 @@ def restrict_segments(plan, ctx):
                 return nodes.Scan(
                     table, node.alias, node.predicates + (predicate,)
                 )
-            function = f"{'seg' if lo == hi else 'slice'}_{table}"
             args = (ast.Literal(lo), ast.Literal(hi))
         key = _key_from_predicates(
             node.alias, node.predicates, ctx.scope, ctx.guards
@@ -344,14 +341,14 @@ def restrict_segments(plan, ctx):
         elif window is None:
             return node
         details.append(LazyDetail(
-            lambda alias=node.alias, table=table, function=function,
-            args=args, key=key: (
-                f"{alias}: history_{table}() -> {_call_sql(function, args)}"
+            lambda alias=node.alias, function=node.function, args=args,
+            key=key: (
+                f"{alias}: {function}() -> {_call_sql(function, args)}"
                 + (f" for id = {expr_to_sql(key)}" if key is not None else "")
             )
         ))
         return nodes.FunctionScan(
-            function, args, node.alias, node.columns, node.predicates
+            node.function, args, node.alias, node.columns, node.predicates
         )
 
     return walk(plan), details

@@ -94,7 +94,7 @@ class Table:
         if schema.primary_key:
             positions = tuple(schema.position(c) for c in schema.primary_key)
             self._pk = IndexInfo(
-                "PRIMARY KEY", schema.primary_key, BPlusTree(), False, positions
+                "PRIMARY KEY", schema.primary_key, BPlusTree(), True, positions
             )
         self._triggers: list[RowCallback] = []
         #: called after an index is created or dropped (the owning
@@ -190,10 +190,11 @@ class Table:
         with self._latch:
             if name in self._indexes:
                 raise CatalogError(f"index {name} already exists")
-            tree = BPlusTree()
-            info = IndexInfo(name, columns, tree, unique, positions)
-            for rid, row in self._heap.scan():
-                self._index_insert(info, self._index_key(info, row), rid)
+            info = IndexInfo(name, columns, BPlusTree(), unique, positions)
+            pairs = list(self._heap.scan())
+            self._check_unique([row for _, row in pairs], indexes=(info,))
+            for rid, row in pairs:
+                info.tree.insert(self._index_key(info, row), rid)
             self._indexes[name] = info
         if self.on_index_change is not None:
             self.on_index_change()
@@ -212,13 +213,27 @@ class Table:
             NULL_KEY if row[p] is None else row[p] for p in info.positions
         ])
 
-    @staticmethod
-    def _index_insert(info: IndexInfo, key: tuple, rid: Rid) -> None:
-        if info.unique and info.tree.search(key):
-            raise IntegrityError(
-                f"unique index {info.name}: duplicate key {key}"
-            )
-        info.tree.insert(key, rid)
+    def _check_unique(
+        self, rows: list[tuple], old: tuple | None = None, indexes=None
+    ) -> None:
+        """Raise :class:`IntegrityError`, before anything is written, if
+        ``rows`` repeat a stored primary or unique key or one another's;
+        a key kept from ``old``, the row an update replaces, is no repeat."""
+        for info in indexes or self._all_indexes():
+            if not info.unique:
+                continue
+            seen: set = set()
+            for row in rows:
+                key = self._index_key(info, row)
+                if old is not None and key == self._index_key(info, old):
+                    continue
+                if key in seen or info.tree.search(key):
+                    raise IntegrityError(
+                        f"table {self.name}: duplicate primary key {key}"
+                        if info is self._pk
+                        else f"unique index {info.name}: duplicate key {key}"
+                    )
+                seen.add(key)
 
     def index_keys(self) -> dict[str, tuple[BPlusTree, Callable]]:
         """Each index's tree and row-to-key function, the primary key's
@@ -240,15 +255,10 @@ class Table:
     def insert(self, values: tuple) -> Rid:
         row = self.schema.validate_row(values)
         with self._latch:
-            if self._pk is not None:
-                key = self._index_key(self._pk, row)
-                if self._pk.tree.search(key):
-                    raise IntegrityError(
-                        f"table {self.name}: duplicate primary key {key}"
-                    )
+            self._check_unique([row])
             rid = self._heap.insert(row)
             for info in self._all_indexes():
-                self._index_insert(info, self._index_key(info, row), rid)
+                info.tree.insert(self._index_key(info, row), rid)
             sink = txcontext.undo_sink()
             if sink is not None:
                 sink.append(("insert", self, rid))
@@ -278,15 +288,7 @@ class Table:
         else:
             rows = [self.schema.validate_row(values) for values in values_list]
         with self._latch:
-            if self._pk is not None:
-                seen: set = set()
-                for row in rows:
-                    key = self._index_key(self._pk, row)
-                    if key in seen or self._pk.tree.search(key):
-                        raise IntegrityError(
-                            f"table {self.name}: duplicate primary key {key}"
-                        )
-                    seen.add(key)
+            self._check_unique(rows)
             if payloads is not None:
                 rids = self._heap.insert_payloads(payloads)
             else:
@@ -295,7 +297,7 @@ class Table:
             indexes = self._all_indexes()
             for row, rid in zip(rows, rids):
                 for info in indexes:
-                    self._index_insert(info, self._index_key(info, row), rid)
+                    info.tree.insert(self._index_key(info, row), rid)
                 if sink is not None:
                     sink.append(("insert", self, rid))
         for row in rows:
@@ -311,11 +313,13 @@ class Table:
 
         An index, the primary key's included, is touched only when the
         row moved or that index's key changed (closing a history version
-        rewrites ``tend``, which no H-table index covers).
+        rewrites ``tend``, which no H-table index covers).  A changed
+        primary or unique key must be new, or nothing is written.
         """
         row = self.schema.validate_row(values)
         with self._latch:
             old = self._heap.read(rid)
+            self._check_unique([row], old)
             new_rid = self._heap.update(rid, row)
             moved = new_rid != rid
             for info in self._all_indexes():
@@ -323,7 +327,7 @@ class Table:
                 key = self._index_key(info, row)
                 if moved or key != old_key:
                     info.tree.delete(old_key, rid)
-                    self._index_insert(info, key, new_rid)
+                    info.tree.insert(key, new_rid)
             sink = txcontext.undo_sink()
             if sink is not None:
                 sink.append(("update", self, rid, new_rid, old))
@@ -412,7 +416,7 @@ class Table:
                 info.tree = BPlusTree()
             for rid, row in pairs:
                 for info in indexes:
-                    self._index_insert(info, self._index_key(info, row), rid)
+                    info.tree.insert(self._index_key(info, row), rid)
 
     def prune_empty_pages(self) -> int:
         """Release heap pages that hold no live records.

@@ -165,8 +165,8 @@ class TestTemporalOperatorsOnArchive:
 
 class TestWindowAcrossFreezes:
     """A version closed on a freeze boundary day is counted once by a
-    FROM..TO window spanning the boundary (``slice_`` keeps the copy in
-    the later segment, where the version was still live)."""
+    FROM..TO window spanning the boundary (``history_<t>(lo, hi)`` keeps
+    its first copy, whose end the close repaired)."""
 
     def test_version_closed_on_the_boundary_counts_once(self):
         archis = build(min_segment_rows=4, umin=0.01, profile="atlas")
@@ -232,7 +232,7 @@ class TestWindowAcrossFreezes:
                 f"FOR SYSTEM_TIME FROM 0 TO {boundary + 10}{where}"
             )
             plan = archis.explain_sql(query).plan.optimized
-            assert "slice_employee_salary(1, 2" in plan
+            assert "history_employee_salary(1, 2" in plan
             got = sorted(archis.sql(query).rows)
             archis.db.optimizer_enabled = False
             try:
@@ -253,8 +253,8 @@ class TestKeyedReads:
         churn(archis)
         archis.compress_archive()
         for clause in (
-            f"AS OF DATE '{AS_OF}'",  # one compressed segment: seg_
-            "FROM 0 TO 99999",  # every segment: slice_
+            f"AS OF DATE '{AS_OF}'",  # one compressed segment
+            "FROM 0 TO 99999",  # every segment
         ):
             query = (
                 "SELECT t.id, t.salary, t.tstart FROM employee_salary t "

@@ -102,6 +102,31 @@ class TestDetection:
         violations = check_archive(archis)
         assert any(v.check == "covering-eq1" for v in violations)
 
+    def test_detects_orphan_forwarded_row(self):
+        archis = make_archis(umin=0.4, min_segment_rows=8)
+        churn(archis)
+        assert archis.segments.freeze_count >= 1
+        # sabotage: drop segment 1's copy of a version forwarded into 2
+        table = archis.db.table("employee_name")
+        segstart = archis.segments.archived_segments()[0][2] + 1
+        forwarded = next(
+            row for row in table.rows() if row[4] == 2 and row[2] < segstart
+        )
+        rid = next(
+            rid for rid, row in table.scan()
+            if row[4] == 1 and row[:3] == forwarded[:3]
+        )
+        table.delete_rid(rid)
+        violations = check_archive(archis)
+        assert [v.check for v in violations] == ["forwarding"]
+        assert violations[0].table == "employee_name"
+        assert f"row {forwarded[:2]} of segment 2" in violations[0].detail
+        # what the invariant protects: the history read keeps a version
+        # starting before its segment only as a copy of the segment before
+        assert forwarded[:2] not in [
+            row[:2] for row in archis.history("employee", "name")
+        ]
+
     def test_detects_segment_gap(self):
         archis = make_archis(umin=0.4, min_segment_rows=8)
         churn(archis)

@@ -222,21 +222,21 @@ class TestGoldenTemporalPlans:
             """
             rules:
               predicate-pushdown: 1 predicate(s) into t
-              segment-restriction: t: history_emp_salary() -> history_emp_salary(4, 4) for id = 4
+              segment-restriction: t: history_emp_salary() -> history_emp_salary(NULL, NULL, 4, 4) for id = 4
             logical plan:
               Project [t.salary]
                 Filter [t.id = 4]
                   FunctionScan history_emp_salary() AS t
             optimized plan:
               Project [t.salary]
-                FunctionScan history_emp_salary(4, 4) AS t [t.id = 4]
+                FunctionScan history_emp_salary(NULL, NULL, 4, 4) AS t [t.id = 4]
             physical plan:
               Project
                 FunctionScan history_emp_salary AS t
             """
         )
         assert to_sql(plan.optimized) == (
-            "SELECT t.salary FROM TABLE(history_emp_salary(4, 4)) "
+            "SELECT t.salary FROM TABLE(history_emp_salary(NULL, NULL, 4, 4)) "
             "AS t(id, salary, tstart, tend, segno) WHERE t.id = 4"
         )
         again = SelectPlan(temporal_db, parse_sql(to_sql(plan.optimized)))

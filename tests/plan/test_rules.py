@@ -189,14 +189,14 @@ class TestSegmentRestriction:
         )
         assert details == ["t: history_employee() -> employee WHERE segno = 2"]
 
-    def test_single_compressed_segment_uses_seg_function(self):
+    def test_single_compressed_segment_gets_segment_arguments(self):
         plan = self.history_scan(self.snapshot_predicates())
         plan, details = rules.restrict_segments(plan, self.ctx(True, [2]))
         assert isinstance(plan, nodes.FunctionScan)
-        assert plan.function == "seg_employee"
+        assert plan.function == "history_employee"
         assert plan.args == (ast.Literal(2), ast.Literal(2))
 
-    def test_multi_segment_window_uses_slice_function(self):
+    def test_multi_segment_window_gets_segment_arguments(self):
         predicates = (
             ast.FunctionCall(
                 "toverlaps",
@@ -211,7 +211,7 @@ class TestSegmentRestriction:
         plan = self.history_scan(predicates)
         plan, details = rules.restrict_segments(plan, self.ctx(False, [1, 2, 3]))
         assert isinstance(plan, nodes.FunctionScan)
-        assert plan.function == "slice_employee"
+        assert plan.function == "history_employee"
         assert plan.args == (ast.Literal(1), ast.Literal(3))
 
     def test_reversed_comparison_is_recognized(self):
@@ -235,10 +235,13 @@ class TestSegmentRestriction:
         plan = self.history_scan((self.key_predicate(ast.Literal(7)),))
         plan, details = rules.restrict_segments(plan, self.ctx(True, [1]))
         assert plan.function == "history_employee"
-        assert plan.args == (ast.Literal(7), ast.Literal(7))
+        assert plan.args == (
+            ast.Literal(None), ast.Literal(None), ast.Literal(7), ast.Literal(7)
+        )
         assert plan.predicates == (self.key_predicate(ast.Literal(7)),)
         assert details == [
-            "t: history_employee() -> history_employee(7, 7) for id = 7"
+            "t: history_employee() -> history_employee(NULL, NULL, 7, 7) "
+            "for id = 7"
         ]
 
     def test_key_param_joins_the_window_arguments(self):
@@ -247,10 +250,10 @@ class TestSegmentRestriction:
             self.snapshot_predicates() + (self.key_predicate(key),)
         )
         plan, details = rules.restrict_segments(plan, self.ctx(True, [2]))
-        assert plan.function == "seg_employee"
+        assert plan.function == "history_employee"
         assert plan.args == (ast.Literal(2), ast.Literal(2), key, key)
         assert details == [
-            "t: history_employee() -> seg_employee(2, 2, :k, :k) for id = :k"
+            "t: history_employee() -> history_employee(2, 2, :k, :k) for id = :k"
         ]
 
     def test_key_rewrite_is_idempotent(self):

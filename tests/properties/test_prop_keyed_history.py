@@ -1,18 +1,26 @@
 """Property tests: keyed history reads answer exactly like the naive plan.
 
-The optimizer carries ``id = k`` into the ``history_``/``seg_``/``slice_``
-table functions, which then probe the ``(segno, id)`` index per heap
-segment and inflate only the BlockZIP blocks that can hold the key.  For
-random employee histories with at least two freezes — keys deleted and
-re-inserted, keys that never existed — in three layouts (uncompressed;
-compressed; compressed and then frozen again), every keyed read must
-answer exactly as the unoptimized plan over the full history does:
+The optimizer carries ``id = k`` into the ``history_<t>`` table
+function's key arguments, so the read probes the ``(segno, id)`` index
+per heap segment and inflates only the BlockZIP blocks that can hold the
+key.  For random employee histories with at least two freezes — keys
+deleted and re-inserted, keys that never existed — in four layouts (uncompressed;
+compressed; compressed and then frozen again; mid-maintenance, where
+each freeze ran only its logical switch and a first bounded step of the
+sorted rewrite), every keyed read must answer exactly as the unoptimized
+plan over the full history does:
 
 - ``FOR SYSTEM_TIME AS OF d ... WHERE t.id = k``;
 - ``FOR SYSTEM_TIME FROM lo TO hi ... WHERE t.id = k``, and the same
   window without a key;
 - XQuery Q1 (a key's salary on a day) and Q3 (a key's salary history);
 - and a ``:param`` key exactly as the literal one.
+
+The read itself, ``history_<t>(lo, hi[, k, k])`` called for every
+segment window with and without a key, yields its rows ordered by
+``(id, tstart)`` with no version twice; each is a version of the naive
+plan's full history, true end included, and the versions overlapping
+the window's days are exactly the naive plan's.
 
 Each query runs twice, as two bindings of one statement shape (another
 key and day first), so the second binds the plan the statement cache
@@ -24,14 +32,14 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.archis import ArchIS, ArchISConfig
 from repro.rdb import ColumnType, Database
-from repro.util.timeutil import format_date, parse_date
+from repro.util.timeutil import FOREVER, format_date, parse_date
 from repro.xmlkit import serialize
 
 START = parse_date("1990-01-01")
 #: keys inserted on day one; 7 never exists
 KEYS = (1, 2, 3, 4, 5)
 ABSENT = 7
-LAYOUTS = ("uncompressed", "compressed", "refrozen")
+LAYOUTS = ("uncompressed", "compressed", "refrozen", "mid-maintenance")
 DOC = 'doc("employees.xml")/employees/employee'
 
 
@@ -82,7 +90,10 @@ def build(layout: str, history) -> ArchIS:
     )
     # U_min is low enough that only the drawn freezes happen
     archis = ArchIS(db, config=ArchISConfig(
-        profile="atlas", umin=0.01, min_segment_rows=4
+        profile="atlas", umin=0.01, min_segment_rows=4,
+        maintenance=(
+            "background" if layout == "mid-maintenance" else "inline"
+        ),
     ))
     archis.track_table("employee", document_name="employees.xml")
     table = db.table("employee")
@@ -113,7 +124,11 @@ def build(layout: str, history) -> ArchIS:
                     lambda r, k=key: r["id"] == k, {"salary": salary}
                 )
         archis.apply_pending()
-        if number in freezes:
+        if number in freezes and layout == "mid-maintenance":
+            segno = archis.segments.freeze_switch()
+            for name in archis.segments.registered_tables():
+                archis.segments.rewrite_step(name, segno, None, 2)
+        elif number in freezes:
             archis.segments.freeze()
             if layout == "refrozen" and number == freezes[1]:
                 archis.compress_archive()
@@ -146,6 +161,38 @@ def xquery_rows(archis, text):
     return sorted(serialize(row) for row in rows)
 
 
+def check_read_contract(archis, keys) -> None:
+    history = archis.db.table_function("history_employee_salary")
+    segments = archis.segments
+    periods = segments.archived_segments() + [
+        (segments.live_segno, segments.live_start, FOREVER)
+    ]
+    archis.db.optimizer_enabled = False
+    try:
+        full = sql_rows(
+            archis,
+            "SELECT t.id, t.salary, t.tstart, t.tend FROM employee_salary t "
+            f"FOR SYSTEM_TIME FROM 0 TO {FOREVER}",
+        )
+    finally:
+        archis.db.optimizer_enabled = True
+    for low, (lo, start, _) in enumerate(periods):
+        for hi, _, end in periods[low:]:
+            for key in (None, *keys):
+                args = (lo, hi) if key is None else (lo, hi, key, key)
+                rows = [row[:4] for row in history(*args)]
+                versions = [(row[0], row[2]) for row in rows]
+                assert versions == sorted(set(versions)), args
+                assert set(rows) <= set(full), args
+                assert sorted(
+                    row for row in rows if row[2] <= end and row[3] >= start
+                ) == [
+                    row for row in full
+                    if key in (None, row[0])
+                    and row[2] <= end and row[3] >= start
+                ], args
+
+
 @seed(32)
 @settings(max_examples=25, deadline=None)
 @given(
@@ -158,6 +205,7 @@ def test_keyed_reads_match_the_naive_plan(history, keys, offsets, width):
     for layout in LAYOUTS:
         archis = build(layout, history)
         assert archis.segments.freeze_count >= 3
+        check_read_contract(archis, (*keys, ABSENT))
         end = archis.db.current_date
         span = max(end - START, 1)
         day = START + offsets[0] % span

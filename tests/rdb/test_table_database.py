@@ -195,6 +195,65 @@ class TestIndexes:
             emp.drop_index("i")
 
 
+class TestUniqueKeysCheckedBeforeWriting:
+    """A write that would repeat a primary or unique key raises and leaves
+    the heap and every index as they were."""
+
+    @pytest.fixture
+    def kv(self, db):
+        table = db.create_table(
+            "kv", [("k", ColumnType.INT), ("v", ColumnType.INT)],
+            primary_key=("k",),
+        )
+        table.create_index("kv_v", ("v",), unique=True)
+        table.insert((1, 10))
+        return table
+
+    def index_entries(self, table):
+        return {name: sorted(tree.items()) for name, (tree, _) in
+                table.index_keys().items()}
+
+    def assert_unchanged(self, table, rows, entries):
+        assert list(table.rows()) == rows
+        assert self.index_entries(table) == entries
+
+    def test_insert_repeating_a_unique_key(self, kv):
+        entries = self.index_entries(kv)
+        with pytest.raises(IntegrityError, match="unique index kv_v"):
+            kv.insert((2, 10))
+        self.assert_unchanged(kv, [(1, 10)], entries)
+
+    def test_insert_many_repeating_a_unique_key(self, kv):
+        entries = self.index_entries(kv)
+        for rows in ([(2, 20), (3, 10)], [(2, 20), (3, 20)]):
+            with pytest.raises(IntegrityError, match="unique index kv_v"):
+                kv.insert_many(rows)
+            self.assert_unchanged(kv, [(1, 10)], entries)
+
+    @pytest.mark.parametrize("new", [(1, 20), (2, 10)])
+    def test_update_to_a_taken_key(self, kv, new):
+        rid = kv.insert((2, 20))
+        entries = self.index_entries(kv)
+        with pytest.raises(IntegrityError):
+            kv.update_rid(rid, new)
+        self.assert_unchanged(kv, [(1, 10), (2, 20)], entries)
+
+    def test_update_keeping_its_own_keys(self, kv):
+        rid = kv.lookup_pk((1,))
+        kv.update_rid(rid, (1, 10))
+        kv.update_rid(rid, (3, 30))
+        assert list(kv.rows()) == [(3, 30)]
+
+    def test_sql_update_to_a_taken_primary_key(self, db):
+        db.sql("CREATE TABLE u (id INT, v INT, PRIMARY KEY (id))")
+        db.sql("INSERT INTO u VALUES (1, 1)")
+        db.sql("INSERT INTO u VALUES (2, 2)")
+        with pytest.raises(IntegrityError, match="duplicate primary key"):
+            db.sql("UPDATE u SET id = 1 WHERE id = 2")
+        assert sorted(db.sql("SELECT id, v FROM u").rows) == [(1, 1), (2, 2)]
+        assert db.sql("SELECT v FROM u WHERE id = 2").rows == [(2,)]
+
+
 class TestBulkInsert:
     def test_insert_many_equals_sequential_inserts(self, emp):
         rows = [(i, f"n{i}", i * 100) for i in range(50)]
