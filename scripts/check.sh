@@ -76,6 +76,16 @@ if [ -n "$SEGMENT_READERS" ]; then
     echo "$SEGMENT_READERS" >&2
     exit 1
 fi
+# The time-weighted aggregates (SQL tavg/tsum/..., XQuery tavg/...)
+# share one per-day sweep, util/intervals.py:sweep_aggregate; a second
+# sweep elsewhere in the program is a second semantics to keep in step.
+SWEEPS="$(grep -rnE 'def [A-Za-z_]*sweep' --include='*.py' src \
+    | grep -v '^src/repro/util/intervals\.py:' || true)"
+if [ -n "$SWEEPS" ]; then
+    echo "FAIL: one temporal-aggregate sweep, util/intervals.py:sweep_aggregate:" >&2
+    echo "$SWEEPS" >&2
+    exit 1
+fi
 # The executor's rows are positional tuples (expressions read row[i],
 # joins concatenate tuples); the (alias, column)-keyed dict environments
 # were deleted.  Keep them deleted.
@@ -167,8 +177,10 @@ PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
     --workload ingest-hotkey
 
 echo "== read-path smokes (spine scan-plain, point-zip) =="
-# Heap scans of the segmented archive and BlockZIP block decoding, every
-# timed answer checked against the oracle; exits non-zero on any wrong answer.
+# Heap scans of the segmented archive, index range reads (page-at-a-time
+# unpacking in HeapFile.read_many, id ranges pushed into history_<t>
+# through join keys) and BlockZIP block decoding, every timed answer
+# checked against the oracle; exits non-zero on any wrong answer.
 PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \
     --workload scan-plain
 PYTHONPATH=src timeout 300 python3 benchmarks/spine/run.py --smoke \

@@ -4,8 +4,10 @@
 versions held in segments ``seg_lo..seg_hi`` (a NULL bound is open) with
 ids in ``id_lo..id_hi`` (any id without the pair; a NULL or non-numeric
 bound matches none), ordered by ``(id, tstart)``.  The optimizer passes
-the segments a snapshot or slicing window needs and the key a query
-pins (:func:`repro.plan.rules.restrict_segments`).
+the segments a snapshot or slicing window needs, and as ``id_lo,
+id_hi`` the key a query pins (``id = c`` gives ``c, c``) or the range
+it reads (``id BETWEEN lo AND hi``, stated or derived across a join
+key); see :func:`repro.plan.rules.restrict_segments`.
 
 Frozen segments carry copies of the tuples live at each freeze (paper
 Section 6.1, the redundancy of Eq. 3), so each version, ``(id,

@@ -167,12 +167,16 @@ def _text(value):
 def push_down_predicates(plan, ctx):
     """Move single-alias conjuncts from a Filter into their leaf scan.
 
-    Equalities cross joins: from ``a.x = b.y`` and ``a.x = c`` — ``c`` a
-    literal, a date or a ``:param`` — the rule derives ``b.y = c`` and
-    pushes it into ``b``'s leaf as well, so the far side of a keyed join
-    reads only its key (the join conjunct itself stays for the join).
-    A derived conjunct is added only when it lands in a leaf and is not
-    already stated, so running the rule again derives nothing new.
+    Constant bounds cross equi-join keys: from ``a.x = b.y`` — a Filter
+    conjunct, or a key pair of a :class:`~repro.plan.nodes.Join` or
+    :class:`~repro.plan.nodes.TemporalJoin` below the Filter — and
+    ``a.x = c`` or ``a.x BETWEEN lo AND hi`` (``c``, ``lo``, ``hi`` each
+    a literal, a date or a ``:param``), the rule derives the same bound
+    on ``b.y`` and pushes it into ``b``'s leaf as well, so the far side
+    of a keyed join reads only its keys (the join key itself stays for
+    the join).  A derived conjunct is added only when it lands in a leaf
+    and is not already stated, so running the rule again derives
+    nothing new.
     """
     details = []
 
@@ -183,8 +187,9 @@ def push_down_predicates(plan, ctx):
         leaf_aliases = nodes.node_aliases(node.child)
         pushed: dict[str, list] = {}
         remaining = []
-        derived = _implied_equalities(
-            node.predicates, leaf_aliases, ctx.scope, ctx.guards
+        derived = _implied_bounds(
+            node.predicates, _join_pairs(node.child), leaf_aliases,
+            ctx.scope, ctx.guards,
         )
         for conjunct in node.predicates + derived:
             aliases = referenced_aliases(conjunct, ctx.scope)
@@ -204,14 +209,25 @@ def push_down_predicates(plan, ctx):
     return walk(plan), details
 
 
-def _implied_equalities(conjuncts, leaf_aliases, scope, guards) -> tuple:
-    """``column = constant`` conjuncts implied through column equalities.
+def _join_pairs(node) -> list:
+    """The key pairs of the inner joins below a Filter: every row that
+    reaches the Filter has equal values on both columns of each."""
+    if isinstance(node, (nodes.Join, nodes.TemporalJoin)):
+        return [*node.pairs, *_join_pairs(node.left), *_join_pairs(node.right)]
+    if isinstance(node, nodes.Filter):
+        return _join_pairs(node.child)
+    return []
 
-    Columns joined by ``a.x = b.y`` conjuncts form classes; every
-    constant one member equals is derived for the other members.  Sound
-    under SQL's NULL rule: a NULL on either side fails the stated
-    conjuncts, so the extra filter removes no row the Filter keeps.
-    Equal constants derive one conjunct, so the plan depends on which
+
+def _implied_bounds(conjuncts, pairs, leaf_aliases, scope, guards) -> tuple:
+    """``column = constant`` and ``column BETWEEN lo AND hi`` conjuncts
+    implied through column equalities.
+
+    Columns joined by ``a.x = b.y`` conjuncts or join ``pairs`` form
+    classes; every bound one member has is derived for the other
+    members.  Sound under SQL's NULL rule: a NULL on either side fails
+    the join, so the extra filter removes no row the Filter keeps.
+    Equal bounds derive one conjunct, so the plan depends on which
     constants are equal (``guards.equal_pattern``).
     """
     if len(leaf_aliases) < 2:
@@ -223,30 +239,37 @@ def _implied_equalities(conjuncts, leaf_aliases, scope, guards) -> tuple:
             column = parent[column]
         return column
 
-    constants = []
+    for first, second in pairs:
+        parent[find(first)] = find(second)
+    bounds = []
     for conjunct in conjuncts:
         sides = _equi_join_sides(conjunct, scope)
         if sides is not None:
             parent[find(sides[0])] = find(sides[1])
             continue
-        bound = _equals_constant(conjunct)
+        bound = _equals_constant(conjunct) or _between_constants(conjunct)
         if bound is not None:
-            constants.append((scope.resolve(bound[0]), bound[1]))
-    if parent and len(constants) > 1:
-        guards.equal_pattern(value for _, value in constants)
-    stated = set(constants)
+            bounds.append((scope.resolve(bound[0]), bound[1:]))
+    if parent and len(bounds) > 1:
+        guards.equal_pattern(
+            value for _, values in bounds for value in values
+        )
+    stated = set(bounds)
     derived = []
-    for column, value in constants:
+    for column, values in bounds:
         root = find(column)
         for member in list(parent):
             if (
                 member[0] in leaf_aliases
-                and (member, value) not in stated
+                and (member, values) not in stated
                 and find(member) == root
             ):
-                stated.add((member, value))
+                stated.add((member, values))
+                ref = ast.ColumnRef(*member)
                 derived.append(
-                    ast.BinaryOp("=", ast.ColumnRef(*member), value)
+                    ast.BinaryOp("=", ref, values[0])
+                    if len(values) == 1
+                    else ast.Between(ref, *values)
                 )
     return tuple(derived)
 
@@ -258,6 +281,20 @@ def _equals_constant(node):
     for column, value in ((node.left, node.right), (node.right, node.left)):
         if isinstance(column, ast.ColumnRef) and _is_constant(value):
             return column, value
+    return None
+
+
+def _between_constants(node):
+    """``(column_ref, lo, hi)`` for ``col BETWEEN lo AND hi`` with
+    constant bounds (not ``NOT BETWEEN``)."""
+    if (
+        isinstance(node, ast.Between)
+        and not node.negated
+        and isinstance(node.operand, ast.ColumnRef)
+        and _is_constant(node.low)
+        and _is_constant(node.high)
+    ):
+        return node.operand, node.low, node.high
     return None
 
 
@@ -286,12 +323,14 @@ def restrict_segments(plan, ctx):
       uncompressed segment becomes a scan with ``segno = k``, which the
       table's own ``(segno, ...)`` indexes serve; any other range the
       arguments of ``history_<t>(lo, hi)``;
-    - a key pin ``id = c`` (an int literal or a ``:param``) appends
-      ``c, c`` as ``id_lo, id_hi`` — ``history_<t>(NULL, NULL, c, c)``
-      or ``history_<t>(lo, hi, c, c)`` — so the read probes the
-      ``(segno, id)`` index per heap segment and inflates only the
-      BlockZIP blocks that can hold the key.  (A ``segno = k`` scan
-      gets ``(segno, id)`` from index selection instead.)
+    - a key pin ``id = c`` appends ``c, c`` as ``id_lo, id_hi`` —
+      ``history_<t>(NULL, NULL, c, c)`` or ``history_<t>(lo, hi, c,
+      c)`` — and a range ``id BETWEEN a AND b`` appends ``a, b`` (each
+      bound an int literal or a ``:param``; :func:`push_down_predicates`
+      derives them across join keys), so the read probes the ``(segno,
+      id)`` index per heap segment and inflates only the BlockZIP
+      blocks that can hold the keys.  (A ``segno = k`` scan gets
+      ``(segno, id)`` from index selection instead.)
 
     The ``id`` conjunct stays on the leaf as a residual filter.  Only an
     argument-less ``history_<t>()`` is rewritten, so the rule is
@@ -333,18 +372,18 @@ def restrict_segments(plan, ctx):
                     table, node.alias, node.predicates + (predicate,)
                 )
             args = (ast.Literal(lo), ast.Literal(hi))
-        key = _key_from_predicates(
+        keys = _keys_from_predicates(
             node.alias, node.predicates, ctx.scope, ctx.guards
         )
-        if key is not None:
-            args += (key, key)
+        if keys is not None:
+            args += keys
         elif window is None:
             return node
         details.append(LazyDetail(
             lambda alias=node.alias, function=node.function, args=args,
-            key=key: (
+            keys=keys: (
                 f"{alias}: {function}() -> {_call_sql(function, args)}"
-                + (f" for id = {expr_to_sql(key)}" if key is not None else "")
+                + _keys_sql(keys)
             )
         ))
         return nodes.FunctionScan(
@@ -358,25 +397,50 @@ def _call_sql(function, args) -> str:
     return f"{function}({', '.join(expr_to_sql(a) for a in args)})"
 
 
-def _key_from_predicates(alias, predicates, scope, guards):
-    """The value node of an ``id = <int literal | :param>`` conjunct
-    (or of a lowered key column, which reads ``id``: ``Scope.lowered``)."""
+def _keys_sql(keys) -> str:
+    if keys is None:
+        return ""
+    low, high = (expr_to_sql(key) for key in keys)
+    if keys[0] is keys[1]:
+        return f" for id = {low}"
+    return f" for id BETWEEN {low} AND {high}"
+
+
+def _keys_from_predicates(alias, predicates, scope, guards):
+    """The ``(id_lo, id_hi)`` value nodes of an ``id = c`` conjunct, as
+    ``(c, c)``, else of an ``id BETWEEN lo AND hi`` one (``id`` may be a
+    lowered key column, which reads ``id``: ``Scope.lowered``); each
+    value an int literal or a ``:param``."""
+    ranges = []
     for predicate in predicates:
         bound = _equals_constant(predicate)
-        if bound is None or not (
-            _is_column(bound[0], alias, "id")
-            or scope is not None and scope.resolve(bound[0]) == (alias, "id")
+        if bound is not None:
+            bound = (bound[0], bound[1], bound[1])
+        else:
+            bound = _between_constants(predicate)
+            if bound is None:
+                continue
+        column, low, high = bound
+        if not (
+            _is_column(column, alias, "id")
+            or scope is not None and scope.resolve(column) == (alias, "id")
         ):
             continue
-        value = bound[1]
-        guards.typed(value)
-        if isinstance(value, ast.Param) or (
-            isinstance(value, ast.Literal)
-            and isinstance(value.value, int)
-            and not isinstance(value.value, bool)
-        ):
-            return value
-    return None
+        guards.typed(low)
+        guards.typed(high)
+        if _is_key_value(low) and _is_key_value(high):
+            if low is high:
+                return low, high
+            ranges.append((low, high))
+    return ranges[0] if ranges else None
+
+
+def _is_key_value(node) -> bool:
+    return isinstance(node, ast.Param) or (
+        isinstance(node, ast.Literal)
+        and isinstance(node.value, int)
+        and not isinstance(node.value, bool)
+    )
 
 
 def _window_from_predicates(alias, predicates, guards):

@@ -158,8 +158,9 @@ class CoalesceOp:
 class SequencedAggregateOp:
     """Time-weighted aggregate over ``(value, [tstart, tend])`` streams.
 
-    Groups child rows, sweeps each group's weighted intervals into
-    constant-value periods (:func:`repro.util.intervals.sweep_aggregate`)
+    Groups child rows, sweeps each group's ``(value, tstart, tend)``
+    rows into constant-value periods
+    (:func:`repro.util.intervals.sweep_aggregate`)
     and emits one tuple per (group, period).  Output order is group key,
     then period start.
     """
@@ -192,7 +193,10 @@ class SequencedAggregateOp:
         groups: dict[tuple, tuple] = {}
         group_keys, operand, period = self.group_keys, self.operand, self.period
         for row in self.child.rows(params):
-            key = tuple([null_safe_key(k(row, params)) for k in group_keys])
+            key = (
+                tuple([null_safe_key(k(row, params)) for k in group_keys])
+                if group_keys else ()
+            )
             group = groups.get(key)
             if group is None:
                 group = groups[key] = (row, [])
@@ -200,21 +204,20 @@ class SequencedAggregateOp:
             if start is None or end is None:
                 continue
             value = 1.0 if operand is None else operand(row, params)
-            if value is None:
-                continue
-            group[1].append((float(value), Interval(int(start), int(end))))
+            if value is not None:
+                group[1].append((value, int(start), int(end)))
         kind = self.plan.kind
         for key in sorted(groups):
-            representative, pairs = groups[key]
-            periods = sweep_aggregate(pairs, kind)
+            representative, triples = groups[key]
+            periods = sweep_aggregate(triples, kind)
             _AGG_PERIODS.inc(len(periods))
-            for value, interval in periods:
+            for value, start, end in periods:
                 if kind == "count":
                     value = int(value)
                 row = [
                     value if expr is None else expr(representative, params)
                     for expr in self.item_exprs
                 ]
-                row.append(interval.start)
-                row.append(interval.end)
+                row.append(start)
+                row.append(end)
                 yield tuple(row)

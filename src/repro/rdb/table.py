@@ -214,26 +214,42 @@ class Table:
         ])
 
     def _check_unique(
-        self, rows: list[tuple], old: tuple | None = None, indexes=None
+        self,
+        rows: list[tuple],
+        replaced: list[tuple[Rid, tuple]] | None = None,
+        indexes=None,
     ) -> None:
         """Raise :class:`IntegrityError`, before anything is written, if
-        ``rows`` repeat a stored primary or unique key or one another's;
-        a key kept from ``old``, the row an update replaces, is no repeat."""
+        ``rows`` repeat a stored primary or unique key or one another's.
+
+        ``replaced`` holds the ``(rid, row)`` each row of an update
+        replaces, one per row: a stored key held by one of them is free,
+        since the update moves that row as well (a shift such as ``SET
+        id = id + 1`` is checked as a set, not row by row)."""
+        freed = None
         for info in indexes or self._all_indexes():
             if not info.unique:
                 continue
             seen: set = set()
-            for row in rows:
+            for position, row in enumerate(rows):
                 key = self._index_key(info, row)
-                if old is not None and key == self._index_key(info, old):
-                    continue
-                if key in seen or info.tree.search(key):
+                repeat = key in seen
+                seen.add(key)
+                if not repeat and (
+                    replaced is None
+                    or key != self._index_key(info, replaced[position][1])
+                ):
+                    hits = info.tree.search(key)
+                    if hits:
+                        if freed is None:
+                            freed = {rid for rid, _ in replaced or ()}
+                        repeat = not freed.issuperset(hits)
+                if repeat:
                     raise IntegrityError(
                         f"table {self.name}: duplicate primary key {key}"
                         if info is self._pk
                         else f"unique index {info.name}: duplicate key {key}"
                     )
-                seen.add(key)
 
     def index_keys(self) -> dict[str, tuple[BPlusTree, Callable]]:
         """Each index's tree and row-to-key function, the primary key's
@@ -311,27 +327,60 @@ class Table:
     def update_rid(self, rid: Rid, values: tuple) -> Rid:
         """Rewrite the row at ``rid``; returns the (possibly moved) RID.
 
-        An index, the primary key's included, is touched only when the
-        row moved or that index's key changed (closing a history version
-        rewrites ``tend``, which no H-table index covers).  A changed
-        primary or unique key must be new, or nothing is written.
+        A changed primary or unique key must be new, or nothing is
+        written (:meth:`update_many` checks many rows as one set).
         """
         row = self.schema.validate_row(values)
         with self._latch:
             old = self._heap.read(rid)
-            self._check_unique([row], old)
-            new_rid = self._heap.update(rid, row)
-            moved = new_rid != rid
-            for info in self._all_indexes():
-                old_key = self._index_key(info, old)
-                key = self._index_key(info, row)
-                if moved or key != old_key:
-                    info.tree.delete(old_key, rid)
-                    info.tree.insert(key, new_rid)
+            self._check_unique([row], [(rid, old)])
+            new_rid = self._write_update(rid, old, row)
             sink = txcontext.undo_sink()
             if sink is not None:
-                sink.append(("update", self, rid, new_rid, old))
+                sink.append(("update", self, [rid], [new_rid], [old]))
         self._fire("update", row, old)
+        return new_rid
+
+    def update_many(self, rids: list[Rid], values_list: list[tuple]) -> list[Rid]:
+        """Rewrite the rows at distinct ``rids`` as one statement; returns
+        their (possibly moved) RIDs.
+
+        Every new primary or unique key is checked once, against the
+        other new keys and the keys of the rows not rewritten, before
+        anything is written: a multi-row key update such as ``SET id =
+        id + 1`` succeeds whatever order its rows come in, or changes
+        nothing.  Same writes, triggers and index entries as an
+        :meth:`update_rid` per row, and one undo record.
+        """
+        rows = [self.schema.validate_row(values) for values in values_list]
+        with self._latch:
+            olds = self._heap.read_many(rids)
+            self._check_unique(rows, list(zip(rids, olds)))
+            new_rids = [
+                self._write_update(rid, old, row)
+                for rid, old, row in zip(rids, olds, rows)
+            ]
+            sink = txcontext.undo_sink()
+            if sink is not None:
+                sink.append(("update", self, rids, new_rids, olds))
+        for row, old in zip(rows, olds):
+            self._fire("update", row, old)
+        return new_rids
+
+    def _write_update(self, rid: Rid, old: tuple, row: tuple) -> Rid:
+        """Write a checked update.  An index, the primary key's included,
+        is touched only when the row moved or that index's key changed
+        (closing a history version rewrites ``tend``, which no H-table
+        index covers); a key another row of the same statement still
+        holds is a transient repeat the tree keeps apart by rid."""
+        new_rid = self._heap.update(rid, row)
+        moved = new_rid != rid
+        for info in self._all_indexes():
+            old_key = self._index_key(info, old)
+            key = self._index_key(info, row)
+            if moved or key != old_key:
+                info.tree.delete(old_key, rid)
+                info.tree.insert(key, new_rid)
         return new_rid
 
     def delete_rid(self, rid: Rid) -> None:
@@ -452,7 +501,18 @@ class Table:
         return iter(out)
 
     def rows(self) -> Iterator[tuple]:
-        return iter([row for _, row in self.scan()])
+        """The rows of :meth:`scan` without their rids, read page by
+        page under the latch and rendered at the thread's AS-OF day."""
+        with self._latch:
+            rows = self._heap.rows()
+        day = txcontext.as_of_day()
+        if day is None:
+            return iter(rows)
+        render = self._as_of_row
+        return iter([
+            rendered for row in rows
+            if (rendered := render(row, day)) is not None
+        ])
 
     def row_dict(self, row: tuple) -> dict[str, object]:
         return dict(zip(self.schema.column_names, row))

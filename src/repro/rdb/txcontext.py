@@ -67,8 +67,9 @@ def undo_sink() -> list | None:
     """The active transaction's undo list for this thread, if any.
 
     Entries are appended by :class:`~repro.rdb.table.Table` mutations:
-    ``("insert", table, rid)``, ``("update", table, old_rid, new_rid,
-    old_row)`` or ``("delete", table, old_row, rid)``.
+    ``("insert", table, rid)``, ``("update", table, old_rids, new_rids,
+    old_rows)`` (one per :meth:`~repro.rdb.table.Table.update_many`) or
+    ``("delete", table, old_row, rid)``.
     """
     return getattr(_LOCAL, "undo", None)
 

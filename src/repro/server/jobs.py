@@ -245,7 +245,7 @@ class JobManager:
         with self._lock:
             if self._closed:
                 raise JobError("job manager is shut down")
-            self._sweep_locked()
+            self._evict_expired_locked()
             waiting = sum(
                 1 for j in self._jobs.values() if j.state not in TERMINAL
             )
@@ -265,7 +265,7 @@ class JobManager:
 
     def get(self, job_id: str) -> Job:
         with self._lock:
-            self._sweep_locked()
+            self._evict_expired_locked()
             job = self._jobs.get(job_id)
         if job is None:
             raise JobNotFoundError(
@@ -276,7 +276,7 @@ class JobManager:
 
     def list(self) -> list[Job]:
         with self._lock:
-            self._sweep_locked()
+            self._evict_expired_locked()
             return sorted(
                 self._jobs.values(), key=lambda job: job.submitted_at
             )
@@ -395,7 +395,7 @@ class JobManager:
             sum(1 for j in self._jobs.values() if j.state not in TERMINAL)
         )
 
-    def _sweep_locked(self) -> None:
+    def _evict_expired_locked(self) -> None:
         """Evict terminal jobs older than the result TTL."""
         now = time.monotonic()
         expired = [

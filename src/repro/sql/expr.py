@@ -152,14 +152,16 @@ def compile_expr(node: object, scope: Scope, functions: Mapping) -> CompiledExpr
                 value = row[i]
                 if value is None:
                     return False
-                return (params[lo] <= value <= params[hi]) != negated
+                try:
+                    return (params[lo] <= value <= params[hi]) != negated
+                except TypeError:
+                    return _between(value, params[lo], params[hi], negated)
             return between_slot
         def run_between(row, params):
             value = operand(row, params)
             if value is None:
                 return False
-            hit = low(row, params) <= value <= high(row, params)
-            return hit != negated
+            return _between(value, low(row, params), high(row, params), negated)
         return run_between
     if isinstance(node, ast.IsNull):
         operand = compile_expr(node.operand, scope, functions)
@@ -355,6 +357,24 @@ def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr
             return arithmetic(lv, rv)
         return run_arithmetic
     raise SqlPlanError(f"unknown operator {op}")
+
+
+def _between(value, low, high, negated: bool) -> bool:
+    """``value [NOT] BETWEEN low AND high`` read as a filter: ``low <=
+    value AND value <= high`` (``value < low OR value > high`` when
+    negated), where a side with a NULL bound, or one that does not
+    compare with the value, is unknown — so a NULL or non-numeric bound
+    of a numeric range matches nothing, as ``history_<t>``'s key range
+    does."""
+    def holds(compare, left, right):
+        try:
+            return compare(left, right)
+        except TypeError:  # NULL, or a value of another kind
+            return False
+
+    if negated:
+        return holds(operator.lt, value, low) or holds(operator.gt, value, high)
+    return holds(operator.le, low, value) and holds(operator.le, value, high)
 
 
 def _lifted(node: object):

@@ -158,13 +158,16 @@ def _execute_update(db: Database, statement: ast.Update, plan, params) -> int:
         (table.schema.position(column), compile_expr(expr, scope, plan.functions))
         for column, expr in statement.assignments
     ]
-    victims = list(plan.matches(params))
-    for rid, row in victims:
+    rids, rows = [], []
+    for rid, row in plan.matches(params):
         new_row = list(row)
         for position, value_fn in assignments:
             new_row[position] = value_fn(row, params)
-        table.update_rid(rid, tuple(new_row))
-    return len(victims)
+        rids.append(rid)
+        rows.append(tuple(new_row))
+    # every new row first: the keys are checked as one set (update_many)
+    table.update_many(rids, rows)
+    return len(rids)
 
 
 def _execute_delete(db: Database, plan, params) -> int:

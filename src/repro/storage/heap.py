@@ -18,6 +18,7 @@ from repro.storage.page import (
     decode_uniform_page,
     page_records,
     read_slot,
+    uniform_slots,
 )
 from repro.storage.record import decode_record, encode_record
 
@@ -153,20 +154,32 @@ class HeapFile:
     def read_many(self, rids: list[Rid]) -> list[tuple]:
         """Fetch many records, fetching each touched page only once.
 
-        Row-at-a-time :meth:`read` pays a pool fetch (an LRU lookup under
-        the pool lock) plus page-header parsing per record; an index range
-        scan in key order revisits the same pages in arbitrary order and
-        multiplies that cost.  Grouping by page keeps bulk reads linear
-        in pages touched, not records read.  Results come back in
+        An index range scan in key order revisits the same pages in
+        arbitrary order.  The first rid of a page is read record by
+        record; when a second one arrives the page is checked once, and
+        if it has the append-only, all-integer shape
+        (:func:`~repro.storage.page.uniform_slots`) every further slot
+        wanted from it is unpacked straight from the image.  A page
+        wanted for one rid only is never checked: the check would cost
+        more than the one decode it replaces.  Results come back in
         ``rids`` order.
         """
         images: dict[int, bytes] = {}
+        layouts: dict[int, tuple] = {}
         out = []
         for rid in rids:
             page_no, slot_no = rid
             image = images.get(page_no)
             if image is None:
                 image = images[page_no] = self._pool.get(page_no)
+            else:
+                layout = layouts.get(page_no)
+                if layout is None:  # a second rid: check the page once
+                    layout = layouts[page_no] = uniform_slots(image) or ()
+                if layout and 0 <= slot_no < layout[3]:
+                    unpack, top, length, _ = layout
+                    out.append(unpack(image, top - slot_no * length))
+                    continue
             payload = read_slot(image, slot_no)
             if payload is None:
                 raise StorageError(f"record {rid} is deleted")
@@ -215,6 +228,18 @@ class HeapFile:
                 continue
             for slot_no, payload in page_records(image):
                 yield (page_no, slot_no), decode_record(payload)
+
+    def rows(self) -> list[tuple]:
+        """Every live record in page order, without rids: what
+        :meth:`scan` yields, extended a page at a time."""
+        out: list[tuple] = []
+        for page_no in self._pages:
+            image = self._pool.get(page_no)
+            rows = decode_uniform_page(image)
+            if rows is None:
+                rows = [decode_record(payload) for _, payload in page_records(image)]
+            out.extend(rows)
+        return out
 
     def adopt_pages(self, pages: list[int]) -> None:
         """Attach existing pages (catalog restore) and recount records."""

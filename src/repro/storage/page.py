@@ -21,7 +21,7 @@ import struct
 from functools import lru_cache
 
 from repro.errors import PageFullError, StorageError
-from repro.storage.record import decode_run
+from repro.storage.record import decode_run, int_run
 
 PAGE_SIZE = 4096
 
@@ -183,15 +183,11 @@ def _packed_directory(slot_count: int, length: int) -> bytes:
     )
 
 
-def decode_uniform_page(image: bytes | bytearray) -> list[tuple] | None:
-    """Decode a page that was only ever appended to, in one run.
-
-    Applies when every slot is live, every record has the same length and
-    the payloads sit contiguously below ``PAGE_SIZE`` in slot order — the
-    shape ``insert`` alone produces — and the records are all-integer
-    (see :func:`~repro.storage.record.decode_run`).  Returns the rows in
-    slot order, or ``None`` for any other page.
-    """
+def _uniform_run(image: bytes | bytearray) -> tuple[int, int, int] | None:
+    """``(start, slot_count, length)`` of a page that was only ever
+    appended to: every slot live, every record ``length`` bytes, the
+    payloads contiguous below ``PAGE_SIZE`` in slot order from ``start``
+    — the shape ``insert`` alone produces.  ``None`` for any other page."""
     slot_count, free_ptr = _HEADER.unpack_from(image, 0)
     if slot_count == 0:
         return None
@@ -204,7 +200,41 @@ def decode_uniform_page(image: bytes | bytearray) -> list[tuple] | None:
         != _packed_directory(slot_count, length)
     ):
         return None
+    return start, slot_count, length
+
+
+def decode_uniform_page(image: bytes | bytearray) -> list[tuple] | None:
+    """Decode a page that was only ever appended to, in one run.
+
+    Applies when the page has the append-only shape and its records are
+    all-integer (see :func:`~repro.storage.record.decode_run`).  Returns
+    the rows in slot order, or ``None`` for any other page.
+    """
+    run = _uniform_run(image)
+    if run is None:
+        return None
+    start, slot_count, length = run
     rows = decode_run(image, start, slot_count, length, length)
     if rows is not None:
         rows.reverse()
     return rows
+
+
+def uniform_slots(image: bytes | bytearray) -> tuple | None:
+    """How to read single records of an append-only all-integer page.
+
+    One check of the page (the shape :func:`decode_uniform_page` needs)
+    gives ``(unpack_from, top, length, slot_count)``: the record in slot
+    ``s < slot_count`` lies at ``top - s * length``, where the page's one
+    precompiled ``struct`` unpacks it with ``unpack_from(image, top - s
+    * length)``, the slots not asked for left undecoded.  ``None`` for a
+    page of any other shape.
+    """
+    run = _uniform_run(image)
+    if run is None:
+        return None
+    start, slot_count, length = run
+    layout = int_run(image, start, slot_count, length, length)
+    if layout is None:
+        return None
+    return layout.unpack_from, PAGE_SIZE - length, length, slot_count

@@ -443,10 +443,13 @@ class TxnManager:
             if kind == "insert":
                 table.delete_rid(resolve(table, entry[2]))
             elif kind == "update":
-                _, _, old_rid, new_rid, old_row = entry
-                back_rid = table.update_rid(resolve(table, new_rid), old_row)
-                if back_rid != old_rid:
-                    moves[(table.name, old_rid)] = back_rid
+                _, _, old_rids, new_rids, old_rows = entry
+                back_rids = table.update_many(
+                    [resolve(table, rid) for rid in new_rids], old_rows
+                )
+                for old_rid, back_rid in zip(old_rids, back_rids):
+                    if back_rid != old_rid:
+                        moves[(table.name, old_rid)] = back_rid
             elif kind == "delete":
                 _, _, old_row, rid = entry
                 new_rid = table.insert(old_row)

@@ -9,6 +9,7 @@ into it, which is what guarantees the two query paths agree.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -164,86 +165,80 @@ def restructure(
 
 
 def sweep_aggregate(
-    pairs: Iterable[tuple[float, Interval]], kind: str = "avg"
-) -> list[tuple[float, Interval]]:
+    rows: Iterable[tuple[float, int, int]], kind: str = "avg"
+) -> list[tuple[float, int, int]]:
     """Temporal aggregate over weighted intervals in a single sweep.
 
-    Implements the paper's ``tavg`` strategy (QUERY 5): emit +value at each
-    interval start and -value the day after it ends, sort the change points,
-    and walk them accumulating a running sum and count.  Whenever the
-    aggregate value changes, the previous constant period is closed and a
-    new one opened.
+    Implements the paper's ``tavg`` strategy (QUERY 5): each ``(value,
+    start, end)`` row adds its value on day ``start`` and drops it on
+    day ``end + 1``.  The rows are collected into per-day add and drop
+    lists, the distinct days are sorted once, and the walk over them
+    keeps a running sum and count: whenever the aggregate value
+    changes, the previous constant period is closed and a new one
+    opened.  Returns the ``(value, start, end)`` periods in order.
+
+    A day's adds are applied before its drops, each in input order — the
+    order a stable sort of ``(day, -sign)`` events gives — so float
+    results do not depend on how the days were collected.
 
     ``kind`` selects ``avg``, ``sum``, ``count``, ``min`` or ``max``.  The
-    min/max variants recompute from the live multiset at each change point,
-    which is still a single chronological pass.
+    min/max variants recompute from the live multiset at each change day,
+    which is still a single chronological pass.  A row whose start lies
+    after its end raises :class:`ValueError`, as an :class:`Interval`
+    would.
     """
-    events: list[tuple[int, int, float]] = []
-    for value, interval in pairs:
-        events.append((interval.start, +1, float(value)))
-        if interval.end != FOREVER:
-            events.append((interval.end + 1, -1, float(value)))
-        else:
-            events.append((FOREVER + 1, -1, float(value)))
-    if not events:
-        return []
-    events.sort(key=lambda e: (e[0], -e[1]))
-
-    results: list[tuple[float, Interval]] = []
+    if kind not in _SWEEP_KINDS:
+        raise ValueError(f"unknown temporal aggregate kind: {kind}")
+    adds: defaultdict[int, list[float]] = defaultdict(list)
+    drops: defaultdict[int, list[float]] = defaultdict(list)
+    for value, start, end in rows:
+        if start > end:
+            raise ValueError(f"interval start {start} after end {end}")
+        value = float(value)
+        adds[start].append(value)
+        drops[end + 1].append(value)
+    extreme = {"min": min, "max": max}.get(kind)
     live: dict[float, int] = {}
     total = 0.0
     count = 0
-    prev_point: int | None = None
-
-    def current_value() -> float | None:
-        if count == 0:
-            return None
-        if kind == "avg":
-            return total / count
-        if kind == "sum":
-            return total
-        if kind == "count":
-            return float(count)
-        if kind == "min":
-            return min(v for v, n in live.items() if n > 0)
-        if kind == "max":
-            return max(v for v, n in live.items() if n > 0)
-        raise ValueError(f"unknown temporal aggregate kind: {kind}")
-
-    index = 0
+    periods: list[tuple[float, int, int]] = []
     open_value: float | None = None
-    open_start: int | None = None
-    while index < len(events):
-        point = events[index][0]
-        while index < len(events) and events[index][0] == point:
-            _, sign, value = events[index]
-            if sign > 0:
+    open_start = 0
+    for day in sorted(adds.keys() | drops.keys()):
+        added = adds.get(day, ())
+        dropped = drops.get(day, ())
+        for value in added:
+            total += value
+        for value in dropped:
+            total -= value
+        count += len(added) - len(dropped)
+        if extreme is not None:
+            for value in added:
                 live[value] = live.get(value, 0) + 1
-                total += value
-                count += 1
-            else:
-                live[value] -= 1
-                total -= value
-                count -= 1
-            index += 1
-        new_value = current_value()
-        if open_value is not None and open_start is not None:
-            if new_value != open_value:
-                results.append(
-                    (open_value, Interval(open_start, point - 1))
-                )
-                open_value = None
-                open_start = None
-        if new_value is not None and open_value is None:
-            open_value = new_value
-            open_start = point
-        prev_point = point
-    # A trailing open period can only happen if the sweep ended with live
-    # tuples, which cannot occur because every +1 has a matching -1.
-    del prev_point
-    # Clamp periods that ran through the end-of-time sentinel back to now.
-    clamped = []
-    for value, interval in results:
-        end = min(interval.end, FOREVER)
-        clamped.append((value, Interval(interval.start, end)))
-    return clamped
+            for value in dropped:
+                if live[value] == 1:
+                    del live[value]
+                else:
+                    live[value] -= 1
+        if count == 0:
+            value = None
+        elif kind == "avg":
+            value = total / count
+        elif kind == "sum":
+            value = total
+        elif kind == "count":
+            value = float(count)
+        else:
+            value = extreme(live)
+        if open_value is not None and value != open_value:
+            # a period running through the end-of-time sentinel ends now
+            periods.append((open_value, open_start, min(day - 1, FOREVER)))
+            open_value = None
+        if value is not None and open_value is None:
+            open_value = value
+            open_start = day
+    # every add has its drop, so the walk ends with no period open
+    return periods
+
+
+_SWEEP_KINDS = ("avg", "sum", "count", "min", "max")

@@ -21,13 +21,24 @@ from repro.util.intervals import (
     restructure as restructure_intervals,
     sweep_aggregate,
 )
-from repro.util.timeutil import FOREVER, FOREVER_STR, NOW_LABEL, format_date
+from repro.util.timeutil import (
+    FOREVER,
+    FOREVER_STR,
+    NOW_LABEL,
+    format_date,
+    parse_date,
+)
 from repro.xmlkit.dom import Element, Text
 from repro.xquery.values import DateValue, numeric_value, string_value
 
 
 def node_interval(item: object) -> Interval:
     """The ``[tstart, tend]`` interval of an element."""
+    return Interval(*_node_days(item))
+
+
+def _node_days(item: object) -> tuple[int, int]:
+    """The ``tstart`` and ``tend`` days of an element."""
     if not isinstance(item, Element):
         raise XQueryTypeError(
             f"temporal functions need timestamped elements, got "
@@ -39,7 +50,7 @@ def node_interval(item: object) -> Interval:
         raise XQueryTypeError(
             f"element <{item.name}> carries no tstart/tend attributes"
         )
-    return Interval.from_strings(tstart, tend)
+    return parse_date(tstart), parse_date(tend)
 
 
 def _single_node(seq: list, fn: str) -> Element | None:
@@ -224,14 +235,13 @@ def _require_element(item: object) -> Element:
 
 def _temporal_aggregate(name: str, kind: str):
     def fn(ctx, seq):
-        pairs = []
+        rows = []
         for item in seq:
-            interval = node_interval(item)
-            value = numeric_value(item)
-            pairs.append((value, interval))
+            start, end = _node_days(item)
+            rows.append((numeric_value(item), start, end))
         out = []
-        for value, interval in sweep_aggregate(pairs, kind=kind):
-            element = interval_element(interval)
+        for value, start, end in sweep_aggregate(rows, kind=kind):
+            element = interval_element(Interval(start, end))
             element.name = name
             element.append(Text(string_value(value)))
             out.append(element)

@@ -277,6 +277,84 @@ class TestGoldenTemporalPlans:
             "AS b(id, title, tstart, tend, segno) ON a.id = b.id"
         )
 
+    def test_id_range_reaches_the_history_function(self, temporal_db):
+        plan, report = report_of(
+            temporal_db,
+            "SELECT tavg(t.salary) FROM emp_salary t "
+            "WHERE t.id BETWEEN 3 AND 9",
+        )
+        assert report == golden(
+            """
+            rules:
+              predicate-pushdown: 1 predicate(s) into t
+              segment-restriction: t: history_emp_salary() -> history_emp_salary(NULL, NULL, 3, 9) for id BETWEEN 3 AND 9
+            logical plan:
+              SequencedAggregate [avg] [tavg(t.salary), t.tstart, t.tend]
+                Filter [t.id BETWEEN 3 AND 9]
+                  FunctionScan history_emp_salary() AS t
+            optimized plan:
+              SequencedAggregate [avg] [tavg(t.salary), t.tstart, t.tend]
+                FunctionScan history_emp_salary(NULL, NULL, 3, 9) AS t [t.id BETWEEN 3 AND 9]
+            physical plan:
+              SequencedAggregate [avg]
+                FunctionScan history_emp_salary AS t
+            """
+        )
+        assert to_sql(plan.optimized) == (
+            "SELECT tavg(t.salary) FROM TABLE(history_emp_salary(NULL, NULL, 3, 9)) "
+            "AS t(id, salary, tstart, tend, segno) WHERE t.id BETWEEN 3 AND 9"
+        )
+        again = SelectPlan(temporal_db, parse_sql(to_sql(plan.optimized)))
+        assert to_sql(again.optimized) == to_sql(plan.optimized)
+
+    def test_id_range_crosses_the_temporal_join_key(self, temporal_db):
+        from repro.plan import SegmentHints
+
+        temporal_db.segment_provider = lambda name: SegmentHints(
+            False, lambda lo, hi: [2]
+        )
+        plan, report = report_of(
+            temporal_db,
+            "SELECT a.id, a.salary, b.title, a.tstart, a.tend "
+            "FROM emp_salary a TEMPORAL JOIN emp_title b ON a.id = b.id "
+            "WHERE a.id BETWEEN 3 AND 9",
+        )
+        assert report == golden(
+            """
+            rules:
+              predicate-pushdown: 1 predicate(s) into a
+              predicate-pushdown: 1 predicate(s) into b
+              segment-restriction: a: history_emp_salary() -> history_emp_salary(NULL, NULL, 3, 9) for id BETWEEN 3 AND 9
+              segment-restriction: b: history_emp_title() -> history_emp_title(NULL, NULL, 3, 9) for id BETWEEN 3 AND 9
+            logical plan:
+              Project [a.id, a.salary, b.title, a.tstart, a.tend]
+                Filter [a.id BETWEEN 3 AND 9]
+                  TemporalJoin on a.id = b.id intersect [tstart, tend]
+                    FunctionScan history_emp_salary() AS a
+                    FunctionScan history_emp_title() AS b
+            optimized plan:
+              Project [a.id, a.salary, b.title, a.tstart, a.tend]
+                TemporalJoin on a.id = b.id intersect [tstart, tend]
+                  FunctionScan history_emp_salary(NULL, NULL, 3, 9) AS a [a.id BETWEEN 3 AND 9]
+                  FunctionScan history_emp_title(NULL, NULL, 3, 9) AS b [b.id BETWEEN 3 AND 9]
+            physical plan:
+              Project
+                TemporalJoin on a.id = b.id
+                  FunctionScan history_emp_salary AS a
+                  FunctionScan history_emp_title AS b
+            """
+        )
+        assert to_sql(plan.optimized) == (
+            "SELECT a.id, a.salary, b.title, a.tstart, a.tend "
+            "FROM TABLE(history_emp_salary(NULL, NULL, 3, 9)) "
+            "AS a(id, salary, tstart, tend, segno) "
+            "TEMPORAL JOIN TABLE(history_emp_title(NULL, NULL, 3, 9)) "
+            "AS b(id, title, tstart, tend, segno) ON a.id = b.id "
+            "WHERE a.id BETWEEN 3 AND 9 AND b.id BETWEEN 3 AND 9"
+        )
+        again = SelectPlan(temporal_db, parse_sql(to_sql(plan.optimized)))
+        assert to_sql(again.optimized) == to_sql(plan.optimized)
+
     def test_normalize_plan(self, temporal_db):
         plan, report = report_of(
             temporal_db,

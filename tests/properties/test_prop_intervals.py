@@ -73,6 +73,16 @@ def test_restructure_subset_of_both(left, right):
             assert any(x.contains_point(day) for x in right)
 
 
+def sweep(pairs, kind="avg"):
+    """:func:`sweep_aggregate` over ``(value, Interval)`` pairs, its
+    periods read back as ``(value, Interval)``."""
+    rows = [(value, interval.start, interval.end) for value, interval in pairs]
+    return [
+        (value, Interval(start, end))
+        for value, start, end in sweep_aggregate(rows, kind)
+    ]
+
+
 @given(
     st.lists(
         st.tuples(st.floats(min_value=1, max_value=1e6), intervals()),
@@ -80,7 +90,7 @@ def test_restructure_subset_of_both(left, right):
     )
 )
 def test_sweep_aggregate_periods_are_disjoint_and_ordered(pairs):
-    out = sweep_aggregate(pairs)
+    out = sweep(pairs)
     for (_, left), (_, right) in zip(out, out[1:]):
         assert left.end < right.start
 
@@ -93,7 +103,7 @@ def test_sweep_aggregate_periods_are_disjoint_and_ordered(pairs):
     )
 )
 def test_sweep_average_pointwise_correct(pairs):
-    out = sweep_aggregate(pairs)
+    out = sweep(pairs)
     # Check the aggregate value at every period start against a brute force.
     for value, interval in out:
         live = [v for v, iv_ in pairs if iv_.contains_point(interval.start)]
@@ -108,7 +118,7 @@ def test_sweep_average_pointwise_correct(pairs):
     )
 )
 def test_sweep_covers_exactly_the_live_days(pairs):
-    out = sweep_aggregate(pairs)
+    out = sweep(pairs)
     covered = set()
     for _, interval in out:
         covered.update(range(interval.start, interval.end + 1))

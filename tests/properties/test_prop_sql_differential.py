@@ -2,11 +2,12 @@
 
 A seeded hypothesis grammar over the supported subset — WHERE with
 NULLs, ``BETWEEN``, ``IN`` and ``LIKE``; inner hash and nested-loop
-joins; GROUP BY with every aggregate, ``DISTINCT`` included; ORDER BY,
-DISTINCT and LIMIT — runs each query on both engines over the same
-generated tables, with and without the optimizer and indexes.  Results
-are compared as multisets, or as sequences when the ORDER BY is total
-(it names every output column).
+joins, a hash join's key with a ``BETWEEN`` range the optimizer carries
+to its other side; GROUP BY with every aggregate, ``DISTINCT``
+included; ORDER BY, DISTINCT and LIMIT — runs each query on both
+engines over the same generated tables, with and without the optimizer
+and indexes.  Results are compared as multisets, or as sequences when
+the ORDER BY is total (it names every output column).
 
 Where the dialects differ the grammar stays inside the common part:
 
@@ -124,6 +125,12 @@ def queries(draw):
         conjuncts.append("t.a = u.a" if join == "hash" else draw(
             st.sampled_from(["t.b < u.e", "t.b <> u.a", "t.a >= u.e"])
         ))
+        if join == "hash" and draw(st.booleans()):
+            # a range on one side of the key: the optimizer derives it
+            # for the other side, and SQLite checks the answer
+            low, high = draw(SMALL_INTS), draw(SMALL_INTS)
+            key = draw(st.sampled_from(["t.a", "u.a"]))
+            conjuncts.append(f"{key} BETWEEN {low} AND {high}")
     conjuncts += draw(st.lists(predicates(ints, texts), min_size=1, max_size=2))
     sources = "t" if join == "single" else "t, u"
     where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""

@@ -254,6 +254,78 @@ class TestUniqueKeysCheckedBeforeWriting:
         assert db.sql("SELECT v FROM u WHERE id = 2").rows == [(2,)]
 
 
+class TestMultiRowUpdate:
+    """A multi-row ``UPDATE`` checks its new keys as one set, before it
+    writes: the outcome does not depend on the order of the rows."""
+
+    @pytest.fixture
+    def u(self, db):
+        db.sql("CREATE TABLE u (id INT, v INT, PRIMARY KEY (id))")
+        db.sql("CREATE UNIQUE INDEX u_v ON u (v)")
+        return db
+
+    def fill(self, db, ids):
+        for key in ids:  # heap order is insertion order
+            db.sql(f"INSERT INTO u VALUES ({key}, {key * 100})")
+
+    def contents(self, db):
+        table = db.table("u")
+        entries = {
+            name: sorted(tree.items())
+            for name, (tree, _) in table.index_keys().items()
+        }
+        return sorted(db.sql("SELECT id, v FROM u").rows), entries
+
+    @pytest.mark.parametrize(
+        "ids, assignment, expected",
+        [
+            ((5, 1, 2), "id = id * 2", [2, 4, 10]),
+            ((1, 2, 3), "id = id + 1", [2, 3, 4]),
+            ((3, 2, 1), "id = id + 1", [2, 3, 4]),
+            ((1, 2, 3), "id = 4 - id, v = v + 100", [1, 2, 3]),
+        ],
+    )
+    def test_key_shifts_succeed(self, u, ids, assignment, expected):
+        self.fill(u, ids)
+        assert u.sql(f"UPDATE u SET {assignment}") == 3
+        rows, _ = self.contents(u)
+        assert [key for key, _ in rows] == expected
+        for key in expected:  # every key is reachable through the index
+            assert len(u.sql(f"SELECT v FROM u WHERE id = {key}").rows) == 1
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("UPDATE u SET id = id + 1 WHERE id < 3", "duplicate primary key"),
+            ("UPDATE u SET id = 7", "duplicate primary key"),
+            ("UPDATE u SET v = 300 WHERE id = 1", "unique index u_v"),
+            ("UPDATE u SET v = v + 100 WHERE id < 3", "unique index u_v"),
+        ],
+    )
+    def test_a_real_collision_changes_nothing(self, u, statement, message):
+        self.fill(u, (3, 1, 2))
+        before = self.contents(u)
+        with pytest.raises(IntegrityError, match=message):
+            u.sql(statement)
+        assert self.contents(u) == before
+
+    def test_undo_restores_a_key_shift(self, u):
+        from repro.rdb import txcontext
+        from repro.txn.manager import TxnManager
+
+        self.fill(u, (1, 2, 3))
+        before = self.contents(u)
+        undo = []
+        txcontext.set_undo_sink(undo)
+        try:
+            u.sql("UPDATE u SET id = id + 1, v = v + 100")
+        finally:
+            txcontext.set_undo_sink(None)
+        assert len(undo) == 1
+        TxnManager._replay_undo(undo)
+        assert self.contents(u) == before
+
+
 class TestBulkInsert:
     def test_insert_many_equals_sequential_inserts(self, emp):
         rows = [(i, f"n{i}", i * 100) for i in range(50)]

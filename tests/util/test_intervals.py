@@ -138,13 +138,23 @@ class TestRestructure:
         assert restructure([iv("1995-01-01", "1995-01-31")], [iv("1996-01-01", "1996-01-31")]) == []
 
 
+def sweep(pairs, kind="avg"):
+    """:func:`sweep_aggregate` over ``(value, Interval)`` pairs, its
+    periods read back as ``(value, Interval)``."""
+    rows = [(value, interval.start, interval.end) for value, interval in pairs]
+    return [
+        (value, Interval(start, end))
+        for value, start, end in sweep_aggregate(rows, kind)
+    ]
+
+
 class TestSweepAggregate:
     def test_average_of_single_interval(self):
-        out = sweep_aggregate([(100.0, iv("1995-01-01", "1995-12-31"))])
+        out = sweep([(100.0, iv("1995-01-01", "1995-12-31"))])
         assert out == [(100.0, iv("1995-01-01", "1995-12-31"))]
 
     def test_average_changes_at_overlap(self):
-        out = sweep_aggregate(
+        out = sweep(
             [
                 (100.0, iv("1995-01-01", "1995-12-31")),
                 (200.0, iv("1995-07-01", "1995-12-31")),
@@ -156,7 +166,7 @@ class TestSweepAggregate:
         ]
 
     def test_sum(self):
-        out = sweep_aggregate(
+        out = sweep(
             [
                 (100.0, iv("1995-01-01", "1995-12-31")),
                 (200.0, iv("1995-07-01", "1995-12-31")),
@@ -166,7 +176,7 @@ class TestSweepAggregate:
         assert out[-1] == (300.0, iv("1995-07-01", "1995-12-31"))
 
     def test_count(self):
-        out = sweep_aggregate(
+        out = sweep(
             [
                 (1.0, iv("1995-01-01", "1995-06-30")),
                 (1.0, iv("1995-04-01", "1995-12-31")),
@@ -176,7 +186,7 @@ class TestSweepAggregate:
         assert (2.0, iv("1995-04-01", "1995-06-30")) in out
 
     def test_max_tracks_live_multiset(self):
-        out = sweep_aggregate(
+        out = sweep(
             [
                 (100.0, iv("1995-01-01", "1995-12-31")),
                 (200.0, iv("1995-04-01", "1995-06-30")),
@@ -190,18 +200,18 @@ class TestSweepAggregate:
         ]
 
     def test_open_now_interval_clamped(self):
-        out = sweep_aggregate([(50.0, Interval(0, FOREVER))])
+        out = sweep([(50.0, Interval(0, FOREVER))])
         assert out == [(50.0, Interval(0, FOREVER))]
 
     def test_empty_input(self):
-        assert sweep_aggregate([]) == []
+        assert sweep([]) == []
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            sweep_aggregate([(1.0, Interval(0, 1))], kind="median")
+            sweep([(1.0, Interval(0, 1))], kind="median")
 
     def test_gap_between_intervals_produces_no_phantom_period(self):
-        out = sweep_aggregate(
+        out = sweep(
             [
                 (10.0, iv("1995-01-01", "1995-01-31")),
                 (20.0, iv("1995-03-01", "1995-03-31")),
