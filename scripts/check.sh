@@ -107,6 +107,17 @@ if [ -n "$SNAPSHOT_COPY" ]; then
     echo "$SNAPSHOT_COPY" >&2
     exit 1
 fi
+# The XQuery translation cache (its LRU, its size knob, the SQL
+# templates and the literal renderer that filled them) was folded into
+# the statement cache: an XQuery's literals are statement slots, never
+# SQL text.  Keep them gone from the program.
+TRANSLATION_CACHE="$(grep -rnE '_translation_cache|class Template\b|render_literal|DEFAULT_TRANSLATION_CACHE_SIZE|translation_cache_size' \
+    --include='*.py' src || true)"
+if [ -n "$TRANSLATION_CACHE" ]; then
+    echo "FAIL: the statement cache is the one shape cache; literals are slots:" >&2
+    echo "$TRANSLATION_CACHE" >&2
+    exit 1
+fi
 echo "no references to removed legacy API surface"
 
 echo "== python 3.10 regex lint =="

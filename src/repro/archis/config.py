@@ -1,8 +1,8 @@
 """One configuration object for the whole engine facade.
 
 :class:`ArchISConfig` gathers every knob that used to be a scattered
-positional flag — profile selection, clustering thresholds, cache and
-buffer sizes, durability and maintenance mode — into a single
+positional flag — profile selection, clustering thresholds, buffer
+size, durability and maintenance mode — into a single
 keyword-only frozen dataclass consumed by
 ``ArchIS.__init__``/``ArchIS.open``.  The old per-call flags
 (``profile=``, ``umin=``, ``buffer_pages=``, ...) were deprecated
@@ -16,10 +16,6 @@ from dataclasses import dataclass, fields, replace
 
 from repro.errors import ArchisError
 
-#: default bound on the per-system XQuery → Translation LRU cache
-DEFAULT_TRANSLATION_CACHE_SIZE = 128
-
-
 @dataclass(frozen=True, kw_only=True)
 class ArchISConfig:
     """Engine-wide settings (all keyword-only, all with defaults).
@@ -31,8 +27,6 @@ class ArchISConfig:
         segmentation (paper Fig. 9's unclustered comparison point).
     ``min_segment_rows``
         Minimum live-segment size before a freeze may trigger.
-    ``translation_cache_size``
-        Bound on the XQuery → Translation LRU cache.
     ``durability``
         Pager mode for file-backed archives: ``"wal"`` or ``"none"``.
     ``buffer_pages``
@@ -51,7 +45,6 @@ class ArchISConfig:
     profile: str = "atlas"
     umin: float | None = 0.4
     min_segment_rows: int = 64
-    translation_cache_size: int = DEFAULT_TRANSLATION_CACHE_SIZE
     durability: str = "wal"
     buffer_pages: int = 1024
     maintenance: str = "inline"
@@ -67,8 +60,6 @@ class ArchISConfig:
             )
         if self.maintenance_step_rows < 1:
             raise ArchisError("maintenance_step_rows must be >= 1")
-        if self.translation_cache_size < 1:
-            raise ArchisError("translation_cache_size must be >= 1")
         if self.buffer_pages < 1:
             raise ArchisError("buffer_pages must be >= 1")
         if self.durability not in ("wal", "none"):
@@ -91,6 +82,5 @@ def resolve_config(config: ArchISConfig | None) -> ArchISConfig:
 
 __all__ = [
     "ArchISConfig",
-    "DEFAULT_TRANSLATION_CACHE_SIZE",
     "resolve_config",
 ]

@@ -17,8 +17,6 @@ clustering, compression and the XQuery→SQL/XML translator:
 from __future__ import annotations
 
 import copy
-import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from time import perf_counter
 
@@ -33,24 +31,17 @@ from repro.txn.locks import HistoryLock
 from repro.archis.batch import DEFAULT_BATCH_SIZE, BatchArchiver
 from repro.archis.blobstore import CompressedArchive
 from repro.archis.clustering import SegmentManager
-from repro.archis.config import (
-    DEFAULT_TRANSLATION_CACHE_SIZE,
-    ArchISConfig,
-    resolve_config,
-)
+from repro.archis.config import ArchISConfig, resolve_config
 from repro.archis.htables import TrackedRelation, create_htables
 from repro.archis.publisher import publish_relation
 from repro.archis.tracker import HTableWriter, LogTracker, TriggerTracker
 from repro.archis.translator import Analyzer
-from repro.xquery.parser import query_shape
 
 _XQUERY_COUNT = get_registry().counter("archis.xquery.count")
 _XQUERY_SECONDS = get_registry().histogram("archis.xquery.seconds")
 _TEMPORAL_QUERIES = get_registry().counter("temporal.queries")
 _TEMPORAL_SECONDS = get_registry().histogram("temporal.query.seconds")
 _FALLBACKS = get_registry().labeled_counter("xquery.fallback")
-_CACHE_HITS = get_registry().counter("translator.cache_hits")
-_CACHE_MISSES = get_registry().counter("translator.cache_misses")
 
 
 @dataclass(frozen=True)
@@ -123,16 +114,6 @@ class ArchIS:
         #: set by :class:`repro.txn.TxnManager` when a transaction layer
         #: is attached; apply_pending then only archives committed entries
         self.txn_manager = None
-        #: XQuery shape (the text with its value literals blanked, see
-        #: ``query_shape``) -> (generation, Template); entries are
-        #: dropped LRU past ``translation_cache_size`` and invalidated
-        #: when the generation (schema / clustering / compression state)
-        #: moves on.  Lookups, insertions and the hit/miss counters share
-        #: one lock so concurrent sessions keep the LRU order intact and
-        #: the counters exact.
-        self.translation_cache_size = config.translation_cache_size
-        self._translation_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._cache_lock = threading.RLock()
         #: queries slower than ``slow_query_log.threshold`` seconds are
         #: kept here (bounded); set the threshold to None to disable.
         self.slow_query_log = SlowQueryLog()
@@ -302,9 +283,13 @@ class ArchIS:
             return None
         from repro.plan.optimizer import SegmentHints
 
+        compressed = table_name in self.archive.compressed_tables
+        segments = self.segments
         return SegmentHints(
-            compressed=table_name in self.archive.compressed_tables,
-            segments_overlapping=self.segments.segments_overlapping,
+            compressed=compressed,
+            segments_overlapping=segments.segments_overlapping,
+            holds_copies=compressed
+            or (segments.segmented and segments.segment_count() > 1),
         )
 
     def _segment_generation(self) -> tuple:
@@ -312,59 +297,32 @@ class ArchIS:
         clustering state the optimizer reads changes."""
         return (self.segments.generation, tuple(self.archive.compressed_tables))
 
-    def _translation_generation(self) -> tuple:
-        """Cache key component that moves whenever a cached Translation
-        could become stale: tracked views, segment boundaries,
-        compression state."""
-        return (tuple(sorted(self._doc_names)), self._segment_generation())
-
-    def translation(self, query: str):
-        """The :class:`Translation` of an XQuery, bound from the LRU cache
-        of translated shapes: two queries that differ only in their value
-        literals share one entry, and a hit skips the parse and
-        Algorithm 1."""
-        key, literals = query_shape(query)
-        cache = self._translation_cache
-        with self._cache_lock:
-            generation = self._translation_generation()
-            entry = cache.get(key)
-            if (
-                entry is not None
-                and entry[0] == generation
-                and entry[1].answers(query)
-            ):
-                cache.move_to_end(key)
-                _CACHE_HITS.inc()
-                template = entry[1]
-            else:
-                _CACHE_MISSES.inc()
-                # Translation happens under the lock: concurrent sessions
-                # asking for the same new shape would otherwise translate
-                # it twice and double-count the miss.
-                template = Analyzer(self).template(query, literals)
-                cache[key] = (generation, template)
-                cache.move_to_end(key)
-                while len(cache) > self.translation_cache_size:
-                    cache.popitem(last=False)
-        return template.bind(literals)
+    def prepare(self, query: str):
+        """Bind an XQuery to a plan through the statement cache, which
+        translates a shape it does not hold (``db.statements``,
+        :meth:`~repro.sql.cache.StatementCache.prepare_xquery`): two
+        queries that differ only in their value literals share one
+        translation and its plans.  The result's ``translation`` holds
+        the SQL (literals as ``$n`` slots) and the post step; raises
+        :class:`UnsupportedQueryError` for a query or a binding outside
+        the translatable subset."""
+        return self.db.statements.prepare_xquery(
+            query, lambda text, literals: Analyzer(self).translate(text, literals)
+        )
 
     def translate(self, query: str) -> str:
         """Translate XQuery on the H-views to SQL/XML on the H-tables.
 
         The returned text is the *optimized* query: the plan the
-        statement cache holds for the translator's SQL, rendered back to
+        statement cache holds for the query's shape, rendered back to
         SQL with this query's literals, so segment-restricted access
         paths (``segno = k``, ``history_<t>`` with segment or key
         arguments) appear in the SQL itself.
         """
         from repro.plan import to_sql
         from repro.plan.render import bound_literals
-        from repro.sql import ast as sql_ast
 
-        sql = self.translation(query).sql
-        bound = self.db.statements.prepare(sql)
-        if not isinstance(bound.statement, sql_ast.Select):
-            return sql
+        bound = self.prepare(query)
         with bound_literals(bound.values):
             return to_sql(bound.plan.optimized)
 
@@ -385,6 +343,8 @@ class ArchIS:
         fallback), counts ``archis.xquery.count`` / ``xquery.fallback``
         and feeds the slow-query log.
         """
+        from repro.sql.session import execute_prepared
+
         tracer = get_tracer()
         started = perf_counter()
         sql_text: str | None = None
@@ -393,35 +353,41 @@ class ArchIS:
         try:
             with tracer.span("archis.xquery", query=query) as span:
                 self.apply_pending()
-                try:
-                    with tracer.span("xquery.translate"):
-                        translation = self.translation(query)
-                except UnsupportedQueryError as exc:
-                    fallback_reason = str(exc)
-                    _FALLBACKS.inc(fallback_reason)
-                    span.set("fallback_reason", fallback_reason)
-                    if not allow_fallback:
-                        raise
-                    with tracer.span("xquery.native"):
-                        out = Result(
-                            self._native_fallback(query),
-                            stats={"fallback_reason": fallback_reason},
-                        )
-                        return out
-                sql_text = translation.sql
-                span.set("sql", sql_text)
                 # the read side keeps the maintenance worker (and any
-                # other H-table mutator) out while the query scans
+                # other H-table mutator) out while the query is planned
+                # and scans
                 with self.history_lock.read():
-                    with tracer.span("sql.execute"):
-                        result = self.db.sql(translation.sql)
-                    with tracer.span("xquery.post"):
-                        if translation.post is not None:
-                            rows = translation.post(result)
-                        else:
-                            rows = result.xml()
-                out = Result(rows, stats={"sql": sql_text})
-                return out
+                    try:
+                        with tracer.span("xquery.translate"):
+                            bound = self.prepare(query)
+                    except UnsupportedQueryError as exc:
+                        refused = exc
+                    else:
+                        translation = bound.translation
+                        sql_text = translation.sql
+                        span.set("sql", sql_text)
+                        with tracer.span("sql.execute"):
+                            result = execute_prepared(
+                                self.db, bound, text=sql_text
+                            )
+                        with tracer.span("xquery.post"):
+                            if translation.post is not None:
+                                rows = translation.post(result)
+                            else:
+                                rows = result.xml()
+                        out = Result(rows, stats={"sql": sql_text})
+                        return out
+                fallback_reason = str(refused)
+                _FALLBACKS.inc(fallback_reason)
+                span.set("fallback_reason", fallback_reason)
+                if not allow_fallback:
+                    raise refused
+                with tracer.span("xquery.native"):
+                    out = Result(
+                        self._native_fallback(query),
+                        stats={"fallback_reason": fallback_reason},
+                    )
+                    return out
         finally:
             elapsed = perf_counter() - started
             _XQUERY_COUNT.inc()
@@ -499,30 +465,9 @@ class ArchIS:
         segment restriction is visible) and the
         buffer-pool IO the run performed.
         """
-        registry = get_registry()
-        misses = registry.counter("buffer.misses")
-        hits = registry.counter("buffer.hits")
-        misses_before = misses.value
-        hits_before = hits.value
-        with get_tracer().capture() as roots:
-            result = self.sql(text, params)
-        root = next(
-            (s for s in reversed(roots) if s.name == "archis.sql"),
-            roots[-1],
-        )
-        plan = None
-        if getattr(self.db, "last_plan", None) is not None:
-            plan = self.db.last_plan.report()
-        return ExplainResult(
-            query=text,
-            seconds=root.duration,
-            result_count=result.row_count,
-            physical_reads=misses.value - misses_before,
-            cache_hits=hits.value - hits_before,
-            root=root,
-            sql=text,
+        return self._explained(
+            text, "archis.sql", lambda: self.sql(text, params),
             params=dict(params or {}),
-            plan=plan,
         )
 
     # -- compression ----------------------------------------------------------------------------
@@ -692,10 +637,12 @@ class ArchIS:
                 ).value,
             },
             "translator": {
-                "cache_size": len(self._translation_cache),
-                "cache_capacity": self.translation_cache_size,
-                "cache_hits": _CACHE_HITS.value,
-                "cache_misses": _CACHE_MISSES.value,
+                "cache_hits": get_registry().counter(
+                    "translator.cache_hits"
+                ).value,
+                "cache_misses": get_registry().counter(
+                    "translator.cache_misses"
+                ).value,
             },
             "plan_cache": self.db.statements.stats(),
             "relations": sorted(self.relations),
@@ -713,20 +660,27 @@ class ArchIS:
         the run performed.  Works regardless of the tracer's global
         enabled state.
         """
+        return self._explained(
+            query, "archis.xquery",
+            lambda: self.xquery(query, allow_fallback=allow_fallback),
+        )
+
+    def _explained(self, query: str, root_name: str, run, **fields):
+        """Run ``run()`` with tracing forced on and report its
+        ``root_name`` span, the plan of the SQL it ran (if any) and the
+        buffer-pool IO it performed."""
         registry = get_registry()
         misses = registry.counter("buffer.misses")
         hits = registry.counter("buffer.hits")
-        misses_before = misses.value
-        hits_before = hits.value
+        misses_before, hits_before = misses.value, hits.value
         with get_tracer().capture() as roots:
-            result = self.xquery(query, allow_fallback=allow_fallback)
+            result = run()
         root = next(
-            (s for s in reversed(roots) if s.name == "archis.xquery"),
-            roots[-1],
+            (s for s in reversed(roots) if s.name == root_name), roots[-1]
         )
-        sql_text = root.attrs.get("sql")
+        sql = root.attrs.get("sql")
         plan = None
-        if sql_text is not None and self.db.last_plan is not None:
+        if sql is not None and self.db.last_plan is not None:
             plan = self.db.last_plan.report()
         return ExplainResult(
             query=query,
@@ -735,19 +689,19 @@ class ArchIS:
             physical_reads=misses.value - misses_before,
             cache_hits=hits.value - hits_before,
             root=root,
-            sql=sql_text,
+            sql=sql,
             fallback_reason=root.attrs.get("fallback_reason"),
             plan=plan,
+            **fields,
         )
 
     # -- measurement hooks ------------------------------------------------------------------------
 
     def reset_caches(self) -> None:
-        """Drop buffered pages, cached translations and cached plans."""
+        """Drop buffered pages and the statement cache (translations and
+        plans)."""
         self.db.reset_caches()
         self.db.statements.clear()
-        with self._cache_lock:
-            self._translation_cache.clear()
 
     def storage_bytes(self) -> int:
         """Footprint of all H-tables + compressed blobs (+ index models).

@@ -19,15 +19,14 @@ The five steps of the paper's algorithm map onto this module as follows:
 5. *Output generation* — the return clause becomes ``XMLElement`` /
    ``XMLAttributes`` / ``XMLAgg`` expressions.
 
-Storage access is deliberately naive here: a segmented or compressed
-archive is always read through the deduplicating ``history_<table>``
-table function, which is correct for every query.  The segment
-restriction of Sections 6.3/6.4 — replacing that full read with
-``segno``-restricted scans or a segment-ranged ``history_<table>`` when
-snapshot/slicing predicates bound the alias to a window — is no longer
-the translator's job: it happens in the logical-plan optimizer
-(:mod:`repro.plan.rules`), which sees the predicates after pushdown and
-the clustering state through ``Database.segment_provider``.
+Each XQuery literal becomes a slot of the SQL (``$n``, ``DATE $n``)
+whose value is bound per query, never SQL text (:class:`Translation`).
+Storage access is not the translator's job: it names each H-table
+plainly, the planner reads one whose heap is not its history (more than
+one segment, or compressed) through ``history_<table>``
+(:mod:`repro.plan.build`), and the optimizer's segment restriction of
+Sections 6.3/6.4 narrows that read when predicates bound the alias to a
+window (:mod:`repro.plan.rules`).
 
 Anything outside this subset raises :class:`UnsupportedQueryError`; the
 ArchIS facade can then fall back to native evaluation on published views.
@@ -42,14 +41,15 @@ does; see DESIGN.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, TYPE_CHECKING
 
-from repro.errors import TranslationError, UnsupportedQueryError
+from repro.errors import TranslationError, UnsupportedQueryError, XQueryTypeError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.rdb.types import ColumnType
+from repro.util.timeutil import parse_date
 from repro.xquery import ast, parse_xquery
 
 _TRANSLATE_SECONDS = get_registry().histogram("xquery.translate.seconds")
@@ -60,53 +60,39 @@ if TYPE_CHECKING:
     from repro.archis.htables import TrackedRelation
 
 
-@dataclass
+@dataclass(frozen=True)
 class Translation:
-    """A translated query: SQL text plus an optional post-processing step
-    (used for temporal aggregates that SQL computes as ordered row streams,
-    paper Section 5.4's OLAP-function mapping)."""
+    """A translated query shape: SQL plus an optional post-processing
+    step (used for temporal aggregates that SQL computes as ordered row
+    streams, paper Section 5.4's OLAP-function mapping).
+
+    The SQL names each literal the translator lifted by slot: ``$n``, or
+    ``DATE $n`` for a date.  ``slots`` gives, per slot, its kind and the
+    index of its literal in the shape's literals (as
+    :func:`~repro.xquery.parser.query_shape` lists them); :meth:`bind`
+    converts a binding's literals to the slot values.  A shape whose
+    text and literals the translator did not match one to one (a number
+    in a direct constructor's content, say) is ``pinned``: it holds its
+    text and its own literal values, and answers for that text only.
+    """
 
     sql: str
     post: Callable | None = None
-
-
-@dataclass(frozen=True)
-class Template:
-    """A translation with one hole per lifted literal: what the
-    translation cache keeps for a query shape (see
-    :func:`repro.xquery.parser.query_shape`).
-
-    ``parts`` is the SQL text around the holes, one more than there are
-    holes.  A hole is ``(kind, slot)``: :meth:`bind` fills it with
-    :func:`render_literal` of the shape's ``slot``-th literal, the same
-    renderer a fresh translation uses, so a bound template is the SQL a
-    fresh translation of that text would write.  A template whose text
-    lifted a literal the translator did not render as a value (one in a
-    direct constructor's content, say) is ``pinned`` to that text: it
-    holds its SQL whole and answers for no other binding.
-    """
-
-    parts: tuple[str, ...]
-    holes: tuple[tuple[str, int], ...]
-    post: Callable | None
-    pinned: str | None = None
+    slots: tuple[tuple[str, int], ...] = ()
+    pinned: tuple[str, tuple] | None = None
 
     def answers(self, query: str) -> bool:
-        return self.pinned is None or self.pinned == query
+        return self.pinned is None or self.pinned[0] == query
 
-    def bind(self, literals: list) -> Translation:
-        """The translation for one binding: ``literals`` as
-        :func:`~repro.xquery.parser.query_shape` lists them."""
-        parts = self.parts
-        out = [parts[0]]
-        for index, (kind, slot) in enumerate(self.holes, 1):
-            out.append(render_literal(kind, literals[slot][1]))
-            out.append(parts[index])
-        return Translation("".join(out), self.post)
+    def bind(self, literals: list) -> tuple:
+        """The slot values of one binding: ``literals`` as
+        ``query_shape`` lists them."""
+        if self.pinned is not None:
+            values = self.pinned[1]
+        else:
+            values = [value for _, value in literals]
+        return tuple(_CONVERT[kind](values[i]) for kind, i in self.slots)
 
-
-#: a hole in the translator's SQL before it is cut into a Template
-_HOLE = re.compile("\x00(\\d+)\x00")
 
 #: a column reference through a translator alias (``t3.salary``)
 _ALIAS_REF = re.compile(r"\b(t\d+)\.")
@@ -165,52 +151,53 @@ class Analyzer:
         self._alias_count = 0
         # mapped `order by` keys: (sql, descending)
         self.order_specs: list[tuple[str, bool]] = []
-        # every literal rendered into the SQL: (kind, Literal node)
-        self._holes: list[tuple[str, ast.Literal]] = []
+        # every literal the SQL names by slot: (kind, Literal node)
+        self._slots: list[tuple[str, ast.Literal]] = []
 
     # -- entry --------------------------------------------------------------
 
-    def template(self, query: str, literals: list) -> Template:
-        """Translate ``query`` into a :class:`Template` whose holes are
-        the shape's ``literals`` (``(pos, value)`` pairs, as
-        :func:`~repro.xquery.parser.query_shape` lists them)."""
+    def translate(self, query: str, literals: list) -> Translation:
+        """Translate ``query``, whose shape lifted ``literals`` (``(pos,
+        value)`` pairs, as :func:`~repro.xquery.parser.query_shape` lists
+        them).
+
+        Each slot is tied to the lifted literal at its node's offset (the
+        scanner and ``query_shape`` match a literal with the same
+        pattern, so a literal at the same offset is the same token).
+        When some slot has no lifted literal, or some lifted literal no
+        slot, the translation is pinned to this text.
+        """
         started = perf_counter()
         tracer = get_tracer()
         try:
             with tracer.span("xquery.parse"):
                 node = parse_xquery(query)
             with tracer.span("sql.generate"):
-                marked = self._translate_node(node)
+                translation = self._translate_node(node)
         finally:
             _TRANSLATE_SECONDS.observe(perf_counter() - started)
         _TRANSLATIONS.inc()
-        return self._cut(marked, query, literals)
+        index_of = {pos: i for i, (pos, _) in enumerate(literals)}
+        lifted = [index_of.get(node.pos) for _, node in self._slots]
+        if None not in lifted and len(set(lifted)) == len(literals):
+            slots = tuple(
+                (kind, i) for (kind, _), i in zip(self._slots, lifted)
+            )
+            return replace(translation, slots=slots)
+        return replace(
+            translation,
+            slots=tuple((kind, i) for i, (kind, _) in enumerate(self._slots)),
+            pinned=(query, tuple(node.value for _, node in self._slots)),
+        )
 
-    def _cut(self, marked: Translation, query: str, literals: list) -> Template:
-        """Cut the marked SQL at its holes, each hole tied to the lifted
-        literal at its node's offset (the scanner and ``query_shape``
-        match a literal with the same pattern, so a literal at the same
-        offset is the same token).  When some hole has no lifted literal,
-        or some lifted literal no hole, the values of this text are
-        rendered in and the template is pinned to it."""
-        pieces = _HOLE.split(marked.sql)
-        rendered = [self._holes[int(i)] for i in pieces[1::2]]
-        slot_of = {pos: slot for slot, (pos, _) in enumerate(literals)}
-        holes = [(kind, slot_of.get(node.pos)) for kind, node in rendered]
-        slots = {slot for _, slot in holes}
-        if None not in slots and len(slots) == len(literals):
-            return Template(tuple(pieces[0::2]), tuple(holes), marked.post)
-        sql = [pieces[0]]
-        for (kind, node), part in zip(rendered, pieces[2::2]):
-            sql.append(render_literal(kind, node.value))
-            sql.append(part)
-        return Template(("".join(sql),), (), marked.post, pinned=query)
-
-    def _hole(self, kind: str, node: ast.Literal) -> str:
-        """Mark where ``node``'s value goes in the SQL; :func:`render_literal`
-        writes it there as a ``kind`` (see there)."""
-        self._holes.append((kind, node))
-        return f"\x00{len(self._holes) - 1}\x00"
+    def _slot(self, kind: str, node: ast.Literal) -> str:
+        """Name ``node``'s value in the SQL by a slot of ``kind``: bound
+        as a ``value`` (a number or string), a ``numeric`` (tested
+        for equality with a numeric column, see :func:`_numeric`) or a
+        ``date`` (a day number)."""
+        self._slots.append((kind, node))
+        slot = f"${len(self._slots) - 1}"
+        return f"DATE {slot}" if kind == "date" else slot
 
     def _translate_node(self, node: object) -> Translation:
         wrapper = None
@@ -266,9 +253,19 @@ class Analyzer:
             return self._finish_scalar(f"{name}({sql_arg})")
         if isinstance(arg, ast.Flwor):
             self._analyze_clauses(arg.clauses)
-            value_sql, _ = self._operand(arg.return_expr, None)
-            select = f"{name}({value_sql})"
-            return self._finish_scalar(select)
+            value_sql, var = self._operand(arg.return_expr, None)
+            fors = [c for c in arg.clauses if isinstance(c, ast.ForClause)]
+            if (
+                name == "count"
+                and var is not None
+                and var.kind == "entity"
+                and len(fors) == 1
+                and self.vars.get(fors[0].var) is var
+            ):
+                # one for over the entities returns each once; the
+                # attribute versions its where clause joins repeat its key
+                value_sql = f"DISTINCT {value_sql}"
+            return self._finish_scalar(f"{name}({value_sql})")
         raise _unsupported(f"{name}() over {type(arg).__name__}")
 
     def _translate_temporal_aggregate(
@@ -642,19 +639,21 @@ class Analyzer:
         if isinstance(node, (ast.PathExpr, ast.VarRef)):
             # bare path predicate = existence; the inner join to the
             # attribute table (with the path's own predicates) is the test
-            var = (
-                self._require_var(node.name)
-                if isinstance(node, ast.VarRef)
-                else self._path_to_var(node, context)
-            )
-            var.used = True
+            self._var_of(node, context).used = True
             return None
         raise _unsupported(f"condition {type(node).__name__}")
 
     def _comparison_sql(self, node: ast.BinaryOp, context: VarInfo | None) -> str:
         op = {"!=": "<>"}.get(node.op, node.op)
-        left_sql, left_var = self._operand(node.left, context)
-        right_sql, right_var = self._operand(node.right, context)
+        left_var = right_var = None
+        if not isinstance(node.left, ast.Literal):
+            left_sql, left_var = self._operand(node.left, context)
+        if not isinstance(node.right, ast.Literal):
+            right_sql, right_var = self._operand(node.right, context)
+        if isinstance(node.left, ast.Literal):
+            left_sql = self._literal_sql(node.left, right_var, op)
+        if isinstance(node.right, ast.Literal):
+            right_sql = self._literal_sql(node.right, left_var, op)
         # 'now' substitution for tend equality (paper 4.3): range
         # predicates work on the raw end-of-time marker, equality needs
         # the current date substituted via the tendval UDF
@@ -663,46 +662,52 @@ class Analyzer:
                 left_sql = f"tendval({left_sql})"
             if self._is_tend_call(node.right):
                 right_sql = f"tendval({right_sql})"
-        # literal coercion for typed columns
-        if left_var is not None and isinstance(node.right, ast.Literal):
-            right_sql = self._coerce_literal(node.right, left_var, op)
-        if right_var is not None and isinstance(node.left, ast.Literal):
-            left_sql = self._coerce_literal(node.left, right_var, op)
         return f"{left_sql} {op} {right_sql}"
 
-    def _coerce_literal(self, node: ast.Literal, var: VarInfo, op: str) -> str:
-        if var.value_type() not in (ColumnType.INT, ColumnType.FLOAT):
-            return self._hole("value", node)
+    def _literal_sql(
+        self, node: ast.Literal, var: VarInfo | None, op: str
+    ) -> str:
+        """A literal compared with ``var``'s value (if any), coerced to
+        the column's type."""
+        if var is None or var.value_type() not in (
+            ColumnType.INT, ColumnType.FLOAT
+        ):
+            return self._slot("value", node)
         if isinstance(node.value, str) and op not in ("=", "<>"):
             # the native evaluator orders a string and a value's text
             # as strings, which a numeric column cannot
             raise _unsupported("a string ordered against a numeric column")
-        return self._hole("numeric", node)
+        return self._slot("numeric", node)
 
     def _operand(
         self, node: object, context: VarInfo | None
     ) -> tuple[str, VarInfo | None]:
         """Map an operand expression to SQL; returns (sql, var_if_value)."""
         if isinstance(node, ast.Literal):
-            return self._hole("value", node), None
-        if isinstance(node, ast.ContextItem):
-            if context is None:
-                raise _unsupported("'.' outside a predicate")
-            return self._value_sql(context), context
-        if isinstance(node, ast.VarRef):
-            var = self._require_var(node.name)
-            return self._value_sql(var), var
-        if isinstance(node, ast.PathExpr):
-            var = self._path_to_var(node, context)
+            return self._slot("value", node), None
+        var = self._var_of(node, context)
+        if var is not None:
             return self._value_sql(var), var
         if isinstance(node, ast.FunctionCall):
             return self._function_value(node, context), None
         if isinstance(node, ast.BinaryOp) and node.op in ("+", "-", "*"):
             left_sql, _ = self._operand(node.left, context)
             right_sql, _ = self._operand(node.right, context)
-            sql_op = node.op
-            return f"({left_sql} {sql_op} {right_sql})", None
+            return f"({left_sql} {node.op} {right_sql})", None
         raise _unsupported(f"operand {type(node).__name__}")
+
+    def _var_of(self, node: object, context: VarInfo | None) -> VarInfo | None:
+        """The variable ``.``, ``$x`` or a path names (``None`` for
+        another expression)."""
+        if isinstance(node, ast.ContextItem):
+            if context is None:
+                raise _unsupported("'.' outside a predicate")
+            return context
+        if isinstance(node, ast.VarRef):
+            return self._require_var(node.name)
+        if isinstance(node, ast.PathExpr):
+            return self._path_to_var(node, context)
+        return None
 
     def _path_to_var(self, path: ast.PathExpr, context: VarInfo | None) -> VarInfo:
         if isinstance(path.start, ast.VarRef) and not path.steps:
@@ -746,32 +751,20 @@ class Analyzer:
             literal = call.args[0]
             if not isinstance(literal, ast.Literal):
                 raise _unsupported("xs:date of a non-literal")
-            return self._hole("date", literal)
+            return self._slot("date", literal)
         if name == "current-date":
             return "current_date()"
         if name in ("tstart", "tend"):
-            var = self._timestamp_target(call.args[0], context)
-            column = self._alias_col(var, name)
-            if name == "tend":
-                # equality semantics need the 'now' substitution; range
-                # predicates work on the raw end-of-time marker (paper 4.3)
-                return column
-            return column
+            # the raw end-of-time marker: a tend equality substitutes
+            # 'now' around it (_comparison_sql, paper 4.3)
+            var = self._var_of(call.args[0], context)
+            if var is None:
+                raise _unsupported("tstart/tend over a complex expression")
+            return self._alias_col(var, name)
         if name == "string":
             sql, _ = self._operand(call.args[0], context)
             return sql
         raise _unsupported(f"function {name}() in value position")
-
-    def _timestamp_target(self, arg: object, context: VarInfo | None) -> VarInfo:
-        if isinstance(arg, ast.ContextItem):
-            if context is None:
-                raise _unsupported("tstart(.) outside a predicate")
-            return context
-        if isinstance(arg, ast.VarRef):
-            return self._require_var(arg.name)
-        if isinstance(arg, ast.PathExpr):
-            return self._path_to_var(arg, context)
-        raise _unsupported("tstart/tend over a complex expression")
 
     def _function_condition(
         self, call: ast.FunctionCall, context: VarInfo | None
@@ -806,32 +799,14 @@ class Analyzer:
             right = self._interval_args(arg.args[1], context)
             return f"toverlaps({left}, {right})"
         if isinstance(arg, (ast.VarRef, ast.PathExpr)):
-            var = (
-                self._require_var(arg.name)
-                if isinstance(arg, ast.VarRef)
-                else self._path_to_var(arg, context)
-            )
-            var.used = True  # join enforces existence
+            self._var_of(arg, context).used = True  # the join is the test
             return None
         raise _unsupported("not(empty(...)) over a complex expression")
 
     def _interval_args(self, node: object, context: VarInfo | None) -> str:
         """Map a node to ``tstart_sql, tend_sql`` argument pairs."""
-        if isinstance(node, ast.ContextItem):
-            if context is None:
-                raise _unsupported("'.' interval outside a predicate")
-            return (
-                f"{self._alias_col(context, 'tstart')}, "
-                f"{self._alias_col(context, 'tend')}"
-            )
-        if isinstance(node, ast.VarRef):
-            var = self._require_var(node.name)
-            return (
-                f"{self._alias_col(var, 'tstart')}, "
-                f"{self._alias_col(var, 'tend')}"
-            )
-        if isinstance(node, ast.PathExpr):
-            var = self._path_to_var(node, context)
+        var = self._var_of(node, context)
+        if var is not None:
             return (
                 f"{self._alias_col(var, 'tstart')}, "
                 f"{self._alias_col(var, 'tend')}"
@@ -847,7 +822,7 @@ class Analyzer:
         if isinstance(node, ast.FunctionCall):
             return self._function_value(node, context)
         if isinstance(node, ast.Literal):
-            return self._hole("date", node)
+            return self._slot("date", node)
         raise _unsupported("expected a date literal")
 
     # -- return clause (Algorithm 1 step 5) ------------------------------------------------------------
@@ -864,33 +839,25 @@ class Analyzer:
             for item in node.items:
                 out.extend(self._content_sql(item))
             return out
-        if isinstance(node, ast.VarRef):
-            return [self._element_sql(self._require_var(node.name))]
-        if isinstance(node, ast.PathExpr):
-            return [self._element_sql(self._path_to_var(node, None))]
+        if isinstance(node, (ast.VarRef, ast.PathExpr)):
+            return [self._element_sql(self._var_of(node, None))]
         if isinstance(node, ast.ComputedElement):
             inner = (
                 self._content_sql(node.content)
                 if node.content is not None
                 else []
             )
-            content = ", ".join(inner)
-            if content:
-                return [f"XMLElement(Name \"{node.name}\", {content})"]
-            return [f"XMLElement(Name \"{node.name}\")"]
+            return [_xml_element(node.name, inner)]
         if isinstance(node, ast.DirectElement):
+            if node.attrs:
+                raise _unsupported("direct constructor attributes")
             inner = []
             for part in node.content:
                 if isinstance(part, str):
                     inner.append(_sql_literal(part))
                 else:
                     inner.extend(self._content_sql(part))
-            if node.attrs:
-                raise _unsupported("direct constructor attributes")
-            content = ", ".join(inner)
-            if content:
-                return [f"XMLElement(Name \"{node.name}\", {content})"]
-            return [f"XMLElement(Name \"{node.name}\")"]
+            return [_xml_element(node.name, inner)]
         if isinstance(node, ast.FunctionCall):
             name = node.name.lower()
             if name == "overlapinterval":
@@ -906,7 +873,7 @@ class Analyzer:
             sql, _ = self._operand(node, None)
             return [sql]
         if isinstance(node, ast.Literal):
-            return [self._hole("value", node)]
+            return [self._slot("value", node)]
         raise _unsupported(f"return of {type(node).__name__}")
 
     def _element_sql(self, var: VarInfo) -> str:
@@ -919,16 +886,11 @@ class Analyzer:
                 f"datestr({anchor.alias}.tend) AS \"tend\"), "
                 f"{anchor.alias}.id)"
             )
-        tag = "id" if var.attribute == "id" else var.attribute
-        value = (
-            f"{var.alias}.id" if var.attribute == "id"
-            else f"{var.alias}.{var.value_column}"
-        )
         return (
-            f"XMLElement(Name \"{tag}\", XMLAttributes("
+            f"XMLElement(Name \"{var.attribute}\", XMLAttributes("
             f"datestr({var.alias}.tstart) AS \"tstart\", "
             f"datestr({var.alias}.tend) AS \"tend\"), "
-            f"{value})"
+            f"{var.alias}.{var.attribute})"
         )
 
     # -- FROM/WHERE assembly --------------------------------------------------------------------------------
@@ -965,60 +927,57 @@ class Analyzer:
         sources.append(self._source_sql(var))
 
     def _source_sql(self, var: VarInfo) -> str:
-        """The FROM entry reading ``var``'s H-table."""
-        table = var.table
-        segments = self.archis.segments
-        compressed = table in self.archis.archive.compressed_tables
-        segmented = segments.segmented and segments.segment_count() > 1
-        if compressed or segmented:
-            # correct-for-every-query full read; the optimizer's
-            # segment-restriction rule narrows it when the pushed-down
-            # predicates bound this alias to a snapshot/slicing window
-            columns = ", ".join(self.archis.db.table(table).schema.column_names)
-            return f"TABLE(history_{table}()) AS {var.alias}({columns})"
-        return f"{table} AS {var.alias}"
+        """The FROM entry reading ``var``'s H-table (the planner reads it
+        through ``history_<table>`` when its heap can hold copies)."""
+        return f"{var.table} AS {var.alias}"
 
 
-#: a number as the SQL lexer reads it, with an optional sign
+#: a number's text as the SQL lexer reads it, with an optional sign
 _NUMBER_TEXT = re.compile(r"-?\d+(?:\.\d+)?")
 
 
-def render_literal(kind: str, value: object) -> str:
-    """The SQL text of an XQuery literal — the only place one is written.
-
-    ``kind`` is where the translator put it: ``"value"`` (a number, an
-    escaped string or NULL), ``"numeric"`` (tested for equality with a
-    numeric column, see :func:`_numeric_text`) or ``"date"``
-    (``DATE '…'``, escaped).  A literal's text never reaches the SQL
-    unquoted unless it is a number.
-    """
-    if kind == "date":
-        return "DATE " + _sql_literal(str(value))
-    if kind == "numeric" and isinstance(value, str):
-        return _numeric_text(value)
-    return _sql_literal(value)
+def _value(value: object) -> object:
+    """A literal's value as the SQL parser reads a number or string: a
+    whole float is an integer (7.0 is 7)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
-def _numeric_text(text: str) -> str:
-    """A string tested for equality with a numeric column, written as a
-    number.  The native evaluator compares the string with the value's
-    text; the SQL compares numbers.  The two agree exactly when the
-    string is its number's own text (``"17"``, ``"-1"``, ``"4.5"``, not
-    ``"007"``, ``" 5"`` or ``"3.0"``), so any other string is not
-    translated and the query falls back to the native evaluator."""
-    if _NUMBER_TEXT.fullmatch(text):
-        number = float(text) if "." in text else int(text)
-        if _sql_literal(number) == text:
-            return text
-    raise _unsupported(f"string {text!r} compared with a number")
+def _numeric(value: object) -> object:
+    """A literal tested for equality with a numeric column, as a number.
+    The native evaluator compares a string with the value's text; the
+    SQL compares numbers.  The two agree exactly when the string is its
+    number's own text (``"17"``, ``"-1"``, ``"4.5"``, not ``"007"``,
+    ``" 5"`` or ``"3.0"``), so any other string is not translated and
+    the query falls back to the native evaluator."""
+    if not isinstance(value, str):
+        return _value(value)
+    if _NUMBER_TEXT.fullmatch(value):
+        number = _value(float(value) if "." in value else int(value))
+        if str(number) == value:
+            return number
+    raise _unsupported(f"string {value!r} compared with a number")
 
 
-def _sql_literal(value: object) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, (int, float)):
-        if isinstance(value, float) and value.is_integer():
-            return str(int(value))
-        return str(value)
-    escaped = str(value).replace("'", "''")
+def _day(value: object) -> int:
+    """An ``xs:date`` literal as a day number."""
+    try:
+        return parse_date(str(value))
+    except ValueError:
+        raise XQueryTypeError(f"invalid xs:date literal {value!r}") from None
+
+
+_CONVERT = {"value": _value, "numeric": _numeric, "date": _day}
+
+
+def _xml_element(name: str, content: list[str]) -> str:
+    if content:
+        return f"XMLElement(Name \"{name}\", {', '.join(content)})"
+    return f"XMLElement(Name \"{name}\")"
+
+
+def _sql_literal(text: str) -> str:
+    """Direct-constructor content as a SQL string (part of the shape)."""
+    escaped = text.replace("'", "''")
     return f"'{escaped}'"

@@ -79,8 +79,8 @@ METRIC_INVENTORY: dict[str, str] = {
     "xquery.translate.seconds": "XQuery-to-SQL translation latency",
     "xquery.native.seconds": "native-evaluation fallback latency",
     "xquery.fallback": "native-evaluation fallbacks by reason",
-    "translator.cache_hits": "translation-cache hits",
-    "translator.cache_misses": "translation-cache misses",
+    "translator.cache_hits": "XQuery shapes found in the statement cache",
+    "translator.cache_misses": "XQuery shapes translated on a cache miss",
     # -- archis core ----------------------------------------------------
     "archis.xquery.count": "temporal XQuery requests answered",
     "archis.xquery.seconds": "end-to-end temporal XQuery latency",

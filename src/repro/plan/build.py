@@ -250,7 +250,9 @@ def _leaf(ref, scope, temporal_statement=False):
     if isinstance(ref, ast.TableRef):
         if clause is not None:
             return _temporal_table_leaf(ref, scope)
-        if temporal_statement and _history_function(scope, ref.name):
+        if _history_function(scope, ref.name) and (
+            temporal_statement or _holds_copies(scope, ref.name)
+        ):
             columns = scope.columns_by_alias.get(ref.alias, ())
             return nodes.FunctionScan(
                 f"history_{ref.name}", (), ref.alias, tuple(columns)
@@ -273,6 +275,16 @@ def _history_function(scope: Scope, table_name: str) -> bool:
         db is not None
         and db.table_function(f"history_{table_name}") is not None
     )
+
+
+def _holds_copies(scope: Scope, table_name: str) -> bool:
+    """Whether an H-table's heap is not its history (see
+    :class:`~repro.plan.optimizer.SegmentHints`): a plain read of it
+    then goes through ``history_<table>()``, which the segment
+    restriction rule narrows again when a window bounds it."""
+    provider = getattr(scope.db, "segment_provider", None)
+    hints = provider(table_name) if provider is not None else None
+    return hints is not None and hints.holds_copies
 
 
 def _temporal_table_leaf(ref: ast.TableRef, scope: Scope):

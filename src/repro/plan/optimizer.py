@@ -46,13 +46,17 @@ class SegmentHints:
 
     Provided per table by ``ArchIS`` through ``Database.segment_provider``
     so the SQL layer stays ignorant of the archive: ``compressed`` says
-    whether the frozen segments live in BlockZIP BLOBs, and
+    whether the frozen segments live in BlockZIP BLOBs,
     ``segments_overlapping(start, end)`` maps a date window to segment
-    numbers (live segment included).
+    numbers (live segment included), and ``holds_copies`` whether the
+    heap alone is not the history (more than one segment, whose versions
+    live at a freeze are copied forward, or compressed), so that a plain
+    read of the table goes through ``history_<table>()``.
     """
 
     compressed: bool
     segments_overlapping: Callable[[int, int], list]
+    holds_copies: bool = False
 
 
 @dataclass(frozen=True)

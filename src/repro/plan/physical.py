@@ -200,10 +200,15 @@ class IndexScanOp(_Leaf):
         super().__init__(plan, ctx)
         self.eq_values = [ctx.compile(v) for _, v in plan.eq]
         schema = ctx.db.table(plan.table).schema
-        self.eq_kinds = [
-            _KEY_KINDS.get(schema.columns[schema.position(c)].type, _NUMBERS)
-            for c, _ in plan.eq
-        ]
+
+        def kind(column):
+            return _KEY_KINDS.get(
+                schema.columns[schema.position(column)].type, _NUMBERS
+            )
+
+        self.eq_kinds = [kind(c) for c, _ in plan.eq]
+        if plan.range_column is not None:
+            self.range_kind = kind(plan.range_column)
         self.low, self.high = (
             None if bound is None else ctx.compile(bound)
             for bound in (plan.low, plan.high)
@@ -220,6 +225,9 @@ class IndexScanOp(_Leaf):
             return ()
         low_val = self.low(None, params) if self.low is not None else None
         high_val = self.high(None, params) if self.high is not None else None
+        for bound, value in ((self.low, low_val), (self.high, high_val)):
+            if bound is not None and not isinstance(value, self.range_kind):
+                return ()  # likewise a range bound
         if plan.range_column is None or (high_val is None and prefix):
             if not prefix:
                 return table.index_scan(plan.index_name)

@@ -565,24 +565,33 @@ def _is_constant(node) -> bool:
     return isinstance(node, (ast.Literal, ast.DateLiteral, ast.Param))
 
 
-def _indexable(scan, conjunct, scope):
-    """Match ``alias.col OP constant`` (either side)."""
+def _indexable(scan, conjunct, scope) -> list:
+    """The ``(column, op, constant)`` bounds of the scan's columns in
+    ``alias.col OP constant`` (either side) or ``alias.col BETWEEN lo
+    AND hi`` (two bounds)."""
+    between = _between_constants(conjunct)
+    if between is not None:
+        ref, low, high = between
+        owner, column = scope.resolve(ref)
+        if owner == scan.alias:
+            return [(column, ">=", low), (column, "<=", high)]
+        return []
     if not isinstance(conjunct, ast.BinaryOp):
-        return None
+        return []
     op = conjunct.op
     if op not in ("=", "<", "<=", ">", ">="):
-        return None
+        return []
     left, right = conjunct.left, conjunct.right
     if isinstance(left, ast.ColumnRef) and _is_constant(right):
         owner, column = scope.resolve(left)
         if owner == scan.alias:
-            return column, op, right
+            return [(column, op, right)]
     if isinstance(right, ast.ColumnRef) and _is_constant(left):
         owner, column = scope.resolve(right)
         if owner == scan.alias:
             flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-            return column, flipped, left
-    return None
+            return [(column, flipped, left)]
+    return []
 
 
 def _choose_index(scan: nodes.Scan, ctx) -> nodes.IndexScan | None:
@@ -592,14 +601,12 @@ def _choose_index(scan: nodes.Scan, ctx) -> nodes.IndexScan | None:
     eq: dict[str, tuple] = {}
     ranges: dict[str, dict] = {}
     for conjunct in scan.predicates:
-        bound = _indexable(scan, conjunct, ctx.scope)
-        if bound is None:
-            continue
-        column, op, value_node = bound
-        if op == "=":
-            eq.setdefault(column, (conjunct, value_node))
-        else:
-            ranges.setdefault(column, {}).setdefault(op, (conjunct, value_node))
+        for column, op, value_node in _indexable(scan, conjunct, ctx.scope):
+            if op == "=":
+                eq.setdefault(column, (conjunct, value_node))
+            else:
+                bounds = ranges.setdefault(column, {})
+                bounds.setdefault(op, (conjunct, value_node))
     best = None
     for info in table.indexes.values():
         eq_cols: list[str] = []

@@ -24,6 +24,15 @@ whose guards admit them — a binding that would plan differently misses
 the guards, plans anew (a *replan*) and both plans stay.  The compiled
 operators read slotted literals from the execution's parameters, so
 one plan serves concurrent executions with different values.
+
+XQuery shapes share the cache (:meth:`StatementCache.prepare_xquery`).
+Their key is the XQuery's shape (:func:`repro.xquery.parser.query_shape`)
+plus the same components.  A miss runs the translator once for the
+shape; its SQL names each lifted literal by slot (``$n``), so the entry
+keeps that SQL, the post step and the slot kinds beside its plans.  A
+hit converts the new literals and checks the guards: no translation, and
+no SQL text written, lexed or parsed.  A replan parses the stored SQL
+with the new values.
 """
 
 from __future__ import annotations
@@ -39,15 +48,19 @@ from repro.sql import ast
 from repro.sql.lexer import shape, statement_keyword
 from repro.sql.parser import CONVERTERS, SqlParser, parse_sql
 from repro.sql.planner import DmlMatchPlan, SelectPlan
+from repro.xquery.parser import query_shape
 
 #: plans the cache holds at most, over all shapes (least recently used
-#: shapes go first), and per shape (its oldest plan goes first)
+#: shapes go first; an XQuery shape without a plan counts as one), and
+#: per shape (its oldest plan goes first)
 CAPACITY = 256
 PLANS_PER_SHAPE = 8
 
 _HITS = get_registry().counter("plan.cache.hits")
 _MISSES = get_registry().counter("plan.cache.misses")
 _REPLANS = get_registry().counter("plan.cache.replans")
+_XQUERY_HITS = get_registry().counter("translator.cache_hits")
+_XQUERY_MISSES = get_registry().counter("translator.cache_misses")
 
 _DDL = ("create", "drop")
 
@@ -72,13 +85,17 @@ class Prepared:
 
 
 class Bound:
-    """A prepared statement together with one statement's literals."""
+    """A prepared statement together with one statement's literals (and,
+    for an XQuery, its shape's translation)."""
 
-    __slots__ = ("prepared", "values")
+    __slots__ = ("prepared", "values", "translation")
 
-    def __init__(self, prepared: Prepared, values: tuple) -> None:
+    def __init__(
+        self, prepared: Prepared, values: tuple, translation=None
+    ) -> None:
         self.prepared = prepared
         self.values = values
+        self.translation = translation
 
     @property
     def statement(self):
@@ -113,13 +130,34 @@ def _plan_statement(db, statement):
 
 
 class StatementCache:
-    """LRU map from statement key to the plans of that shape."""
+    """LRU map from statement key to ``(translation, plans)``: the plans
+    of that shape, and for an XQuery shape its translation."""
 
     def __init__(self, db) -> None:
         self.db = db
-        self._entries: OrderedDict[tuple, list[Prepared]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._size = 0
         self._lock = threading.Lock()
+
+    def _key(self, text_shape: tuple) -> tuple:
+        """The cache key of a shape, and the pinned day's slot value."""
+        db = self.db
+        day = txcontext.as_of_day()
+        key = (
+            text_shape,
+            db.plan_generation(),
+            db.optimizer_enabled,
+            day is not None,
+        )
+        return key, () if day is None else (day,)
+
+    def _lookup(self, key: tuple) -> tuple:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None, ()
+            self._entries.move_to_end(key)
+            return entry
 
     def prepare(self, text: str) -> Bound:
         """Parse and plan ``text``, or bind it to a cached plan."""
@@ -127,19 +165,8 @@ class StatementCache:
             statement = parse_sql(text)
             return Bound(Prepared(statement, None, None, Guards()), ())
         text_shape, literals = shape(text)
-        db = self.db
-        day = txcontext.as_of_day()
-        pinned = () if day is None else (day,)
-        key = (
-            text_shape,
-            db.plan_generation(),
-            db.optimizer_enabled,
-            day is not None,
-        )
-        with self._lock:
-            variants = self._entries.get(key)
-            if variants is not None:
-                self._entries.move_to_end(key)
+        key, pinned = self._key(text_shape)
+        _, variants = self._lookup(key)
         if variants:
             values = _bind(variants[0].converters, literals)
             if values is None:
@@ -155,8 +182,43 @@ class StatementCache:
             _MISSES.inc()
         prepared, values = self._plan(text, literals, pinned)
         if prepared.converters is not None:
-            self._store(key, prepared)
+            self._store(key, None, prepared)
         return Bound(prepared, values)
+
+    def prepare_xquery(self, query: str, translate) -> Bound:
+        """Bind an XQuery to a cached plan of its shape.
+
+        ``translate(query, literals)`` runs Algorithm 1 on a shape the
+        cache does not hold and returns its translation: the SQL, its
+        ``post`` step, ``bind(literals)``, which converts a binding's
+        literals to the slot values or raises
+        :class:`~repro.errors.UnsupportedQueryError`, and
+        ``answers(query)``, false when the translation is pinned to
+        another text.  The bound statement's ``translation`` is it.
+        """
+        xquery_shape, literals = query_shape(query)
+        key, pinned = self._key(("xquery",) + xquery_shape)
+        translation, plans = self._lookup(key)
+        if translation is not None and translation.answers(query):
+            _XQUERY_HITS.inc()
+        else:
+            _XQUERY_MISSES.inc()
+            translation, plans = translate(query, literals), ()
+            # kept even if this binding is refused: the next one may not be
+            self._store(key, translation, None)
+        values = translation.bind(literals)
+        bound_values = values + pinned
+        for prepared in plans:
+            if prepared.guards.admits(bound_values):
+                _HITS.inc()
+                return Bound(prepared, bound_values, translation)
+        (_REPLANS if plans else _MISSES).inc()
+        statement = SqlParser(translation.sql, slots=values).parse_statement()
+        with collecting_guards(day_slot=len(values)) as guards:
+            plan = _plan_statement(self.db, statement)
+        prepared = Prepared(statement, plan, (), guards)
+        self._store(key, translation, prepared)
+        return Bound(prepared, bound_values, translation)
 
     def _plan(
         self, text: str, literals: list, pinned: tuple
@@ -174,17 +236,24 @@ class StatementCache:
             tuple(parser.values) + pinned,
         )
 
-    def _store(self, key: tuple, prepared: Prepared) -> None:
+    def _store(self, key: tuple, translation, prepared) -> None:
+        """Add ``prepared`` (if any) to the plans of ``key``; a new
+        ``translation`` starts the shape's plans afresh."""
         with self._lock:
-            # copy-on-write: a reader may be walking the old list
-            old = self._entries.get(key, [])
-            variants = (old + [prepared])[-PLANS_PER_SHAPE:]
-            self._size += len(variants) - len(old)
-            self._entries[key] = variants
+            # copy-on-write: a reader may be walking the old tuple
+            entry = self._entries.get(key)
+            old_translation, old = entry if entry is not None else (None, ())
+            plans = old if translation is old_translation else ()
+            if prepared is not None:
+                plans = (plans + (prepared,))[-PLANS_PER_SHAPE:]
+            self._size += _weight(plans)
+            if entry is not None:
+                self._size -= _weight(old)
+            self._entries[key] = (translation, plans)
             self._entries.move_to_end(key)
             while self._size > CAPACITY:
-                _, dropped = self._entries.popitem(last=False)
-                self._size -= len(dropped)
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self._size -= _weight(dropped)
 
     def clear(self) -> None:
         with self._lock:
@@ -200,6 +269,10 @@ class StatementCache:
             "misses": _MISSES.value,
             "replans": _REPLANS.value,
         }
+
+
+def _weight(plans: tuple) -> int:
+    return len(plans) or 1
 
 
 def _bind(converters, literals):

@@ -1,7 +1,8 @@
 """SQL lexer.
 
 Tokenizes the dialect the ArchIS translator emits: SELECT with SQL/XML
-constructs, DML, DDL, ``DATE '...'`` literals and ``:name`` parameters.
+constructs, DML, DDL, ``DATE '...'`` literals, ``:name`` parameters and
+``$n`` slot references (a translated XQuery's literals, bound by value).
 
 :func:`shape` is the statement cache's cheap pass over the same grammar:
 it yields the statement with literal values blanked (the cache key) and
@@ -24,6 +25,7 @@ _TOKEN_RE = re.compile(
   | (?P<qname>"[^"]+")
   | (?P<name>[A-Za-z_][A-Za-z_0-9$]*)
   | (?P<param>:[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<slot>\$\d+)
   | (?P<op><>|<=|>=|!=|\|\||[(),.*=<>+\-/;])
     """,
     re.VERBOSE,
@@ -51,7 +53,7 @@ class Token:
     __slots__ = ("kind", "value", "pos", "_lines")
 
     def __init__(self, kind: str, value: str, pos: int, lines: list) -> None:
-        self.kind = kind  # NUMBER STRING QNAME NAME KEYWORD PARAM OP EOF
+        self.kind = kind  # NUMBER STRING QNAME NAME KEYWORD PARAM SLOT OP EOF
         self.value = value
         self.pos = pos
         self._lines = lines
@@ -111,7 +113,7 @@ def tokenize(text: str) -> list[Token]:
             value = value[1:-1].replace("''", "'")
         elif kind == "QNAME":
             value = value[1:-1]
-        elif kind == "PARAM":
+        elif kind == "PARAM" or kind == "SLOT":
             value = value[1:]
         tokens.append(Token(kind, value, m.start(), lines))
     tokens.append(Token("EOF", "", len(text), lines))
@@ -129,6 +131,7 @@ _SHAPE_RE = re.compile(
       | "[^"]+"
       | [A-Za-z_][A-Za-z_0-9$]*
       | :[A-Za-z_][A-Za-z_0-9]*
+      | \$\d+
       | <>|<=|>=|!=|\|\||[(),.*=<>+\-/;]
     )*)
     (?:(?P<number>\d+(?:\.\d+)?)|(?P<string>'(?:[^']|'')*'))?

@@ -40,14 +40,21 @@ class SqlParser:
     (``converters``) and value (``values``).  A lifted literal the
     grammar consumes as structure instead (never slotted) leaves its
     converter ``None``.
+
+    ``slots`` are the values of a translated XQuery's literals: its SQL
+    names the ``n``-th as ``$n`` (``DATE $n`` for a day number), which
+    parses to a literal in slot ``n`` holding that value.
     """
 
-    def __init__(self, text: str, lifted: dict | None = None) -> None:
+    def __init__(
+        self, text: str, lifted: dict | None = None, slots: tuple | None = None
+    ) -> None:
         self.tokens = tokenize(text)
         self.pos = 0
         self.lifted = lifted or {}
         self.converters: list = [None] * len(self.lifted)
         self.values: list = [None] * len(self.lifted)
+        self.slots = slots
 
     def literal(self, token: Token, converter: str):
         """The AST value of a literal token, and its slot if lifted."""
@@ -57,6 +64,13 @@ class SqlParser:
             self.converters[slot] = converter
             self.values[slot] = value
         return value, slot
+
+    def slot(self, token: Token):
+        """The value of a ``$n`` slot reference, and its slot."""
+        slot = int(token.value)
+        if self.slots is None or slot >= len(self.slots):
+            self.fail("slot reference without a value", token)
+        return self.slots[slot], slot
 
     # -- plumbing ---------------------------------------------------------
 
@@ -553,6 +567,9 @@ class SqlParser:
         if token.kind == "PARAM":
             self.next()
             return ast.Param(token.value)
+        if token.kind == "SLOT":
+            self.next()
+            return ast.Literal(*self.slot(token))
         if token.kind == "KEYWORD":
             if token.value == "null":
                 self.next()
@@ -560,6 +577,8 @@ class SqlParser:
             if token.value == "date":
                 self.next()
                 literal = self.next()
+                if literal.kind == "SLOT":
+                    return ast.DateLiteral(*self.slot(literal))
                 if literal.kind != "STRING":
                     raise SqlSyntaxError("DATE literal expects a string")
                 try:

@@ -118,12 +118,10 @@ def cmd_plan(args) -> int:
     if query == "-":
         query = sys.stdin.read()
     if query.lstrip().lower().startswith("select"):
-        sql_text = query
+        bound = setup.archis.db.statements.prepare(query)
     else:
-        translation = setup.archis.translation(query)
-        sql_text = translation.sql
-        print(f"sql: {sql_text}\n")
-    bound = setup.archis.db.statements.prepare(sql_text)
+        bound = setup.archis.prepare(query)
+        print(f"sql: {bound.translation.sql}\n")
     if not isinstance(bound.statement, sql_ast.Select):
         print("plan: only SELECT statements have plans", file=sys.stderr)
         return 1

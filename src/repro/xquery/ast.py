@@ -30,7 +30,7 @@ Expr = Union[
 @dataclass(frozen=True)
 class Literal:
     """A string or numeric literal.  ``pos`` is its offset in the query
-    text (the translation cache maps it to a lifted value); it takes no
+    text (the translator ties its slot to a lifted value); it takes no
     part in equality."""
 
     value: object

@@ -47,7 +47,7 @@ from repro.xquery.ast import (
 
 # The token grammar, one alternative per token kind.  The scanner
 # matches one token with ``_TOKEN_RE``; :func:`query_shape` (the
-# translation cache's pass) finds literals with the same string and
+# statement cache's pass over an XQuery) finds literals with the same string and
 # number alternatives, so a literal it lifts spans what the scanner's
 # token at that offset spans.  A doubled quote inside a string is the
 # quote itself: the greedy match takes the pair before the closing quote.
@@ -100,7 +100,7 @@ def query_shape(text: str) -> tuple[tuple, list]:
     in the key.  The pass does not parse: it also lifts quoted or
     numeric text the parser reads otherwise (in a comment, or in a
     direct constructor's content), which the translator detects (see
-    ``Analyzer._cut``).  An unterminated string ends the pass: the whole
+    ``Analyzer.translate``).  An unterminated string ends the pass: the whole
     text is then the key and nothing is lifted.
     """
     parts: list[str] = []

@@ -37,11 +37,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"translation_cache_size": 0},
             {"maintenance_step_rows": -3},
             {"buffer_pages": 0},
             {"durability": "fsync-every-byte"},
-            {"translation_cache_size": -2},
             {"buffer_pages": -2},
             {"durability": ""},
             {"maintenance": "eventually"},

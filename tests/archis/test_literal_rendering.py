@@ -1,19 +1,22 @@
-"""XQuery literals reach the SQL only through one renderer.
+"""XQuery literals reach the SQL only as slot values, never as text.
 
-A string tested for equality with a numeric column is written as a
-number only when it is that number's own text; any other such string,
-and any string ordered against a numeric column, is not translated, so
-the native evaluator answers.  A string compared with a string column is
-an escaped SQL string, and an ``xs:date`` an escaped ``DATE '…'``.  So
-a hostile literal never becomes SQL, and the answer equals the native
-evaluator's.
+The translator names each literal by a slot (``$n``, ``DATE $n``) and
+binds its value by the slot's kind.  A string tested for equality with
+a numeric column binds as a number only when it is that number's own
+text; any other such string, and any string ordered against a numeric
+column, is not translated, so the native evaluator answers.  A string
+compared with a string column binds as that string, and an ``xs:date``
+as its day number.  So a hostile literal never becomes SQL, and the
+answer equals the native evaluator's.
 """
 
 import pytest
 
-from repro.archis.translator import core
+from repro.archis.translator import Analyzer, Translation
 from repro.bench.harness import build_archis
-from repro.errors import ReproError, UnsupportedQueryError
+from repro.errors import ReproError, UnsupportedQueryError, XQueryTypeError
+from repro.util.timeutil import parse_date
+from repro.xquery.parser import query_shape
 
 DOC = 'doc("employees.xml")/employees/employee'
 
@@ -37,37 +40,40 @@ def answered(archis, query):
     return result.rows, native, "fallback_reason" not in result.stats
 
 
-def render_literal(kind, value):
-    return core.render_literal(kind, value)
+def slot_value(kind, value):
+    """The value a literal binds to a slot of ``kind``."""
+    return Translation("", slots=((kind, 0),)).bind([(0, value)])[0]
 
 
-class TestRenderLiteral:
+class TestSlotValues:
     def test_a_numbers_own_text_is_that_number(self):
-        assert render_literal("numeric", "17") == "17"
-        assert render_literal("numeric", "4.5") == "4.5"
-        assert render_literal("numeric", "-1") == "-1"
+        assert slot_value("numeric", "17") == 17
+        assert slot_value("numeric", "4.5") == 4.5
+        assert slot_value("numeric", "-1") == -1
 
     @pytest.mark.parametrize(
         "text", ["0 or 1=1", "bob", "5's", " 5", "007", "3.0", "1e3", "nan", ""]
     )
     def test_any_other_string_is_not_translated(self, text):
         with pytest.raises(UnsupportedQueryError):
-            render_literal("numeric", text)
+            slot_value("numeric", text)
 
-    def test_strings_are_escaped(self):
-        assert render_literal("value", "a'b") == "'a''b'"
-        assert render_literal("value", "0 or 1=1") == "'0 or 1=1'"
+    def test_strings_stay_strings(self):
+        assert slot_value("value", "a'b") == "a'b"
+        assert slot_value("value", "0 or 1=1") == "0 or 1=1"
 
     def test_numbers_and_null(self):
-        assert render_literal("value", 7) == "7"
-        assert render_literal("value", 7.0) == "7"
-        assert render_literal("value", 2.5) == "2.5"
-        assert render_literal("value", None) == "NULL"
-        assert render_literal("numeric", 3) == "3"
+        assert slot_value("value", 7) == 7
+        assert type(slot_value("value", 7.0)) is int
+        assert slot_value("value", 7.0) == 7
+        assert slot_value("value", 2.5) == 2.5
+        assert slot_value("value", None) is None
+        assert slot_value("numeric", 3) == 3
 
-    def test_date_is_escaped(self):
-        assert render_literal("date", "1990-01-01") == "DATE '1990-01-01'"
-        assert render_literal("date", "x' OR '1'='1") == "DATE 'x'' OR ''1''=''1'"
+    def test_date_is_a_day_number(self):
+        assert slot_value("date", "1990-01-01") == parse_date("1990-01-01")
+        with pytest.raises(XQueryTypeError):
+            slot_value("date", "x' OR '1'='1")
 
 
 class TestHostileLiteralsMatchNothing:
@@ -80,7 +86,7 @@ class TestHostileLiteralsMatchNothing:
         assert got == native == [0]
         assert not translated
         with pytest.raises(UnsupportedQueryError):
-            archis.translation(query)
+            archis.prepare(query)
 
     def test_injected_or_adds_no_rows(self, archis):
         query = f'for $s in {DOC}[id="0 or 1=1"]/salary return $s'
@@ -104,8 +110,8 @@ class TestHostileLiteralsMatchNothing:
             f'count({DOC}/salary[tstart(.) >= '
             "xs:date(\"1990-01-01' OR 1=1 OR '1\")])"
         )
-        sql = archis.translation(query).sql
-        assert "DATE '1990-01-01'' OR 1=1 OR ''1'" in sql
+        sql = Analyzer(archis).translate(query, query_shape(query)[1]).sql
+        assert "DATE $0" in sql and "OR 1=1" not in sql
         with pytest.raises(ReproError):
             archis.xquery(query, allow_fallback=False)
         with pytest.raises(ReproError):

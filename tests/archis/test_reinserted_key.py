@@ -72,6 +72,9 @@ QUERIES = {
     # one employee element per key
     "entity_count": f'count({DOC}[id="1"])',
     "entity_count_tested": f"count({DOC}[salary > 30000])",
+    # a where clause over an attribute returns each employee once
+    "entity_count_flwor": f"count(for $e in {DOC} "
+    "where $e/salary > 52000 return $e)",
 }
 
 

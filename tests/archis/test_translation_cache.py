@@ -1,32 +1,44 @@
-"""The XQuery → Translation LRU cache on :class:`ArchIS`.
+"""XQuery shapes in the statement cache.
 
-The cache is keyed on a query's shape (its text with the value literals
-blanked), so two bindings of one shape share an entry.  Repeat
-translations must hit the cache, clustering/compression changes must
-invalidate it (the optimized SQL embeds segment numbers), and the cache
-must stay bounded.
+The statement cache keys an XQuery on its shape (its text with the
+value literals blanked), so two bindings of one shape share one
+translation and its plans.  The translator's SQL names each literal by
+a slot (``$n``), so a hit converts the new literals and checks the plan
+guards: it translates nothing and writes, lexes or parses no SQL.
+Clustering and compression changes move the plan generation, so they
+invalidate the shape.
 """
+
+import threading
 
 import pytest
 
-from repro.archis.system import DEFAULT_TRANSLATION_CACHE_SIZE
 from repro.obs import get_registry
+from repro.sql import cache
+from repro.util.timeutil import format_date, parse_date
+from repro.xmlkit import serialize
 
 from tests.archis.conftest import load_bob_history, make_archis
+from tests.archis.test_clustering import churn
 
-QUERY = (
-    'for $s in doc("employees.xml")/employees/employee/salary '
-    "return $s"
-)
+DOC = 'doc("employees.xml")/employees/employee'
+QUERY = f"for $s in {DOC}/salary return $s"
+FIRST_DAY = parse_date("1995-01-01")
+DAYS = [FIRST_DAY + 36 * i for i in range(10)]
+
+
+def q1(key, day):
+    on = format_date(day)
+    return (
+        f'for $s in {DOC}[id="{key}"]/salary[tstart(.) <= xs:date("{on}") '
+        f'and tend(.) >= xs:date("{on}")] return $s'
+    )
 
 
 def shape(i):
     """A query of its own shape per ``i``: the variable name is part of
     the shape, unlike a literal."""
-    return (
-        f'for $s{i} in doc("employees.xml")/employees/employee'
-        f'[id="{i}"]/salary return $s{i}'
-    )
+    return f'for $s{i} in {DOC}[id="{i}"]/salary return $s{i}'
 
 
 def counters():
@@ -37,7 +49,32 @@ def counters():
     )
 
 
-class TestTranslationCache:
+def counts():
+    """The counters a warm binding must not move, and the hits."""
+    registry = get_registry()
+    return {
+        "translations": registry.counter("xquery.translations").value,
+        "plan_misses": registry.counter("plan.cache.misses").value,
+        "rules_fired": registry.labeled_counter("plan.rules_fired").total,
+        "replans": registry.counter("plan.cache.replans").value,
+        "hits": registry.counter("translator.cache_hits").value,
+    }
+
+
+def answer(archis, query):
+    rows = archis.xquery(query, allow_fallback=False).rows
+    return [serialize(r) if hasattr(r, "name") else r for r in rows]
+
+
+@pytest.fixture(scope="module")
+def segmented():
+    archis = make_archis(umin=0.4, min_segment_rows=8)
+    churn(archis, employees=10, rounds=12)
+    assert archis.segments.segment_count() > 1
+    return archis
+
+
+class TestXQueryShapes:
     def test_repeat_translation_hits_the_cache(self, archis):
         load_bob_history(archis)
         hits, misses = counters()
@@ -60,11 +97,11 @@ class TestTranslationCache:
     def test_stats_expose_cache_metrics(self, archis):
         load_bob_history(archis)
         archis.translate(QUERY)
-        stats = archis.stats()["translator"]
-        assert stats["cache_size"] >= 1
-        assert stats["cache_misses"] >= 1
+        stats = archis.stats()
+        assert stats["translator"]["cache_misses"] >= 1
+        assert stats["plan_cache"]["size"] >= 1
 
-    def test_freeze_invalidates_cached_translations(self):
+    def test_freeze_invalidates_the_shape(self):
         archis = make_archis(umin=0.4, min_segment_rows=2)
         load_bob_history(archis)
         _, misses = counters()
@@ -74,7 +111,7 @@ class TestTranslationCache:
         archis.translate(QUERY)
         assert misses.value == before + 1
 
-    def test_compression_invalidates_cached_translations(self, archis):
+    def test_compression_invalidates_the_shape(self, archis):
         load_bob_history(archis)
         _, misses = counters()
         archis.translate(QUERY)
@@ -83,22 +120,68 @@ class TestTranslationCache:
         archis.translate(QUERY)
         assert misses.value == before + 1
 
-    def test_two_bindings_of_one_shape_are_one_miss_and_one_hit(self, archis):
+    def test_reset_caches_drops_the_shape(self, archis):
+        load_bob_history(archis)
+        _, misses = counters()
+        archis.translate(QUERY)
+        archis.reset_caches()
+        before = misses.value
+        archis.translate(QUERY)
+        assert misses.value == before + 1
+
+
+class TestBindings:
+    def test_two_bindings_are_one_miss_and_one_hit(self, archis):
         load_bob_history(archis)
         hits, misses = counters()
         hits_before, misses_before = hits.value, misses.value
-        first = archis.translation(
-            'for $s in doc("employees.xml")/employees/employee'
-            '[id="1001"]/salary[tstart(.) <= xs:date("1996-01-01")] return $s'
+        first = archis.prepare(
+            f'for $s in {DOC}[id="1001"]/salary'
+            '[tstart(.) <= xs:date("1996-01-01")] return $s'
         )
-        second = archis.translation(
-            'for $s in doc("employees.xml")/employees/employee'
-            '[id="7"]/salary[tstart(.) <= xs:date("1999-12-31")] return $s'
+        second = archis.prepare(
+            f'for $s in {DOC}[id="7"]/salary'
+            '[tstart(.) <= xs:date("1999-12-31")] return $s'
         )
         assert (misses.value - misses_before, hits.value - hits_before) == (1, 1)
-        assert len(archis._translation_cache) == 1
-        assert "id = 1001" in first.sql and "DATE '1996-01-01'" in first.sql
-        assert "id = 7" in second.sql and "DATE '1999-12-31'" in second.sql
+        assert second.translation is first.translation
+        assert "t1.id = $0" in first.translation.sql
+        assert "DATE $1" in first.translation.sql
+        assert first.values == (1001, parse_date("1996-01-01"))
+        assert second.values == (7, parse_date("1999-12-31"))
+
+    def test_warm_bindings_translate_and_plan_nothing(self, segmented):
+        """100 bindings of Q1 over ten keys and ten days, after one pass
+        over the days has planned every segment the days fall in."""
+        for day in DAYS:
+            segmented.xquery(q1(0, day), allow_fallback=False)
+        before = counts()
+        for key in range(10):
+            for day in DAYS:
+                segmented.xquery(q1(key, day), allow_fallback=False)
+        after = counts()
+        assert after["hits"] - before["hits"] == 100
+        for name in ("translations", "plan_misses", "rules_fired", "replans"):
+            assert after[name] == before[name], name
+
+    def test_a_replan_does_not_translate(self, segmented):
+        segmented.reset_caches()
+        segmented.xquery(q1(1, DAYS[0]), allow_fallback=False)
+        before = counts()
+        segmented.xquery(q1(1, DAYS[-1]), allow_fallback=False)
+        after = counts()
+        # the last day lies in another segment: a second plan
+        assert after["replans"] == before["replans"] + 1
+        assert after["translations"] == before["translations"]
+
+    def test_a_warm_answer_is_the_cold_one(self, segmented):
+        queries = [q1(key, day) for key in (2, 5) for day in DAYS[::3]]
+        warm = {}
+        for query in queries:
+            warm[query] = answer(segmented, query)
+        for query in queries:
+            segmented.reset_caches()
+            assert answer(segmented, query) == warm[query], query
 
     @pytest.mark.parametrize(
         "content",
@@ -111,73 +194,80 @@ class TestTranslationCache:
             '" {{{floor}}} "',
         ],
     )
-    def test_a_literal_read_as_structure_pins_the_entry(self, archis, content):
+    def test_constructor_text_pins_the_shape(self, archis, content):
         """A literal the shape pass and the translator disagree on pins
-        the entry to its own text, and every binding still translates
-        exactly."""
-        from repro.archis.translator import translate
-
+        the translation to its own text, and every binding still answers
+        exactly as a cold translation does."""
         load_bob_history(archis)
         hits, misses = counters()
         misses_before = misses.value
         texts = [
-            'for $s in doc("employees.xml")/employees/employee/salary'
+            f"for $s in {DOC}/salary"
             f"[. > {floor}] return <pay>{content.format(floor=floor)}</pay>"
             for floor in (1, 2, 1)
         ]
-        for text in texts:
-            assert archis.translation(text).sql == translate(archis, text).sql
+        warm = [answer(archis, text) for text in texts]
         assert misses.value - misses_before == 3
+        assert warm[0] != warm[1]
+        for text, rows in zip(texts, warm):
+            archis.reset_caches()
+            assert answer(archis, text) == rows
         hits_before = hits.value
-        archis.translation(texts[0])
+        answer(archis, texts[0])
         assert hits.value == hits_before + 1
 
-    def test_cache_is_bounded(self, archis):
-        load_bob_history(archis)
-        for i in range(DEFAULT_TRANSLATION_CACHE_SIZE + 10):
-            archis.translation(shape(i))
-        assert (
-            len(archis._translation_cache) == DEFAULT_TRANSLATION_CACHE_SIZE
-        )
 
-    def test_cache_size_is_configurable(self):
-        archis = make_archis(translation_cache_size=3)
-        load_bob_history(archis)
-        assert archis.stats()["translator"]["cache_capacity"] == 3
-        for i in range(10):
-            archis.translation(shape(i))
-        assert len(archis._translation_cache) == 3
+def test_no_literal_value_is_sql_text(segmented):
+    """Every literal of a query reaches the SQL as a slot: none of their
+    texts appears in the SQL the query ran as."""
+    key, day, later, floor = "7", "1995-04-17", "1995-09-02", "2817.5"
+    queries = [
+        q1(key, parse_date(day)),
+        f'count({DOC}[id="{key}"]/salary)',
+        f"count({DOC}/salary[toverlaps(., telement("
+        f'xs:date("{day}"), xs:date("{later}"))) and . > {floor}])',
+        f'for $e in {DOC} for $n in $e/name where $n = "zq\'x" return $n',
+        f"tavg({DOC}[id={key}]/salary)",
+        f"for $s in {DOC}/salary[. > {floor}] order by tstart($s) "
+        "descending return $s",
+    ]
+    for query in queries:
+        sql = segmented.xquery(query, allow_fallback=False).stats["sql"]
+        assert "$0" in sql, query
+        for text in (key, day, later, floor, "zq", "1995", "2817"):
+            assert text not in sql, (query, text)
 
-    def test_cache_size_must_be_positive(self):
-        with pytest.raises(Exception):
-            make_archis(translation_cache_size=0)
 
-    def test_cache_is_thread_safe_under_concurrent_translation(self):
-        import threading
+def test_the_cache_stays_bounded(archis, monkeypatch):
+    monkeypatch.setattr(cache, "CAPACITY", 4)
+    load_bob_history(archis)
+    _, misses = counters()
+    for i in range(10):
+        archis.translate(shape(i))
+    assert archis.stats()["plan_cache"]["size"] <= 4
+    before = misses.value
+    archis.translate(shape(0))  # the oldest shape went first
+    assert misses.value == before + 1
 
-        archis = make_archis(translation_cache_size=8)
-        load_bob_history(archis)
-        failures = []
 
-        def translate(worker_id):
-            try:
-                for i in range(20):
-                    archis.translation(shape((worker_id + i) % 12))
-            except Exception as exc:  # pragma: no cover - surfaced below
-                failures.append(exc)
+def test_concurrent_bindings_answer_as_one_thread_does(segmented):
+    queries = [q1(key % 10, DAYS[key % 7]) for key in range(12)]
+    expected = {query: answer(segmented, query) for query in queries}
+    segmented.reset_caches()
+    failures = []
 
-        threads = [
-            threading.Thread(target=translate, args=(w,)) for w in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not failures, failures
-        assert len(archis._translation_cache) == 8
+    def run(worker):
+        try:
+            for i in range(20):
+                query = queries[(worker + i) % len(queries)]
+                if answer(segmented, query) != expected[query]:
+                    failures.append(query)
+        except Exception as exc:  # pragma: no cover - surfaced below
+            failures.append(exc)
 
-    def test_reset_caches_clears_the_cache(self, archis):
-        load_bob_history(archis)
-        archis.translate(QUERY)
-        archis.reset_caches()
-        assert len(archis._translation_cache) == 0
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert not failures, failures

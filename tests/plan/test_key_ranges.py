@@ -17,8 +17,8 @@ from repro.plan.render import expr_to_sql
 #: the generator's employee ids are ID + 1, ID + 2, ...
 ID = 100000
 
-#: the deduplicated whole-history reads, as ``alias`` (plain ``FROM
-#: employee_salary`` without ``FOR SYSTEM_TIME`` reads the raw H-table)
+#: the deduplicated whole-history reads, as ``alias`` (a plain ``FROM
+#: employee_salary`` reads the same once the archive has two segments)
 SALARY_HISTORY = (
     "TABLE(history_employee_salary()) AS {}(id, salary, tstart, tend, segno)"
 )

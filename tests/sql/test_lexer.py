@@ -34,6 +34,22 @@ def test_param():
     assert kinds(":who") == [("PARAM", "who")]
 
 
+def test_slot():
+    assert kinds("$0 = DATE $12") == [
+        ("SLOT", "0"), ("OP", "="), ("KEYWORD", "date"), ("SLOT", "12"),
+    ]
+
+
+def test_a_slot_outside_a_translated_query_is_a_syntax_error():
+    from repro.rdb import Database
+
+    db = Database()
+    db.sql("CREATE TABLE t (id INT)")
+    for text in ("SELECT $0 FROM t", "SELECT id FROM t WHERE id = $1"):
+        with pytest.raises(SqlSyntaxError, match="slot reference"):
+            db.sql(text)
+
+
 def test_operators():
     ops = [v for k, v in kinds("<> <= >= != || ( ) , . * = < > + - /")]
     assert "<>" in ops and "||" in ops and "<=" in ops
