@@ -651,9 +651,9 @@ class Analyzer:
         if not isinstance(node.right, ast.Literal):
             right_sql, right_var = self._operand(node.right, context)
         if isinstance(node.left, ast.Literal):
-            left_sql = self._literal_sql(node.left, right_var, op)
+            left_sql = self._compared_literal(node.left, right_var, op)
         if isinstance(node.right, ast.Literal):
-            right_sql = self._literal_sql(node.right, left_var, op)
+            right_sql = self._compared_literal(node.right, left_var, op)
         # 'now' substitution for tend equality (paper 4.3): range
         # predicates work on the raw end-of-time marker, equality needs
         # the current date substituted via the tendval UDF
@@ -664,7 +664,7 @@ class Analyzer:
                 right_sql = f"tendval({right_sql})"
         return f"{left_sql} {op} {right_sql}"
 
-    def _literal_sql(
+    def _compared_literal(
         self, node: ast.Literal, var: VarInfo | None, op: str
     ) -> str:
         """A literal compared with ``var``'s value (if any), coerced to
@@ -854,7 +854,7 @@ class Analyzer:
             inner = []
             for part in node.content:
                 if isinstance(part, str):
-                    inner.append(_sql_literal(part))
+                    inner.append(_sql_string(part))
                 else:
                     inner.extend(self._content_sql(part))
             return [_xml_element(node.name, inner)]
@@ -977,7 +977,7 @@ def _xml_element(name: str, content: list[str]) -> str:
     return f"XMLElement(Name \"{name}\")"
 
 
-def _sql_literal(text: str) -> str:
+def _sql_string(text: str) -> str:
     """Direct-constructor content as a SQL string (part of the shape)."""
     escaped = text.replace("'", "''")
     return f"'{escaped}'"

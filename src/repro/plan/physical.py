@@ -207,8 +207,7 @@ class IndexScanOp(_Leaf):
             )
 
         self.eq_kinds = [kind(c) for c, _ in plan.eq]
-        if plan.range_column is not None:
-            self.range_kind = kind(plan.range_column)
+        self.range_kind = plan.range_column and kind(plan.range_column)
         self.low, self.high = (
             None if bound is None else ctx.compile(bound)
             for bound in (plan.low, plan.high)
