@@ -118,6 +118,17 @@ if [ -n "$TRANSLATION_CACHE" ]; then
     echo "$TRANSLATION_CACHE" >&2
     exit 1
 fi
+# The standalone XPath evaluator (repro.xmlkit.xpath, its XPathError
+# and XPATH wire code) was deleted: XQuery paths are evaluated by
+# repro.xquery.  The maintenance="off" mode went with it; umin=None is
+# the configuration that never freezes.
+UNREACHED="$(grep -rnE 'repro\.xmlkit\.xpath|\bXPathError\b|maintenance=["'"'"']off["'"'"']' \
+    --include='*.py' src tests examples scripts benchmarks || true)"
+if [ -n "$UNREACHED" ]; then
+    echo "FAIL: the XPath evaluator and maintenance=\"off\" were removed:" >&2
+    echo "$UNREACHED" >&2
+    exit 1
+fi
 echo "no references to removed legacy API surface"
 
 echo "== python 3.10 regex lint =="

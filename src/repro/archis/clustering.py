@@ -52,7 +52,7 @@ _FREEZE_STALL = get_registry().histogram("ingest.freeze_stall.seconds")
 _SWITCH_SECONDS = get_registry().histogram("maintenance.switch.seconds")
 
 #: recognized maintenance modes (see ArchISConfig.maintenance)
-MAINTENANCE_MODES = ("inline", "background", "off")
+MAINTENANCE_MODES = ("inline", "background")
 
 
 @dataclass
@@ -92,8 +92,7 @@ class SegmentManager:
         self.min_rows = min_rows
         #: how freezes run: ``inline`` rewrites synchronously inside the
         #: apply, ``background`` performs the cheap logical switch and
-        #: leaves the sorted rewrite to the maintenance worker, ``off``
-        #: never freezes (boundaries stay where they are)
+        #: leaves the sorted rewrite to the maintenance worker
         self.mode = mode
         #: frozen segment numbers whose physical rewrite has not finished
         #: (FIFO; persisted in the archive sidecar so a reopened archive
@@ -174,10 +173,9 @@ class SegmentManager:
         In ``background`` maintenance mode only the logical switch runs
         here (same boundary, same counters, same decision point as an
         inline freeze); the sorted rewrite of the frozen segment is
-        queued for the maintenance worker.  In ``off`` mode nothing ever
-        freezes.
+        queued for the maintenance worker.
         """
-        if self.umin is None or self.mode == "off":
+        if self.umin is None:
             return False
         if self._suspended:
             return False
@@ -222,7 +220,7 @@ class SegmentManager:
         single archived byte.  Returns ``False`` (no clearance) in any
         case it cannot prove.
         """
-        if self.umin is None or self.mode == "off":
+        if self.umin is None:
             return True
         if self.stats.total + inserts < self.min_rows:
             return True

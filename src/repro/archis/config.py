@@ -34,9 +34,9 @@ class ArchISConfig:
     ``maintenance``
         When segment freezes run: ``"inline"`` (the switch, the sorted
         rewrite and the compaction all inside the apply that triggered
-        the freeze), ``"background"`` (the switch on the apply path; a
-        maintenance worker performs the rewrite in bounded steps), or
-        ``"off"`` (never freeze).
+        the freeze) or ``"background"`` (the switch on the apply path; a
+        maintenance worker performs the rewrite in bounded steps).
+        ``umin=None`` is the configuration that never freezes.
     ``maintenance_step_rows``
         Row budget per background rewrite step (bounds how long the
         worker holds the history lock at a time).

@@ -74,10 +74,6 @@ class XmlError(ReproError):
     """XML parsing or construction failure."""
 
 
-class XPathError(ReproError):
-    """XPath parsing or evaluation failure."""
-
-
 class XQueryError(ReproError):
     """Base class for XQuery front-end failures."""
 
@@ -187,7 +183,6 @@ WIRE_CODES: dict[str, type[ReproError]] = {
     "TRANSLATION": TranslationError,
     "XQUERY_SYNTAX": XQuerySyntaxError,
     "XQUERY": XQueryError,
-    "XPATH": XPathError,
     "XML": XmlError,
     "COMPRESSION": CompressionError,
     "ARCHIS": ArchisError,

@@ -20,6 +20,7 @@ from repro.plan.build import referenced_aliases
 from repro.plan.optimizer import LazyDetail, bound_value
 from repro.plan.render import expr_to_sql
 from repro.sql import ast
+from repro.sql.expr import ARITHMETIC, concat
 
 #: end-of-window default when a snapshot predicate bounds only one side
 _MAX_DATE = 2**31
@@ -83,8 +84,12 @@ def _const_value(node):
 
 
 def _fold_expr(node, guards):
-    """Fold constant arithmetic/concat/negation bottom-up."""
-    if isinstance(node, ast.BinaryOp) and node.op in ("+", "-", "*", "/", "||"):
+    """Fold constant arithmetic/concat/negation bottom-up, with the
+    executor's operators; a zero divisor stays unfolded, so that its
+    error comes at execution."""
+    if isinstance(node, ast.BinaryOp) and (
+        node.op in ARITHMETIC or node.op == "||"
+    ):
         left = _fold_expr(node.left, guards)
         right = _fold_expr(node.right, guards)
         lv, lok = _const_value(left)
@@ -93,17 +98,11 @@ def _fold_expr(node, guards):
             guards.exact(left)
             guards.exact(right)
             if node.op == "||":
-                return ast.Literal(_text(lv) + _text(rv))
+                return ast.Literal(concat(lv, rv))
             if lv is None or rv is None:
                 return ast.Literal(None)
-            if node.op == "+":
-                return ast.Literal(lv + rv)
-            if node.op == "-":
-                return ast.Literal(lv - rv)
-            if node.op == "*":
-                return ast.Literal(lv * rv)
-            if rv != 0:
-                return ast.Literal(lv / rv)
+            if node.op != "/" or rv != 0:
+                return ast.Literal(ARITHMETIC[node.op](lv, rv))
         if left is not node.left or right is not node.right:
             return ast.BinaryOp(node.op, left, right)
         return node
@@ -151,14 +150,6 @@ def _const_comparison(node, guards):
         ">=": lv >= rv,
     }
     return ops[node.op]
-
-
-def _text(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
 
 
 # -- predicate pushdown -------------------------------------------------------

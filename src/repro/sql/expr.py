@@ -304,9 +304,16 @@ def _divide(left, right):
     return left / right
 
 
-_ARITHMETIC = {
+#: the binary arithmetic operators; the optimizer folds constants with
+#: these too, so a folded value is the one execution would compute
+ARITHMETIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
 }
+
+
+def concat(left: object, right: object) -> str:
+    """``left || right``: NULL reads as the empty string."""
+    return _as_text(left) + _as_text(right)
 
 
 def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr:
@@ -318,9 +325,7 @@ def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr
     if op == "or":
         return lambda row, params: bool(left(row, params) or right(row, params))
     if op == "||":
-        return lambda row, params: _as_text(left(row, params)) + _as_text(
-            right(row, params)
-        )
+        return lambda row, params: concat(left(row, params), right(row, params))
     compare = _COMPARE.get(op)
     if compare is not None:
         # a column against a lifted literal or another column — windows,
@@ -347,7 +352,7 @@ def _compile_binary(node: ast.BinaryOp, scope: Scope, functions) -> CompiledExpr
             rv = right(row, params)
             return lv is not None and rv is not None and compare(lv, rv)
         return run_compare
-    arithmetic = _ARITHMETIC.get(op)
+    arithmetic = ARITHMETIC.get(op)
     if arithmetic is not None:
         def run_arithmetic(row, params):
             lv = left(row, params)

@@ -42,10 +42,10 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
         help="BlockZIP the frozen segments before querying",
     )
     parser.add_argument(
-        "--maintenance", choices=["inline", "background", "off"],
+        "--maintenance", choices=["inline", "background"],
         default="inline",
         help="how segment freezes run: synchronously on the apply path "
-             "(inline), via the background maintenance worker, or never",
+             "(inline) or via the background maintenance worker",
     )
     parser.add_argument(
         "--maintenance-step-rows", type=int, default=1024,

@@ -1,9 +1,8 @@
-"""XML substrate: DOM, parser, serializer and an XPath subset."""
+"""XML substrate: DOM, parser and serializer."""
 
 from repro.xmlkit.dom import Element, Node, Text
 from repro.xmlkit.parser import parse_fragment, parse_xml
 from repro.xmlkit.serializer import serialize
-from repro.xmlkit.xpath import xpath
 
 __all__ = [
     "Element",
@@ -12,5 +11,4 @@ __all__ = [
     "parse_fragment",
     "parse_xml",
     "serialize",
-    "xpath",
 ]

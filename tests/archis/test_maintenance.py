@@ -141,14 +141,21 @@ class TestBackgroundEquivalence:
         )
         archis.close()
 
-    def test_off_mode_never_freezes(self):
-        archis = make_tracked(0.5, maintenance="off")
+    @pytest.mark.parametrize("maintenance", ["inline", "background"])
+    def test_without_umin_nothing_freezes(self, maintenance):
+        """``umin=None`` is the never-freeze configuration in either
+        maintenance mode: segmentation metadata exists, the boundary
+        never moves."""
+        archis = make_tracked(None, maintenance=maintenance)
         replay(archis.db, employee_ops(count=240))
         archis.apply_pending()
+        archis.drain_maintenance()
         assert archis.segments.freeze_count == 0
+        assert archis.segments.pending_rewrites == []
         assert list(archis.db.table("segment").rows()) == []
         assert archis.segments.live_segno == 1
         assert check_archive(archis) == []
+        archis.close()
 
     def test_stats_surface(self):
         archis, _ = run_mode("background", 0.5, batch_size=16)

@@ -79,6 +79,36 @@ def test_sql_command(capsys):
     assert "employee_salary" in out
 
 
+def test_plan_command_for_sql_and_xquery(capsys):
+    assert main([
+        "plan", *SMALL, "SELECT id FROM employee_salary WHERE salary > 1",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "optimized sql: SELECT" in out
+    assert main([
+        "plan", *SMALL,
+        'for $s in doc("employees.xml")/employees/employee/salary return $s',
+    ]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sql: SELECT")
+    assert "employee_salary" in out
+
+
+def test_explain_command(capsys):
+    assert main([
+        "explain", *SMALL, "--cold",
+        'count(doc("employees.xml")/employees/employee/salary)',
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "employee_salary" in out
+
+
+def test_obs_command(capsys):
+    assert main(["obs", *SMALL, "--traces", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "archis.xquery" in out
+
+
 def test_stats_command(capsys):
     assert main(["stats", *SMALL]) == 0
     out = capsys.readouterr().out

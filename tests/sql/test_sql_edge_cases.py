@@ -3,7 +3,7 @@ INSERT..SELECT, params everywhere, planner choices."""
 
 import pytest
 
-from repro.errors import SqlSyntaxError
+from repro.errors import SqlPlanError, SqlSyntaxError
 from repro.rdb import Database
 
 
@@ -84,6 +84,50 @@ class TestNullSemantics:
 
     def test_avg_skips_nulls(self, db):
         assert db.sql("SELECT avg(c) FROM t").scalar() == 2.0
+
+
+@pytest.fixture(params=[True, False], ids=["optimized", "unoptimized"])
+def pairs(request):
+    database = Database()
+    database.optimizer_enabled = request.param
+    database.sql("CREATE TABLE n (id INT, v INT)")
+    database.sql("INSERT INTO n VALUES (6, 3), (7, 0), (8, NULL)")
+    return database
+
+
+class TestDivision:
+    """SQL ``/`` is true division; a zero divisor is an error when the
+    row is evaluated, whether or not the optimizer folds constants."""
+
+    def test_constant_division_is_true_division(self, pairs):
+        assert pairs.sql("SELECT 7 / 2 FROM n WHERE id = 6").scalar() == 3.5
+        assert pairs.sql("SELECT id FROM n WHERE 7 / 2 = 3.5").rows == [
+            (6,), (7,), (8,),
+        ]
+
+    def test_per_row_division(self, pairs):
+        assert pairs.sql("SELECT id / v FROM n WHERE id <> 7").rows == [
+            (2.0,), (None,),
+        ]
+
+    def test_zero_divisor_in_a_row_raises(self, pairs):
+        with pytest.raises(SqlPlanError, match="division by zero"):
+            pairs.sql("SELECT id / v FROM n")
+
+    def test_constant_zero_divisor_raises_at_execution(self, pairs):
+        with pytest.raises(SqlPlanError, match="division by zero"):
+            pairs.sql("SELECT id FROM n WHERE 1 / 0 = 1")
+
+    def test_a_zero_divisor_is_not_folded_away(self, pairs):
+        """No row evaluates ``1 / 0`` here, so nothing raises: planning
+        leaves the division to execution."""
+        pairs.sql("CREATE TABLE empty (id INT)")
+        assert pairs.sql("SELECT id FROM empty WHERE 1 / 0 = 1").rows == []
+
+    def test_a_folded_shape_does_not_hide_a_zero_divisor(self, pairs):
+        assert len(pairs.sql("SELECT id FROM n WHERE 4 / 2 = 2")) == 3
+        with pytest.raises(SqlPlanError, match="division by zero"):
+            pairs.sql("SELECT id FROM n WHERE 4 / 0 = 2")
 
 
 class TestInsertSelect:

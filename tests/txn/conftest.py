@@ -7,7 +7,7 @@ from repro.rdb import ColumnType, Database
 from repro.txn import TxnManager
 
 
-def make_managed(profile="atlas", **kwargs):
+def make_managed(profile="atlas", config=None, **kwargs):
     db = Database()
     db.set_date("1995-01-01")
     db.create_table(
@@ -19,7 +19,9 @@ def make_managed(profile="atlas", **kwargs):
         ],
         primary_key=("id",),
     )
-    archis = ArchIS(db, config=ArchISConfig(profile=profile))
+    archis = ArchIS(
+        db, config=ArchISConfig(profile=profile, **(config or {}))
+    )
     archis.track_table("employee", document_name="employees.xml")
     manager = TxnManager(db, archis, **kwargs)
     return archis, manager

@@ -165,3 +165,67 @@ class TestManagerDeadlock:
         assert left == right and len(left) == 1
         assert manager.stats()["active"] == 0
         assert manager.locks.stats() == {"held": 0, "waiting": 0}
+
+
+class TestReadLocks:
+    """Reads inside a write transaction lock the tables they read (the
+    lock table has no shared mode), so no concurrent writer changes
+    them under the transaction."""
+
+    @staticmethod
+    def managed(lock_timeout):
+        db = Database()
+        for name in ("account", "audit"):
+            db.create_table(
+                name, [("id", ColumnType.INT), ("v", ColumnType.INT)],
+                primary_key=("id",),
+            )
+        db.sql("INSERT INTO account VALUES (1, 0), (2, 0)")
+        db.sql("INSERT INTO audit VALUES (1, 0)")
+        return TxnManager(db, lock_timeout=lock_timeout)
+
+    def test_a_select_locks_what_it_reads(self):
+        manager = self.managed(lock_timeout=0.1)
+        reader = manager.begin()
+        assert len(reader.sql("SELECT id FROM account")) == 2
+        writer = manager.begin()
+        with pytest.raises(LockTimeoutError):
+            writer.sql("INSERT INTO account VALUES (3, 0)")
+        writer.abort()
+        reader.commit()
+        with manager.begin() as txn:
+            txn.sql("INSERT INTO account VALUES (3, 0)")
+
+    def test_an_update_locks_its_subquery_tables(self):
+        manager = self.managed(lock_timeout=0.1)
+        updater = manager.begin()
+        updater.sql(
+            "UPDATE audit SET v = 1 WHERE id IN (SELECT id FROM account)"
+        )
+        writer = manager.begin()
+        with pytest.raises(LockTimeoutError):
+            writer.sql("UPDATE account SET v = 9 WHERE id = 1")
+        writer.abort()
+        updater.commit()
+
+    def test_a_writer_waits_for_the_reader(self):
+        manager = self.managed(lock_timeout=10.0)
+        reader = manager.begin()
+        reader.sql("SELECT v FROM account WHERE id = 1")
+        written = threading.Event()
+
+        def write():
+            with manager.begin() as txn:
+                txn.sql("UPDATE account SET v = 5 WHERE id = 1")
+            written.set()
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        assert not written.wait(0.2)
+        assert reader.sql("SELECT v FROM account WHERE id = 1").scalar() == 0
+        reader.commit()
+        writer.join(timeout=10.0)
+        assert not writer.is_alive() and written.is_set()
+        assert manager.snapshot().sql(
+            "SELECT v FROM account WHERE id = 1"
+        ).scalar() == 5

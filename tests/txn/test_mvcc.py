@@ -196,6 +196,36 @@ class TestApplyCommittedOrdering:
         assert all(observed)
 
 
+class TestFreezeFloor:
+    @pytest.mark.parametrize("profile", ["atlas", "db2"])
+    def test_a_freeze_waits_for_an_earlier_open_transaction(self, profile):
+        """A transaction begun on an early day archives its rows at that
+        day when it commits, so no freeze may draw a boundary above it
+        while it is open, even when later commits have dropped
+        usefulness below U_min; the freeze comes once it has ended."""
+        archis, manager = make_managed(
+            profile=profile, config={"umin": 0.5, "min_segment_rows": 8}
+        )
+        segments = archis.segments
+        with manager.begin() as txn:
+            for key in range(1, 11):
+                txn.sql(f"INSERT INTO employee VALUES ({key}, 'e', {key})")
+        early = manager.begin()
+        with manager.begin() as txn:
+            txn.sql("DELETE FROM employee WHERE id >= 3")
+        # a change past the last archived day: the freeze's decision point
+        with manager.begin() as txn:
+            txn.sql("UPDATE employee SET salary = 20 WHERE id = 2")
+        assert segments.stats.usefulness < 0.5
+        assert segments.freeze_count == 0
+        early.sql("UPDATE employee SET salary = 10 WHERE id = 1")
+        early.commit()
+        with manager.begin() as txn:
+            txn.sql("UPDATE employee SET salary = 30 WHERE id = 2")
+        assert segments.freeze_count == 1
+        assert check_archive(archis) == []
+
+
 class TestApplyPendingCount:
     def test_apply_pending_reports_entries_archived(self):
         """Regression: with a transaction manager attached,

@@ -15,7 +15,6 @@ ALL_ERRORS = [
     errors.SqlSyntaxError,
     errors.SqlPlanError,
     errors.XmlError,
-    errors.XPathError,
     errors.XQueryError,
     errors.XQuerySyntaxError,
     errors.XQueryTypeError,
