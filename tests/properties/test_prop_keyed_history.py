@@ -180,7 +180,10 @@ def check_read_contract(archis, keys) -> None:
         for hi, _, end in periods[low:]:
             for key in (None, *keys):
                 args = (lo, hi) if key is None else (lo, hi, key, key)
-                rows = [row[:4] for row in history(*args)]
+                # as every reader does: a background rewrite step (a
+                # freeze the history itself triggers) must not interleave
+                with archis.history_lock.read():
+                    rows = [row[:4] for row in history(*args)]
                 versions = [(row[0], row[2]) for row in rows]
                 assert versions == sorted(set(versions)), args
                 assert set(rows) <= set(full), args
